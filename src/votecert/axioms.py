@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .prefs import AnonKey, Ordering, canonicalize, enumerate_orderings
+from .prefs import (
+    AnonKey,
+    Ordering,
+    adjacent_swaps,
+    canonicalize,
+    enumerate_orderings,
+    enumerate_profiles,
+)
 from .rules import RuleTable, random_dictatorship
 
 ZERO = Fraction(0)
@@ -69,17 +76,59 @@ def _tops_of_ranks(m: int) -> list[int]:
     return [o[0] for o in enumerate_orderings(m)]
 
 
-def _all_tops_keys(m: int, n: int, x: int):
-    """Anonymous profiles in which every voter ranks x first."""
-    ranks = [r for r, o in enumerate(enumerate_orderings(m)) if o[0] == x]
-    return itertools.combinations_with_replacement(ranks, n)
-
-
 def _replace_rank(key: AnonKey, old: int, new: int) -> AnonKey:
     lst = list(key)
     lst.remove(old)
     lst.append(new)
     return tuple(sorted(lst))
+
+
+# -- Linear axioms: one generator each, shared with polytope.build_polytope ------
+
+
+def unanimous_profiles(m: int, n: int, x: int):
+    """Anonymous profiles in which every voter ranks x first (v(key, x) >= 1 - eps)."""
+    ranks = [r for r, o in enumerate(enumerate_orderings(m)) if o[0] == x]
+    return itertools.combinations_with_replacement(ranks, n)
+
+
+def responsive_pairs(m: int, n: int):
+    """Yields (key, key2, r, p, z): a voter with ordering rank r in key swaps
+    positions p and p+1, giving key2; bystander z keeps v(key, z) = v(key2, z).
+    """
+    orderings = enumerate_orderings(m)
+    swaps = adjacent_swaps(m)
+    for key in enumerate_profiles(m, n, anonymous=True):
+        for r in set(key):
+            o = orderings[r]
+            for p, r2 in enumerate(swaps[r]):
+                key2 = _replace_rank(key, r, r2)
+                for z in range(m):
+                    if z != o[p] and z != o[p + 1]:
+                        yield key, key2, r, p, z
+
+
+def isolation_groups(m: int, n: int):
+    """Yields (r, p, c, [(others, before, after), ...]): the voter with ordering
+    rank r raises y = o[p+1] above x = o[p]; the other voters are grouped by c,
+    how many of them rank x above y; v(after, y) - v(before, y) is constant
+    within a group.
+    """
+    orderings = enumerate_orderings(m)
+    swaps = adjacent_swaps(m)
+    contexts = list(itertools.combinations_with_replacement(range(len(orderings)), n - 1))
+    for r, o in enumerate(orderings):
+        for p, r2 in enumerate(swaps[r]):
+            x, y = o[p], o[p + 1]
+            x_above_y = [q.index(x) < q.index(y) for q in orderings]
+            groups: dict[int, list] = defaultdict(list)
+            for others in contexts:
+                c = sum(x_above_y[s] for s in others)
+                before = tuple(sorted(others + (r,)))
+                after = tuple(sorted(others + (r2,)))
+                groups[c].append((others, before, after))
+            for c, members in groups.items():
+                yield r, p, c, members
 
 
 # -- Efficiency and unanimity ---------------------------------------------------
@@ -107,7 +156,7 @@ def min_eps_pareto(v: RuleTable) -> AxiomReport:
 def min_eps_strong_unanimity(v: RuleTable) -> AxiomReport:
     best, witness = ZERO, None
     for x in range(v.m):
-        for key in _all_tops_keys(v.m, v.n, x):
+        for key in unanimous_profiles(v.m, v.n, x):
             val = 1 - v.prob_at(key, x)
             if val > best:
                 best, witness = val, {"profile": key, "x": x}
@@ -127,7 +176,7 @@ def min_eps_weak_unanimity(v: RuleTable) -> AxiomReport:
 def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
     best, witness = ZERO, None
     for x in range(v.m):
-        vals = [(1 - v.prob_at(key, x), key) for key in _all_tops_keys(v.m, v.n, x)]
+        vals = [(1 - v.prob_at(key, x), key) for key in unanimous_profiles(v.m, v.n, x)]
         val, key = min(vals)
         if val > best:
             best, witness = val, {"profile": key, "x": x}
@@ -139,57 +188,23 @@ def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
 
 def responsiveness_deviation(v: RuleTable) -> AxiomReport:
     """How much an adjacent swap can move a bystander candidate's probability."""
-    orderings = enumerate_orderings(v.m)
     best, witness = ZERO, None
-    for key in v.keys():
-        for r in set(key):
-            o = orderings[r]
-            for p in range(v.m - 1):
-                swapped = list(o)
-                swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-                r2 = orderings.index(tuple(swapped))
-                key2 = _replace_rank(key, r, r2)
-                pair = {o[p], o[p + 1]}
-                for z in range(v.m):
-                    if z in pair:
-                        continue
-                    d = abs(v.prob_at(key2, z) - v.prob_at(key, z))
-                    if d > best:
-                        best = d
-                        witness = {
-                            "profile": key,
-                            "swapped_profile": key2,
-                            "acting_rank": r,
-                            "pos": p,
-                            "z": z,
-                        }
+    for key, key2, r, p, z in responsive_pairs(v.m, v.n):
+        d = abs(v.prob_at(key2, z) - v.prob_at(key, z))
+        if d > best:
+            best = d
+            witness = {"profile": key, "swapped_profile": key2, "acting_rank": r, "pos": p, "z": z}
     return AxiomReport("responsiveness", best, witness)
-
-
-def _isolation_groups(v: RuleTable):
-    """Raise-step deltas grouped by (acting ordering, swap position, pair-order count)."""
-    orderings = enumerate_orderings(v.m)
-    for r, o in enumerate(orderings):
-        for p in range(v.m - 1):
-            x, y = o[p], o[p + 1]
-            swapped = list(o)
-            swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-            r2 = orderings.index(tuple(swapped))
-            groups: dict[int, list] = defaultdict(list)
-            for others in itertools.combinations_with_replacement(range(len(orderings)), v.n - 1):
-                c = sum(1 for s in others if orderings[s].index(x) < orderings[s].index(y))
-                before = tuple(sorted(others + (r,)))
-                after = tuple(sorted(others + (r2,)))
-                delta = v.prob_at(after, y) - v.prob_at(before, y)
-                groups[c].append((others, delta))
-            for c, members in groups.items():
-                yield r, p, c, members
 
 
 def isolation_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the raised candidate's probability change across matched contexts."""
+    orderings = enumerate_orderings(v.m)
     best, witness = ZERO, None
-    for r, p, c, members in _isolation_groups(v):
+    for r, p, c, group in isolation_groups(v.m, v.n):
+        y = orderings[r][p + 1]
+        members = [(others, v.prob_at(after, y) - v.prob_at(before, y))
+                   for others, before, after in group]
         lo = min(members, key=lambda t: t[1])
         hi = max(members, key=lambda t: t[1])
         d = hi[1] - lo[1]
@@ -399,14 +414,9 @@ def replay_report(v: RuleTable, report: AxiomReport) -> Fraction:
 
 
 def _raise_delta(v: RuleTable, r: int, p: int, others: AnonKey) -> Fraction:
-    orderings = enumerate_orderings(v.m)
-    o = orderings[r]
-    swapped = list(o)
-    swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-    r2 = orderings.index(tuple(swapped))
-    y = o[p + 1]
+    y = enumerate_orderings(v.m)[r][p + 1]
     before = tuple(sorted(others + (r,)))
-    after = tuple(sorted(others + (r2,)))
+    after = tuple(sorted(others + (adjacent_swaps(v.m)[r][p],)))
     return v.prob_at(after, y) - v.prob_at(before, y)
 
 

@@ -221,8 +221,8 @@ def check(rule_path, axiom, out):
 @main.command("sp-check")
 @click.option("--rule", "rule_path", required=True, type=click.Path(exists=True))
 @click.option("--classic", is_flag=True, help="Check classic strategy-proofness instead.")
-@click.option("--polya-max", default=6, show_default=True)
-@click.option("--trials", default=10_000, show_default=True)
+@click.option("--polya-max", default=6, show_default=True, type=click.IntRange(min=0))
+@click.option("--trials", default=10_000, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 @_handle_errors

@@ -1,12 +1,13 @@
 """Exact rational linear programming.
 
-`solve_lp` is a two-phase simplex over Fractions with Bland's anti-cycling
-rule: deterministic and exact, with infeasible/unbounded reported as
-statuses.  `SlackBasisSimplex` is the warm-startable core used for the
-polytope sweeps, where the origin is known feasible and many objectives are
-maximized over one constraint set.  `reduce_equalities` is a sparse exact
-Gauss-Jordan elimination used to fold equality constraints away before
-optimizing.
+A `Constraint` keeps only its nonzero (column, coefficient) terms and its
+width; `.coeffs` gives the dense row.  `solve_lp` is a two-phase simplex
+over Fractions with Bland's anti-cycling rule: deterministic and exact,
+with infeasible/unbounded reported as statuses.  `SlackBasisSimplex` is the
+warm-startable core used for the polytope sweeps, where the origin is known
+feasible and many objectives are maximized over one constraint set.
+`reduce_equalities` is a sparse exact Gauss-Jordan elimination used to fold
+equality constraints away before optimizing.
 """
 
 from __future__ import annotations
@@ -30,9 +31,17 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...]  # nonzero (column, coefficient), by column
+    width: int  # number of variables
     rel: str
     rhs: Fraction
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        row = [ZERO] * self.width
+        for j, a in self.terms:
+            row[j] = a
+        return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,11 @@ class LPSolution:
 
 
 def constraint(coeffs, rel: str, rhs) -> Constraint:
+    """A constraint from a dense coefficient row."""
     if rel not in (REL_LE, REL_EQ, REL_GE):
         raise DomainError(f"unknown relation {rel!r}")
-    return Constraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+    row = [Fraction(c) for c in coeffs]
+    return Constraint(tuple((j, a) for j, a in enumerate(row) if a), len(row), rel, Fraction(rhs))
 
 
 # -- Generic two-phase simplex -------------------------------------------------
@@ -74,8 +85,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     artificial variables driven out in phase 1.
     """
     for c in lp.constraints:
-        if len(c.coeffs) != lp.n_vars:
-            raise DomainError(f"constraint has {len(c.coeffs)} coefficients, expected {lp.n_vars}")
+        if c.width != lp.n_vars:
+            raise DomainError(f"constraint has {c.width} coefficients, expected {lp.n_vars}")
         if c.rel not in (REL_LE, REL_EQ, REL_GE):
             raise DomainError(f"unknown relation {c.rel!r}")
 
@@ -90,11 +101,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             col_of.append((ncols, ncols + 1))
             ncols += 2
 
-    def expand(coeffs) -> list[Fraction]:
+    def expand(terms) -> list[Fraction]:
         row = [ZERO] * ncols
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
+        for j, c in terms:
             plus, minus = col_of[j]
             row[plus] += c
             if minus is not None:
@@ -105,7 +114,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     rels: list[str] = []
     rhs: list[Fraction] = []
     for c in lp.constraints:
-        row, rel, b = expand(c.coeffs), c.rel, c.rhs
+        row, rel, b = expand(c.terms), c.rel, c.rhs
         if b < 0:
             row = [-a for a in row]
             b = -b
@@ -146,14 +155,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         for col in artificial:
             phase1[col] = -ONE
         status = _optimize(tableau, basis, phase1, ncols, allowed=None)
-        assert status == OPTIMAL  # phase 1 is bounded below by 0
+        if status != OPTIMAL:
+            raise AssertionError("phase 1 reported unbounded, but it is bounded below by 0")
         if _objective_value(tableau, basis, phase1, ncols) != 0:
             return LPSolution(INFEASIBLE)
         _drive_out_artificials(tableau, basis, artificial, ncols)
 
     allowed = [j for j in range(ncols) if j not in artificial]
     sign = 1 if lp.maximize else -1
-    cost = expand([sign * c for c in lp.objective]) + [ZERO] * (ncols - nstruct) + [ZERO]
+    cost = expand(enumerate(sign * c for c in lp.objective)) + [ZERO] * (ncols - nstruct) + [ZERO]
     status = _optimize(tableau, basis, cost, ncols, allowed=allowed)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)

@@ -5,6 +5,8 @@ Variables are the lottery entries of an anonymous rule table, indexed by
 (anonymous profile, candidate).  Pairwise responsiveness and pairwise
 isolation are equality constraints; eps-strong unanimity gives inequality
 constraints; lottery normalization and nonnegativity are always present.
+The rows are emitted from the same generators in `axioms` that drive the
+deviation meters, so each axiom is enumerated in one place.
 
 `max_distance` maximizes +/-(v(x, P) - j/n) over the polytope, one linear
 objective per (profile, candidate, sign).  Equalities are folded away by
@@ -20,6 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .axioms import isolation_groups, responsive_pairs, unanimous_profiles
 from .errors import DomainError
 from .lp import (
     Constraint,
@@ -66,84 +69,51 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     parts = normalize_parts(parts)
-    orderings = enumerate_orderings(m)
     keys = list(enumerate_profiles(m, n, anonymous=True))
     key_index = {k: i for i, k in enumerate(keys)}
     nvars = len(keys) * m
 
     rows: list[Constraint] = []
-    seen: set = set()
+    seen: set[Constraint] = set()
 
     def add(coeffs: dict[int, Fraction], rel: str, rhs: Fraction):
-        dense = [ZERO] * nvars
-        for j, a in coeffs.items():
-            dense[j] = a
-        sig = (tuple(dense), rel, rhs)
-        if sig in seen:
-            return
-        seen.add(sig)
-        rows.append(Constraint(tuple(dense), rel, rhs))
+        terms = tuple(sorted((j, a) for j, a in coeffs.items() if a))
+        row = Constraint(terms, nvars, rel, rhs)
+        if terms and row not in seen:
+            seen.add(row)
+            rows.append(row)
 
-    for k, key in enumerate(keys):
+    def var(key: AnonKey, x: int) -> int:
+        return _var(key_index[key], x, m)
+
+    for k in range(len(keys)):
         add({_var(k, x, m): ONE for x in range(m)}, REL_EQ, ONE)
 
     if "responsive" in parts:
-        for key in keys:
-            for r in set(key):
-                o = orderings[r]
-                for p in range(m - 1):
-                    swapped = list(o)
-                    swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-                    r2 = orderings.index(tuple(swapped))
-                    lst = list(key)
-                    lst.remove(r)
-                    lst.append(r2)
-                    key2 = tuple(sorted(lst))
-                    a, b = key_index[key], key_index[key2]
-                    pair = {o[p], o[p + 1]}
-                    for z in range(m):
-                        if z in pair:
-                            continue
-                        lo, hi = sorted((_var(a, z, m), _var(b, z, m)))
-                        add({lo: ONE, hi: -ONE}, REL_EQ, ZERO)
+        for key, key2, _r, _p, z in responsive_pairs(m, n):
+            lo, hi = sorted((var(key, z), var(key2, z)))
+            add({lo: ONE, hi: -ONE}, REL_EQ, ZERO)
 
     if "isolated" in parts:
-        fact = len(orderings)
-        for r, o in enumerate(orderings):
-            for p in range(m - 1):
-                x, y = o[p], o[p + 1]
-                swapped = list(o)
-                swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-                r2 = orderings.index(tuple(swapped))
-                groups: dict[int, list] = defaultdict(list)
-                for others in itertools.combinations_with_replacement(range(fact), n - 1):
-                    c = sum(1 for s in others if orderings[s].index(x) < orderings[s].index(y))
-                    before = key_index[tuple(sorted(others + (r,)))]
-                    after = key_index[tuple(sorted(others + (r2,)))]
-                    groups[c].append((before, after))
-                for members in groups.values():
-                    for (b1, a1), (b2, a2) in zip(members, members[1:]):
-                        coeffs: dict[int, Fraction] = defaultdict(lambda: ZERO)
-                        coeffs[_var(a1, y, m)] += ONE
-                        coeffs[_var(b1, y, m)] -= ONE
-                        coeffs[_var(a2, y, m)] -= ONE
-                        coeffs[_var(b2, y, m)] += ONE
-                        coeffs = {j: a for j, a in coeffs.items() if a}
-                        if coeffs:
-                            add(coeffs, REL_EQ, ZERO)
+        orderings = enumerate_orderings(m)
+        for r, p, _c, members in isolation_groups(m, n):
+            y = orderings[r][p + 1]
+            for (_, b1, a1), (_, b2, a2) in zip(members, members[1:]):
+                coeffs: dict[int, Fraction] = defaultdict(lambda: ZERO)
+                for key, a in ((a1, ONE), (b1, -ONE), (a2, -ONE), (b2, ONE)):
+                    coeffs[var(key, y)] += a
+                add(coeffs, REL_EQ, ZERO)
 
     if "unanimity" in parts:
         for x in range(m):
-            top_x_ranks = [r for r, o in enumerate(orderings) if o[0] == x]
-            for key in itertools.combinations_with_replacement(top_x_ranks, n):
-                k = key_index[key]
+            for key in unanimous_profiles(m, n, x):
                 if eps == 0:
-                    add({_var(k, x, m): ONE}, REL_EQ, ONE)
+                    add({var(key, x): ONE}, REL_EQ, ONE)
                     for y in range(m):
                         if y != x:
-                            add({_var(k, y, m): ONE}, REL_EQ, ZERO)
+                            add({var(key, y): ONE}, REL_EQ, ZERO)
                 else:
-                    add({_var(k, x, m): ONE}, REL_GE, 1 - eps)
+                    add({var(key, x): ONE}, REL_GE, 1 - eps)
 
     names = tuple(f"p{k}/c{x}" for k in range(len(keys)) for x in range(m))
     return LinearProgram(
@@ -211,17 +181,11 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
         for x in range(m):
             x0[_var(k, x, m)] = lot[x]
 
-    eqs = []
-    ineqs = []
-    for c in lp.constraints:
-        sparse = {j: a for j, a in enumerate(c.coeffs) if a}
-        if c.rel == REL_EQ:
-            eqs.append((sparse, c.rhs))
-        else:
-            ineqs.append((sparse, c.rel, c.rhs))
+    eqs = [(dict(c.terms), c.rhs) for c in lp.constraints if c.rel == REL_EQ]
+    ineqs = [c for c in lp.constraints if c.rel != REL_EQ]
 
-    for sparse, rhs in eqs:  # random dictatorship must satisfy every equality
-        got = sum((a * x0[j] for j, a in sparse.items()), ZERO)
+    for row, rhs in eqs:  # random dictatorship must satisfy every equality
+        got = sum((a * x0[j] for j, a in row.items()), ZERO)
         if got != rhs:
             raise AssertionError(f"random dictatorship violates an equality row: {got} != {rhs}")
 
@@ -258,19 +222,19 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
 
     for var in range(nvars):  # x_var >= 0  ->  -N_var . t <= x0_var
         add_row([-a for a in row_of[var]], x0[var])
-    for sparse, rel, rhs in ineqs:
+    for c in ineqs:
         coeffs = [ZERO] * d
         const = ZERO
-        for j, a in sparse.items():
+        for j, a in c.terms:
             const += a * x0[j]
             rj = row_of[j]
             for i in range(d):
                 if rj[i]:
                     coeffs[i] += a * rj[i]
-        if rel == REL_GE:  # a.x >= rhs  ->  -(a.N) t <= a.x0 - rhs
-            add_row([-a for a in coeffs], const - rhs)
+        if c.rel == REL_GE:  # a.x >= rhs  ->  -(a.N) t <= a.x0 - rhs
+            add_row([-a for a in coeffs], const - c.rhs)
         else:
-            add_row(coeffs, rhs - const)
+            add_row(coeffs, c.rhs - const)
 
     G = [list(row) for row in gmap]
     h = [gmap[tuple(row)] for row in G]
@@ -290,26 +254,18 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
             reps[rep] = sorted(orbit)
             seen_pairs |= orbit
 
-    best = None  # (value, rep, sign, t)
-    rep_values: dict[tuple[tuple[int, int], int], Fraction] = {}
-    witnesses = []
-    n_solves = 0
+    solved = []  # (value, rep, sign, t) in solve order
     for rep in sorted(reps):
         k, x = rep
         cvec = row_of[_var(k, x, m)]
         for sign in (1, -1):
             obj = [sign * a for a in cvec] + [-sign * a for a in cvec]
             value, y = simplex.solve(obj)
-            n_solves += 1
-            rep_values[(rep, sign)] = value
-            t = [y[i] - y[d + i] for i in range(d)]
-            if best is None or value > best[0]:
-                best = (value, rep, sign, t)
-            if keep_witnesses:
-                witnesses.append(_table_from_t(m, n, keys, x0, row_of, t))
+            solved.append((value, rep, sign, [y[i] - y[d + i] for i in range(d)]))
+    rep_values = {(rep, sign): value for value, rep, sign, _t in solved}
 
-    assert best is not None
-    d_star, (bk, bx), bsign, bt = best
+    # max keeps the first of equal optima, so the witness follows solve order.
+    d_star, (bk, bx), bsign, bt = max(solved, key=lambda s: s[0])
     witness = _table_from_t(m, n, keys, x0, row_of, bt)
 
     per_objective = []
@@ -322,7 +278,8 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
 
     uniq = []
     if keep_witnesses:
-        for w in witnesses:
+        for *_, t in solved:
+            w = _table_from_t(m, n, keys, x0, row_of, t)
             if w not in uniq:
                 uniq.append(w)
 
@@ -334,7 +291,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
         witness_sign=bsign,
         per_objective=tuple(per_objective),
         free_dim=d,
-        n_solves=n_solves,
+        n_solves=len(solved),
         all_witnesses=tuple(uniq),
     )
 

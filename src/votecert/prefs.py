@@ -15,10 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
 from functools import lru_cache
 
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, ValidationError
 
 Ordering = tuple[int, ...]
 Profile = tuple[Ordering, ...]
@@ -30,14 +29,27 @@ DEFAULT_MAX_PROFILES = 10_000_000
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _env_cap(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {text!r}")
+    return value
+
+
 def max_m() -> int:
     """Candidate-count cap; override with VOTECERT_MAX_M."""
-    return int(os.environ.get("VOTECERT_MAX_M", DEFAULT_MAX_M))
+    return _env_cap("VOTECERT_MAX_M", DEFAULT_MAX_M)
 
 
 def max_profiles() -> int:
     """Profile-enumeration cap; override with VOTECERT_MAX_PROFILES."""
-    return int(os.environ.get("VOTECERT_MAX_PROFILES", DEFAULT_MAX_PROFILES))
+    return _env_cap("VOTECERT_MAX_PROFILES", DEFAULT_MAX_PROFILES)
 
 
 def candidate_names(m: int) -> tuple[str, ...]:
@@ -61,6 +73,16 @@ def enumerate_orderings(m: int) -> tuple[Ordering, ...]:
 @lru_cache(maxsize=None)
 def _rank_of(m: int) -> dict[Ordering, int]:
     return {o: i for i, o in enumerate(enumerate_orderings(m))}
+
+
+@lru_cache(maxsize=None)
+def adjacent_swaps(m: int) -> tuple[tuple[int, ...], ...]:
+    """swaps[r][p] is the rank of ordering r with positions p and p+1 exchanged."""
+    rank = _rank_of(m)
+    return tuple(
+        tuple(rank[o[:p] + (o[p + 1], o[p]) + o[p + 2:]] for p in range(m - 1))
+        for o in enumerate_orderings(m)
+    )
 
 
 def ordering_rank(ordering: Ordering) -> int:
@@ -100,11 +122,6 @@ def canonicalize(profile: Profile) -> AnonKey:
     m = len(profile[0])
     rank = _rank_of(m)
     return tuple(sorted(rank[o] for o in profile))
-
-
-def anon_counts(key: AnonKey) -> Counter:
-    """Multiplicity of each ordering rank in an anonymous profile."""
-    return Counter(key)
 
 
 def anon_expand(key: AnonKey, m: int) -> Profile:
@@ -214,7 +231,3 @@ def format_ordering(ordering: Ordering, names: tuple[str, ...]) -> str:
 def parse_profile(text: str, names: tuple[str, ...]) -> Profile:
     """Parse "a>b>c;b>a>c" into a profile."""
     return tuple(parse_ordering(part, names) for part in text.split(";"))
-
-
-def format_profile(profile: Profile, names: tuple[str, ...]) -> str:
-    return ";".join(format_ordering(o, names) for o in profile)

@@ -359,15 +359,36 @@ def rule_to_json_obj(v: RuleTable) -> dict:
 
 def rule_from_json_obj(obj: dict) -> RuleTable:
     try:
-        m, n = int(obj["m"]), int(obj["n"])
+        m, n = obj["m"], obj["n"]
         names = tuple(obj["candidates"])
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed rule file: missing {exc}") from None
+    if type(m) is not int or type(n) is not int:  # rejects bools, floats and strings
+        raise ValidationError(f"m and n must be JSON integers, got m={m!r}, n={n!r}")
+    if any(type(name) is not str for name in names):
+        raise ValidationError(f"candidate names must be strings, got {list(names)!r}")
+    if not isinstance(entries, list):
+        raise ValidationError("malformed rule file: entries must be a list")
     if len(names) != m:
         raise ValidationError(f"expected {m} candidate names, got {len(names)}")
     table: dict[AnonKey, Lottery] = {}
     for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("profile"), list)
+            and isinstance(entry.get("lottery"), list)
+        ):
+            raise ValidationError(
+                f"malformed rule entry {entry!r}: need an object with list-valued "
+                "'profile' and 'lottery'"
+            )
+        for item in entry["profile"]:
+            if type(item) is not str:
+                raise ValidationError(f"profile item {item!r} is not an ordering string")
+        for item in entry["lottery"]:
+            if type(item) not in (str, int):
+                raise ValidationError(f"lottery item {item!r} is not a string or an integer")
         profile = tuple(parse_ordering(text, names) for text in entry["profile"])
         if len(profile) != n:
             raise ValidationError(f"entry lists {len(profile)} orderings, expected {n}")

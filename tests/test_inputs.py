@@ -1,0 +1,131 @@
+"""Malformed inputs exit with code 2 and a one-line error, never a traceback.
+
+Exit code 1 is reserved for a verify-theorem FAIL, so an input problem that
+escapes as an uncaught exception would be mistaken for a failed theorem.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import votecert
+from votecert.cli import main
+from votecert.errors import ValidationError
+from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, max_m, max_profiles
+from votecert.rules import random_dictatorship, rule_to_json_obj, save_rule, uniform_rule
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
+
+
+def _assert_input_error(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+# -- numeric flags ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag", ["--polya-max", "--trials"])
+def test_sp_check_rejects_negative_counts(runner, tmp_path, flag):
+    rule_path = tmp_path / "uniform.json"
+    save_rule(uniform_rule(3, 2), str(rule_path))
+    result = runner.invoke(main, ["sp-check", "--rule", str(rule_path), flag, "-1"])
+    _assert_input_error(result)
+    assert flag in result.output
+
+
+def test_sp_check_accepts_zero_counts(runner, tmp_path):
+    rule_path = tmp_path / "uniform.json"
+    save_rule(uniform_rule(3, 2), str(rule_path))
+    result = runner.invoke(
+        main, ["sp-check", "--rule", str(rule_path), "--polya-max", "0", "--trials", "0"]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["results"]["verdict"]["status"] == "certified"
+
+
+# -- environment caps ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,reader,default",
+    [
+        ("VOTECERT_MAX_M", max_m, DEFAULT_MAX_M),
+        ("VOTECERT_MAX_PROFILES", max_profiles, DEFAULT_MAX_PROFILES),
+    ],
+)
+def test_env_caps_are_validated(monkeypatch, name, reader, default):
+    monkeypatch.delenv(name, raising=False)
+    assert reader() == default
+    monkeypatch.setenv(name, "7")
+    assert reader() == 7
+    for bad in ("abc", "2.5", "0", "-3", ""):
+        monkeypatch.setenv(name, bad)
+        with pytest.raises(ValidationError, match=name):
+            reader()
+
+
+def test_bad_env_cap_exits_2_from_the_command_line(tmp_path):
+    # A fresh process: in-process, enumerate_orderings may already be cached for m = 3.
+    src = str(Path(votecert.__file__).resolve().parents[1])
+    env = {**os.environ, "VOTECERT_MAX_M": "abc"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = str(tmp_path / "u.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "votecert.cli", "gen", "uniform", "3", "2", "--out", out],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "VOTECERT_MAX_M" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# -- rule-file schema --------------------------------------------------------------
+
+
+def _mutate_entry(obj, field, value):
+    obj["entries"][0][field] = value
+
+
+def _drop_profile(obj):
+    del obj["entries"][0]["profile"]
+
+
+MALFORMED = {
+    "entry-without-profile": (3, 2, _drop_profile),
+    "nested-lottery-item": (3, 2, lambda o: _mutate_entry(o, "lottery", [[1], "0", "0"])),
+    "bool-lottery-item": (3, 2, lambda o: _mutate_entry(o, "lottery", [True, 0, 0])),
+    "float-lottery-item": (3, 2, lambda o: _mutate_entry(o, "lottery", [0.5, 0.5, 0])),
+    "lottery-not-a-list": (3, 2, lambda o: _mutate_entry(o, "lottery", "1/3")),
+    "integer-profile-item": (3, 2, lambda o: _mutate_entry(o, "profile", [0, 1])),
+    "entry-not-an-object": (3, 2, lambda o: o["entries"].__setitem__(0, ["a>b>c"])),
+    "entries-not-a-list": (3, 2, lambda o: o.__setitem__("entries", 5)),
+    "fractional-m": (3, 2, lambda o: o.__setitem__("m", 3.7)),
+    "string-m": (3, 2, lambda o: o.__setitem__("m", "3")),
+    "bool-n": (3, 1, lambda o: o.__setitem__("n", True)),
+    "unhashable-candidate": (3, 2, lambda o: o.__setitem__("candidates", [["a"], "b", "c"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_check_rejects_malformed_rule_file(runner, tmp_path, case):
+    m, n, mutate = MALFORMED[case]
+    obj = rule_to_json_obj(random_dictatorship(m, n))
+    mutate(obj)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
+    _assert_input_error(result)
+    assert "error:" in result.output
