@@ -35,7 +35,7 @@ from .beliefs import (
     replay_gain,
     sample_refute,
 )
-from .errors import CapExceededError, DomainError, ValidationError, VoteCertError
+from .errors import CapExceededError, DomainError, InternalError, ValidationError, VoteCertError
 from .lp import Constraint, LinearProgram, LPSolution, constraint, solve_lp
 from .polytope import (
     MaxDistanceResult,

@@ -12,6 +12,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DomainError
 from .prefs import (
@@ -22,22 +23,9 @@ from .prefs import (
     enumerate_orderings,
     enumerate_profiles,
 )
-from .rules import RuleTable, random_dictatorship
+from .rules import RuleTable, closeness_witness, random_dictatorship
 
 ZERO = Fraction(0)
-
-AXIOM_NAMES = (
-    "pareto",
-    "strong-unanimity",
-    "weak-unanimity",
-    "super-weak-unanimity",
-    "responsiveness",
-    "isolation",
-    "tops-only",
-    "times-at-top",
-    "candidate-anonymity",
-    "sliding-window",
-)
 
 
 @dataclass(frozen=True)
@@ -83,6 +71,19 @@ def _replace_rank(key: AnonKey, old: int, new: int) -> AnonKey:
     return tuple(sorted(lst))
 
 
+def _worst(axiom: str, fields: tuple[str, ...], scored) -> AxiomReport:
+    """The witness rule shared by every meter.
+
+    `scored` yields (value, *parts) in enumeration order.  The report carries
+    the first strictly largest value, with its parts named by `fields`; when
+    no value exceeds 0 it is eps 0 with no witness.
+    """
+    top = max(scored, key=itemgetter(0), default=None)
+    if top is None or top[0] <= 0:
+        return AxiomReport(axiom, ZERO, None)
+    return AxiomReport(axiom, top[0], dict(zip(fields, top[1:])))
+
+
 # -- Linear axioms: one generator each, shared with polytope.build_polytope ------
 
 
@@ -95,6 +96,7 @@ def unanimous_profiles(m: int, n: int, x: int):
 def responsive_pairs(m: int, n: int):
     """Yields (key, key2, r, p, z): a voter with ordering rank r in key swaps
     positions p and p+1, giving key2; bystander z keeps v(key, z) = v(key2, z).
+    Each triple comes once, from the side with key < key2.
     """
     orderings = enumerate_orderings(m)
     swaps = adjacent_swaps(m)
@@ -103,6 +105,8 @@ def responsive_pairs(m: int, n: int):
             o = orderings[r]
             for p, r2 in enumerate(swaps[r]):
                 key2 = _replace_rank(key, r, r2)
+                if key2 < key:  # the mirror swap already yielded it from key2
+                    continue
                 for z in range(m):
                     if z != o[p] and z != o[p + 1]:
                         yield key, key2, r, p, z
@@ -136,51 +140,36 @@ def isolation_groups(m: int, n: int):
 
 def min_eps_pareto(v: RuleTable) -> AxiomReport:
     """Largest probability a unanimously dominated candidate ever receives."""
-    orderings = enumerate_orderings(v.m)
-    best, witness = ZERO, None
-    for key in v.keys():
-        support = [orderings[r] for r in set(key)]
-        positions = [{c: o.index(c) for c in o} for o in support]
-        for x in range(v.m):
-            for y in range(v.m):
-                if x == y:
-                    continue
-                if all(pos[x] < pos[y] for pos in positions):
-                    val = v.prob_at(key, y)
-                    if val > best:
-                        best = val
-                        witness = {"profile": key, "dominator": x, "dominated": y}
-    return AxiomReport("pareto", best, witness)
+    pos = [{c: i for i, c in enumerate(o)} for o in enumerate_orderings(v.m)]
+    return _worst("pareto", ("profile", "dominator", "dominated"), (
+        (v.prob_at(key, y), key, x, y)
+        for key in v.keys()
+        for x in range(v.m)
+        for y in range(v.m)
+        if x != y and all(pos[r][x] < pos[r][y] for r in key)
+    ))
 
 
 def min_eps_strong_unanimity(v: RuleTable) -> AxiomReport:
-    best, witness = ZERO, None
-    for x in range(v.m):
-        for key in unanimous_profiles(v.m, v.n, x):
-            val = 1 - v.prob_at(key, x)
-            if val > best:
-                best, witness = val, {"profile": key, "x": x}
-    return AxiomReport("strong-unanimity", best, witness)
+    return _worst("strong-unanimity", ("profile", "x"), (
+        (1 - v.prob_at(key, x), key, x)
+        for x in range(v.m)
+        for key in unanimous_profiles(v.m, v.n, x)
+    ))
 
 
 def min_eps_weak_unanimity(v: RuleTable) -> AxiomReport:
-    best, witness = ZERO, None
-    for r, o in enumerate(enumerate_orderings(v.m)):
-        key = (r,) * v.n
-        val = 1 - v.prob_at(key, o[0])
-        if val > best:
-            best, witness = val, {"profile": key, "x": o[0]}
-    return AxiomReport("weak-unanimity", best, witness)
+    return _worst("weak-unanimity", ("profile", "x"), (
+        (1 - v.prob_at((r,) * v.n, o[0]), (r,) * v.n, o[0])
+        for r, o in enumerate(enumerate_orderings(v.m))
+    ))
 
 
 def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
-    best, witness = ZERO, None
-    for x in range(v.m):
-        vals = [(1 - v.prob_at(key, x), key) for key in unanimous_profiles(v.m, v.n, x)]
-        val, key = min(vals)
-        if val > best:
-            best, witness = val, {"profile": key, "x": x}
-    return AxiomReport("super-weak-unanimity", best, witness)
+    return _worst("super-weak-unanimity", ("profile", "x"), (
+        (*min((1 - v.prob_at(key, x), key) for key in unanimous_profiles(v.m, v.n, x)), x)
+        for x in range(v.m)
+    ))
 
 
 # -- Swap-based deviation meters -------------------------------------------------
@@ -188,36 +177,37 @@ def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
 
 def responsiveness_deviation(v: RuleTable) -> AxiomReport:
     """How much an adjacent swap can move a bystander candidate's probability."""
-    best, witness = ZERO, None
-    for key, key2, r, p, z in responsive_pairs(v.m, v.n):
-        d = abs(v.prob_at(key2, z) - v.prob_at(key, z))
-        if d > best:
-            best = d
-            witness = {"profile": key, "swapped_profile": key2, "acting_rank": r, "pos": p, "z": z}
-    return AxiomReport("responsiveness", best, witness)
+    fields = ("profile", "swapped_profile", "acting_rank", "pos", "z")
+    return _worst("responsiveness", fields, (
+        (abs(v.prob_at(key2, z) - v.prob_at(key, z)), key, key2, r, p, z)
+        for key, key2, r, p, z in responsive_pairs(v.m, v.n)
+    ))
 
 
 def isolation_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the raised candidate's probability change across matched contexts."""
     orderings = enumerate_orderings(v.m)
-    best, witness = ZERO, None
-    for r, p, c, group in isolation_groups(v.m, v.n):
-        y = orderings[r][p + 1]
-        members = [(others, v.prob_at(after, y) - v.prob_at(before, y))
-                   for others, before, after in group]
-        lo = min(members, key=lambda t: t[1])
-        hi = max(members, key=lambda t: t[1])
-        d = hi[1] - lo[1]
-        if d > best:
-            best = d
-            witness = {
-                "acting_rank": r,
-                "pos": p,
-                "pair_count": c,
-                "others": hi[0],
-                "others_2": lo[0],
-            }
-    return AxiomReport("isolation", best, witness)
+
+    def spreads():
+        for r, p, c, group in isolation_groups(v.m, v.n):
+            y = orderings[r][p + 1]
+            members = [(v.prob_at(after, y) - v.prob_at(before, y), others)
+                       for others, before, after in group]
+            lo = min(members, key=itemgetter(0))
+            hi = max(members, key=itemgetter(0))
+            yield hi[0] - lo[0], r, p, c, hi[1], lo[1]
+
+    fields = ("acting_rank", "pos", "pair_count", "others", "others_2")
+    return _worst("isolation", fields, spreads())
+
+
+def _group_spreads(v: RuleTable, groups):
+    """(spread, argmax profile, argmin profile, x) of v(., x) over each (profiles, x)."""
+    for members, x in groups:
+        if len(members) >= 2:
+            lo = min(members, key=lambda k: v.prob_at(k, x))
+            hi = max(members, key=lambda k: v.prob_at(k, x))
+            yield v.prob_at(hi, x) - v.prob_at(lo, x), hi, lo, x
 
 
 def tops_only_deviation(v: RuleTable) -> AxiomReport:
@@ -227,36 +217,19 @@ def tops_only_deviation(v: RuleTable) -> AxiomReport:
     for key in v.keys():
         cnt = Counter(tops[r] for r in key)
         groups[tuple(cnt.get(x, 0) for x in range(v.m))].append(key)
-    best, witness = ZERO, None
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for x in range(v.m):
-            lo = min(members, key=lambda k: v.prob_at(k, x))
-            hi = max(members, key=lambda k: v.prob_at(k, x))
-            d = v.prob_at(hi, x) - v.prob_at(lo, x)
-            if d > best:
-                best, witness = d, {"profile": hi, "profile_2": lo, "x": x}
-    return AxiomReport("tops-only", best, witness)
+    pairs = ((members, x) for members in groups.values() for x in range(v.m))
+    return _worst("tops-only", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
 
 
 def times_at_top_deviation(v: RuleTable) -> AxiomReport:
     """Spread of x's probability across profiles with the same x top-count."""
     tops = _tops_of_ranks(v.m)
-    best, witness = ZERO, None
+    groups: dict[tuple, list] = defaultdict(list)
     for x in range(v.m):
-        groups: dict[int, list] = defaultdict(list)
         for key in v.keys():
-            groups[sum(1 for r in key if tops[r] == x)].append(key)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            lo = min(members, key=lambda k: v.prob_at(k, x))
-            hi = max(members, key=lambda k: v.prob_at(k, x))
-            d = v.prob_at(hi, x) - v.prob_at(lo, x)
-            if d > best:
-                best, witness = d, {"profile": hi, "profile_2": lo, "x": x}
-    return AxiomReport("times-at-top", best, witness)
+            groups[(x, sum(1 for r in key if tops[r] == x))].append(key)
+    pairs = ((members, x) for (x, _), members in groups.items())
+    return _worst("times-at-top", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
 
 
 # -- Canonical-profile table -----------------------------------------------------
@@ -289,33 +262,24 @@ def vprime_table(v: RuleTable, base: Ordering | None = None) -> VPrimeTable:
 def candidate_anonymity_deviation(v: RuleTable, vp: VPrimeTable | None = None) -> AxiomReport:
     """Spread of the canonical-profile table across candidates at fixed top count."""
     vp = vp or vprime_table(v)
-    best, witness = ZERO, None
-    for j in range(v.n + 1):
-        for x in range(v.m):
-            for y in range(x + 1, v.m):
-                d = abs(vp[(x, j)] - vp[(y, j)])
-                if d > best:
-                    best, witness = d, {"x": x, "y": y, "j": j}
-    return AxiomReport("candidate-anonymity", best, witness)
+    return _worst("candidate-anonymity", ("x", "y", "j"), (
+        (abs(vp[(x, j)] - vp[(y, j)]), x, y, j)
+        for j in range(v.n + 1)
+        for x in range(v.m)
+        for y in range(x + 1, v.m)
+    ))
 
 
 def sliding_window_deviation(v: RuleTable, vp: VPrimeTable | None = None) -> AxiomReport:
     """How much a canonical-table increment of width l depends on its start point."""
     vp = vp or vprime_table(v)
-    n = v.n
-    best, witness = ZERO, None
-    for x in range(v.m):
-        for length in range(1, n + 1):
-            starts = [j for j in range(n) if j + length <= n]
-            for j in starts:
-                for jp in starts:
-                    d = abs(
-                        (vp[(x, j + length)] - vp[(x, j)])
-                        - (vp[(x, jp + length)] - vp[(x, jp)])
-                    )
-                    if d > best:
-                        best, witness = d, {"x": x, "j": j, "jp": jp, "l": length}
-    return AxiomReport("sliding-window", best, witness)
+    return _worst("sliding-window", ("x", "j", "jp", "l"), (
+        (abs(vp[(x, j + width)] - vp[(x, j)] - vp[(x, jp + width)] + vp[(x, jp)]), x, j, jp, width)
+        for x in range(v.m)
+        for width in range(1, v.n + 1)
+        for j in range(v.n - width + 1)
+        for jp in range(v.n - width + 1)
+    ))
 
 
 def vprime_sweep(v: RuleTable) -> tuple[Fraction, dict | None]:
@@ -323,55 +287,45 @@ def vprime_sweep(v: RuleTable) -> tuple[Fraction, dict | None]:
     if v.m > 4:
         raise DomainError("base-ordering sweep is capped at m <= 4")
     tables = {base: vprime_table(v, base) for base in enumerate_orderings(v.m)}
-    best, witness = ZERO, None
-    for x in range(v.m):
-        for j in range(v.n + 1):
-            vals = [(vp[(x, j)], base) for base, vp in tables.items()]
-            lo, hi = min(vals), max(vals)
-            if hi[0] - lo[0] > best:
-                best = hi[0] - lo[0]
-                witness = {"x": x, "j": j, "base": hi[1], "base_2": lo[1]}
-    return best, witness
+
+    def spreads():
+        for x in range(v.m):
+            for j in range(v.n + 1):
+                vals = [(vp[(x, j)], base) for base, vp in tables.items()]
+                lo, hi = min(vals), max(vals)
+                yield hi[0] - lo[0], x, j, hi[1], lo[1]
+
+    report = _worst("vprime-sweep", ("x", "j", "base", "base_2"), spreads())
+    return report.eps, report.witness
 
 
 # -- Distance to random dictatorship ----------------------------------------------
 
 
 def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
+    eps, key, x = closeness_witness(v, random_dictatorship(v.m, v.n))
+    close = AxiomReport("distance", eps, None if key is None else {"profile": key, "x": x})
+    if v.m < 2:
+        return DistanceReport(close, AxiomReport("table-vs-canonical", ZERO, None),
+                              AxiomReport("canonical-vs-linear", ZERO, None))
     tops = _tops_of_ranks(v.m)
-    dict_rule = random_dictatorship(v.m, v.n)
+    vp = vprime_table(v)
 
-    best, witness = ZERO, None
-    for key in v.keys():
-        for x in range(v.m):
-            d = abs(v.prob_at(key, x) - dict_rule.prob_at(key, x))
-            if d > best:
-                best, witness = d, {"profile": key, "x": x}
-    close = AxiomReport("distance", best, witness)
-
-    if v.m >= 2:
-        vp = vprime_table(v)
-        best, witness = ZERO, None
+    def table_gaps():
         for key in v.keys():
             for x in range(v.m):
                 j = sum(1 for r in key if tops[r] == x)
-                d = abs(v.prob_at(key, x) - vp[(x, j)])
-                if d > best:
-                    best, witness = d, {"profile": key, "x": x, "j": j}
-        table_vs_canon = AxiomReport("table-vs-canonical", best, witness)
+                yield abs(v.prob_at(key, x) - vp[(x, j)]), key, x, j
 
-        best, witness = ZERO, None
-        for x in range(v.m):
-            for j in range(v.n + 1):
-                d = abs(vp[(x, j)] - Fraction(j, v.n))
-                if d > best:
-                    best, witness = d, {"x": x, "j": j}
-        canon_vs_linear = AxiomReport("canonical-vs-linear", best, witness)
-    else:
-        table_vs_canon = AxiomReport("table-vs-canonical", ZERO, None)
-        canon_vs_linear = AxiomReport("canonical-vs-linear", ZERO, None)
-
-    return DistanceReport(close, table_vs_canon, canon_vs_linear)
+    return DistanceReport(
+        close,
+        _worst("table-vs-canonical", ("profile", "x", "j"), table_gaps()),
+        _worst("canonical-vs-linear", ("x", "j"), (
+            (abs(vp[(x, j)] - Fraction(j, v.n)), x, j)
+            for x in range(v.m)
+            for j in range(v.n + 1)
+        )),
+    )
 
 
 # -- Witness replay ----------------------------------------------------------------
@@ -420,9 +374,12 @@ def _raise_delta(v: RuleTable, r: int, p: int, others: AnonKey) -> Fraction:
     return v.prob_at(after, y) - v.prob_at(before, y)
 
 
-def run_axiom(v: RuleTable, name: str) -> AxiomReport:
-    """Dispatch a single axiom checker by name."""
-    dispatch = {
+# -- Dispatch by name --------------------------------------------------------------
+
+
+def _meters() -> dict:
+    """Axiom name -> meter, in report order; built per call, so wrapped meters are used."""
+    return {
         "pareto": min_eps_pareto,
         "strong-unanimity": min_eps_strong_unanimity,
         "weak-unanimity": min_eps_weak_unanimity,
@@ -434,6 +391,14 @@ def run_axiom(v: RuleTable, name: str) -> AxiomReport:
         "candidate-anonymity": candidate_anonymity_deviation,
         "sliding-window": sliding_window_deviation,
     }
-    if name not in dispatch:
+
+
+AXIOM_NAMES = tuple(_meters())
+
+
+def run_axiom(v: RuleTable, name: str) -> AxiomReport:
+    """Dispatch a single axiom checker by name."""
+    meters = _meters()
+    if name not in meters:
         raise DomainError(f"unknown axiom {name!r}; expected one of {', '.join(AXIOM_NAMES)}")
-    return dispatch[name](v)
+    return meters[name](v)

@@ -2,7 +2,8 @@
 strategy-proofness, and run the polytope sweeps, all as JSON reports.
 
 Exit codes: 0 success, 1 theorem-check FAIL, 2 input validation error,
-3 resource cap exceeded.  Rationals are serialized as "p/q" strings in
+3 resource cap exceeded, 4 internal error (a defect in votecert; the
+traceback goes to stderr).  Rationals are serialized as "p/q" strings in
 lowest terms together with a display-only decimal approximation.
 """
 
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 import click
@@ -42,6 +44,7 @@ from .rules import (
 EXIT_FAIL = 1
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 GEN_KINDS = ("random-dictatorship", "uniform", "plurality-tiebreak", "perturbed")
 
@@ -159,6 +162,12 @@ def _handle_errors(fn):
         except (DomainError, ValidationError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # click turns these into its own usage errors and exit codes
+        except Exception:  # never let a defect exit with 1, the verify-theorem FAIL code
+            traceback.print_exc()
+            click.echo("error: internal error; please report the traceback above", err=True)
+            sys.exit(EXIT_INTERNAL)
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__

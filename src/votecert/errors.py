@@ -15,3 +15,7 @@ class CapExceededError(VoteCertError):
 
 class ValidationError(VoteCertError):
     """An input file or table fails validation."""
+
+
+class InternalError(VoteCertError):
+    """An internal invariant failed: a defect in votecert, not in its input."""

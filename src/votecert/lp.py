@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -156,7 +156,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             phase1[col] = -ONE
         status = _optimize(tableau, basis, phase1, ncols, allowed=None)
         if status != OPTIMAL:
-            raise AssertionError("phase 1 reported unbounded, but it is bounded below by 0")
+            raise InternalError("phase 1 reported unbounded, but it is bounded below by 0")
         if _objective_value(tableau, basis, phase1, ncols) != 0:
             return LPSolution(INFEASIBLE)
         _drive_out_artificials(tableau, basis, artificial, ncols)

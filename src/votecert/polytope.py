@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import isolation_groups, responsive_pairs, unanimous_profiles
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .lp import (
     Constraint,
     LinearProgram,
@@ -187,11 +187,11 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     for row, rhs in eqs:  # random dictatorship must satisfy every equality
         got = sum((a * x0[j] for j, a in row.items()), ZERO)
         if got != rhs:
-            raise AssertionError(f"random dictatorship violates an equality row: {got} != {rhs}")
+            raise InternalError(f"random dictatorship violates an equality row: {got} != {rhs}")
 
     reduced = reduce_equalities(eqs, nvars)
     if reduced is None:
-        raise AssertionError("equality system inconsistent despite a feasible point")
+        raise InternalError("equality system inconsistent despite a feasible point")
     pivots, free = reduced
     d = len(free)
     free_pos = {f: i for i, f in enumerate(free)}
@@ -214,7 +214,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
 
     def add_row(coeffs: list[Fraction], slack: Fraction):
         if slack < 0:
-            raise AssertionError("random dictatorship violates an inequality row")
+            raise InternalError("random dictatorship violates an inequality row")
         key = tuple(coeffs)
         if any(key):
             if key not in gmap or slack < gmap[key]:

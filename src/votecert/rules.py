@@ -359,15 +359,14 @@ def rule_to_json_obj(v: RuleTable) -> dict:
 
 def rule_from_json_obj(obj: dict) -> RuleTable:
     try:
-        m, n = obj["m"], obj["n"]
-        names = tuple(obj["candidates"])
-        entries = obj["entries"]
+        m, n, names, entries = obj["m"], obj["n"], obj["candidates"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed rule file: missing {exc}") from None
     if type(m) is not int or type(n) is not int:  # rejects bools, floats and strings
         raise ValidationError(f"m and n must be JSON integers, got m={m!r}, n={n!r}")
-    if any(type(name) is not str for name in names):
-        raise ValidationError(f"candidate names must be strings, got {list(names)!r}")
+    if not isinstance(names, list) or any(type(name) is not str for name in names):
+        raise ValidationError(f"candidates must be a list of strings, got {names!r}")
+    names = tuple(names)
     if not isinstance(entries, list):
         raise ValidationError("malformed rule file: entries must be a list")
     if len(names) != m:
@@ -396,11 +395,10 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         if key in table:
             raise ValidationError(f"duplicate entry for profile {entry['profile']}")
         try:
-            lottery = [Fraction(text) for text in entry["lottery"]]
+            table[key] = tuple(Fraction(text) for text in entry["lottery"])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational in lottery: {exc}") from None
-        table[key] = validate_lottery(m, lottery)
-    return RuleTable(m, n, table, names)
+    return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum
 
 
 def save_rule(v: RuleTable, path: str) -> None:
@@ -412,9 +410,11 @@ def save_rule(v: RuleTable, path: str) -> None:
 
 
 def load_rule(path: str) -> RuleTable:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+        # Python's digit limit; RecursionError covers too deeply nested arrays.
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"rule file is not valid JSON: {exc}") from None
     return rule_from_json_obj(obj)

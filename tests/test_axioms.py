@@ -279,3 +279,78 @@ def test_lemma_style_implications_on_responsive_families():
 def test_run_axiom_rejects_unknown_name():
     with pytest.raises(DomainError):
         run_axiom(uniform_rule(3, 2), "nonsense")
+
+
+# Reports of two rules, pinned exactly: eps plus the whole witness, key order
+# included.  A witness is the first profile (in enumeration order) attaining
+# the value, so any change to how meters enumerate or break ties shows here.
+PINNED_REPORTS = {
+    "perturbed": {
+        "pareto": (F(149, 1239), {"profile": (3, 3, 5), "dominator": 1, "dominated": 0}),
+        "strong-unanimity": (F(152, 1113), {"profile": (3, 3, 3), "x": 1}),
+        "weak-unanimity": (F(152, 1113), {"profile": (3, 3, 3), "x": 1}),
+        "super-weak-unanimity": (F(1567, 13804), {"profile": (1, 1, 1), "x": 0}),
+        "responsiveness": (F(523, 4914), {"profile": (3, 4, 5), "swapped_profile": (4, 5, 5),
+                                          "acting_rank": 3, "pos": 0, "z": 0}),
+        "isolation": (F(12083011, 66348450), {"acting_rank": 5, "pos": 1, "pair_count": 2,
+                                              "others": (5, 5), "others_2": (3, 3)}),
+        "tops-only": (F(206051, 1870890), {"profile": (3, 3, 5), "profile_2": (2, 2, 5), "x": 0}),
+        "times-at-top": (F(55337, 483210), {"profile": (3, 3, 5), "profile_2": (3, 4, 5), "x": 0}),
+        "candidate-anonymity": (F(795906, 13660955), {"x": 0, "y": 1, "j": 1}),
+        "sliding-window": (F(164740274063, 1931033412252), {"x": 0, "j": 0, "jp": 2, "l": 1}),
+        "distance": (F(152, 1113), {"profile": (3, 3, 3), "x": 1}),
+        "table-vs-canonical": (F(115799, 1335887), {"profile": (1, 4, 5), "x": 0, "j": 1}),
+        "canonical-vs-linear": (F(12, 97), {"x": 2, "j": 3}),
+        "vprime-sweep": (F(50741, 982779), {"x": 1, "j": 3, "base": (1, 0, 2), "base_2": (1, 2, 0)}),
+    },
+    "plurality": {
+        "pareto": (F(0), None),
+        "strong-unanimity": (F(0), None),
+        "weak-unanimity": (F(0), None),
+        "super-weak-unanimity": (F(0), None),
+        "responsiveness": (F(1, 3), {"profile": (0, 0, 4), "swapped_profile": (0, 2, 4),
+                                     "acting_rank": 0, "pos": 0, "z": 2}),
+        "isolation": (F(1), {"acting_rank": 0, "pos": 0, "pair_count": 1,
+                             "others": (0, 2), "others_2": (4, 5)}),
+        "tops-only": (F(0), None),
+        "times-at-top": (F(1, 3), {"profile": (0, 2, 4), "profile_2": (0, 2, 2), "x": 0}),
+        "candidate-anonymity": (F(0), None),
+        "sliding-window": (F(1), {"x": 0, "j": 0, "jp": 1, "l": 1}),
+        "distance": (F(1, 3), {"profile": (0, 0, 2), "x": 0}),
+        "table-vs-canonical": (F(1, 3), {"profile": (0, 2, 4), "x": 0, "j": 1}),
+        "canonical-vs-linear": (F(1, 3), {"x": 0, "j": 1}),
+        "vprime-sweep": (F(0), None),
+    },
+}
+
+
+def _all_reports(v):
+    reports = {name: run_axiom(v, name) for name in AXIOM_NAMES}
+    rep = distance_to_random_dictatorship(v)
+    for sub in (rep.closeness, rep.table_vs_canonical, rep.canonical_vs_linear):
+        reports[sub.axiom] = sub
+    return reports
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_REPORTS))
+def test_reports_match_pinned_witnesses(label):
+    v = {
+        "perturbed": lambda: perturb(random_dictatorship(3, 3), F(1, 7), seed=3),
+        "plurality": lambda: plurality_uniform_tiebreak(3, 3),
+    }[label]()
+    got = {name: (r.eps, r.witness) for name, r in _all_reports(v).items()}
+    got["vprime-sweep"] = vprime_sweep(v)
+    expected = PINNED_REPORTS[label]
+    assert list(got) == list(expected)
+    for name, (eps, witness) in expected.items():
+        assert got[name] == (eps, witness), name
+        if witness is not None:
+            assert list(got[name][1]) == list(witness), name
+
+
+@pytest.mark.parametrize("v", [random_dictatorship(3, 3), uniform_rule(3, 2)], ids=["rd33", "uniform32"])
+def test_witness_is_absent_exactly_when_eps_is_zero(v):
+    reports = [(r.axiom, r.eps, r.witness) for r in _all_reports(v).values()]
+    reports.append(("vprime-sweep", *vprime_sweep(v)))
+    for name, eps, witness in reports:
+        assert (eps == 0) == (witness is None), name

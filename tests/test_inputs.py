@@ -15,7 +15,7 @@ from click.testing import CliRunner
 
 import votecert
 from votecert.cli import main
-from votecert.errors import ValidationError
+from votecert.errors import InternalError, ValidationError
 from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, max_m, max_profiles
 from votecert.rules import random_dictatorship, rule_to_json_obj, save_rule, uniform_rule
 
@@ -116,6 +116,8 @@ MALFORMED = {
     "string-m": (3, 2, lambda o: o.__setitem__("m", "3")),
     "bool-n": (3, 1, lambda o: o.__setitem__("n", True)),
     "unhashable-candidate": (3, 2, lambda o: o.__setitem__("candidates", [["a"], "b", "c"])),
+    "candidates-string": (3, 2, lambda o: o.__setitem__("candidates", "abc")),
+    "candidates-object": (3, 2, lambda o: o.__setitem__("candidates", {"a": 1, "b": 2, "c": 3})),
 }
 
 
@@ -129,3 +131,37 @@ def test_check_rejects_malformed_rule_file(runner, tmp_path, case):
     result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
     _assert_input_error(result)
     assert "error:" in result.output
+
+
+RAW_MALFORMED = {
+    "not-utf-8": b'{"m": 3, "n": 2, "candidates": ["\xff\xfe"]}',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "m-past-int-digit-limit": b'{"m": ' + b"9" * 5000 + b', "n": 2, "candidates": [], "entries": []}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_MALFORMED))
+def test_check_rejects_unreadable_rule_file(runner, tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(RAW_MALFORMED[case])
+    result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
+    _assert_input_error(result)
+    assert "error:" in result.output
+
+
+# -- internal errors -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalError("invariant broken")])
+def test_internal_failure_exits_4_not_1(runner, tmp_path, monkeypatch, exc):
+    rule_path = tmp_path / "uniform.json"
+    save_rule(uniform_rule(3, 2), str(rule_path))
+
+    def broken_load_rule(path):
+        raise exc
+
+    monkeypatch.setattr("votecert.cli.load_rule", broken_load_rule)
+    result = runner.invoke(main, ["check", "--rule", str(rule_path), "--axiom", "pareto"])
+    assert result.exit_code == 4, result.output
+    assert "Traceback" in result.output
+    assert str(exc) in result.output
