@@ -9,8 +9,11 @@ a positive combination of upper-set indicators plus a constant, and the
 constant cancels between the two reports.
 
 Nonnegativity is certified by scaling with powers of the coordinate sum and
-checking coefficients (sound, not complete), and refuted by exact evaluation
-at point masses, pairwise midpoints, and seeded rational samples.
+checking coefficients (Polya's theorem: sound, not complete), and refuted by
+exact values at point masses and pairwise midpoints, read off the terms
+grouped by support, then by exact evaluation at seeded rational samples.
+Each instance tries the degree-0 certificate first, so a polynomial with
+nonnegative coefficients is never scanned.
 """
 
 from __future__ import annotations
@@ -154,24 +157,38 @@ def _multinomial(key: tuple[int, ...]) -> int:
     return total
 
 
-def dominance_polynomial(v: RuleTable, inst: ManipulationInstance) -> SimplexPolynomial:
-    """Expected truthful-minus-misreport upper-set mass, as a belief polynomial."""
+def _dominance_siblings(
+    v: RuleTable, truthful: Ordering, misreport: Ordering
+) -> tuple[SimplexPolynomial, ...]:
+    """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1.
+
+    One pass over the opponents' multisets: the k-th gap is the k-th prefix
+    sum, along the truthful ordering, of the truthful-minus-misreport lottery.
+    """
     fact = math.factorial(v.m)
-    u = upper_set(inst.truthful, inst.k)
-    r_true = ordering_rank(inst.truthful)
-    r_lie = ordering_rank(inst.misreport)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    r_true = ordering_rank(truthful)
+    r_lie = ordering_rank(misreport)
+    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(v.m - 1)]
     for others in itertools.combinations_with_replacement(range(fact), v.n - 1):
-        truth_key = tuple(sorted(others + (r_true,)))
-        lie_key = tuple(sorted(others + (r_lie,)))
-        gap = v.upper_mass_at(truth_key, u) - v.upper_mass_at(lie_key, u)
-        if not gap:
-            continue
+        lot_true = v.lottery_at(tuple(sorted(others + (r_true,))))
+        lot_lie = v.lottery_at(tuple(sorted(others + (r_lie,))))
+        if lot_true == lot_lie:
+            continue  # every gap is 0; otherwise some gap is not
         counts = [0] * fact
         for s in others:
             counts[s] += 1
-        terms[tuple(counts)] = _multinomial(others) * gap
-    return SimplexPolynomial(fact, v.n - 1, terms)
+        exps, weight = tuple(counts), _multinomial(others)
+        gap = ZERO
+        for x, k_terms in zip(truthful, terms):
+            gap += lot_true[x] - lot_lie[x]
+            if gap:
+                k_terms[exps] = weight * gap
+    return tuple(SimplexPolynomial(fact, v.n - 1, k_terms) for k_terms in terms)
+
+
+def dominance_polynomial(v: RuleTable, inst: ManipulationInstance) -> SimplexPolynomial:
+    """Expected truthful-minus-misreport upper-set mass, as a belief polynomial."""
+    return _dominance_siblings(v, inst.truthful, inst.misreport)[inst.k - 1]
 
 
 def polya_certify(f: SimplexPolynomial, boost: int) -> bool:
@@ -185,20 +202,47 @@ def polya_certify(f: SimplexPolynomial, boost: int) -> bool:
     return all(c >= 0 for c in g.terms.values())
 
 
-def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoint | None:
-    """First belief with f < 0 among point masses, midpoints, then seeded samples."""
+def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoint | None:
+    """First point mass, then first pairwise midpoint, where f < 0.
+
+    At e_i only the pure x_i^d term survives; at (e_i+e_j)/2 only the terms
+    supported on {i, j} do, each scaled by 2^-d.  So one pass buckets the
+    coefficients by support, and only pairs with a mixed term can be
+    negative once every point mass is nonnegative.
+    """
     nv = f.nvars
-    for i in range(nv):
-        phi = tuple(ONE if j == i else ZERO for j in range(nv))
-        val = f.evaluate(phi)
+    pure = [ZERO] * nv
+    mixed: dict[tuple[int, int], Fraction] = {}
+    for exps, coeff in f.terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if not support:  # degree 0: the same constant at every point
+            pure = [coeff] * nv
+        elif len(support) == 1:
+            pure[support[0]] += coeff
+        elif len(support) == 2:
+            pair = (support[0], support[1])
+            mixed[pair] = mixed.get(pair, ZERO) + coeff
+    for i, val in enumerate(pure):
         if val < 0:
+            phi = tuple(ONE if t == i else ZERO for t in range(nv))
             return RefutationPoint(phi, val, "point-mass", i)
     half = Fraction(1, 2)
-    for idx, (i, j) in enumerate(itertools.combinations(range(nv), 2)):
-        phi = tuple(half if t in (i, j) else ZERO for t in range(nv))
-        val = f.evaluate(phi)
+    scale = half**f.degree
+    for i, j in sorted(mixed):
+        val = scale * (pure[i] + pure[j] + mixed[i, j])
         if val < 0:
-            return RefutationPoint(phi, val, "midpoint", idx)
+            phi = tuple(half if t in (i, j) else ZERO for t in range(nv))
+            index = i * nv - i * (i + 1) // 2 + (j - i - 1)  # position in combinations order
+            return RefutationPoint(phi, val, "midpoint", index)
+    return None
+
+
+def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoint | None:
+    """First belief with f < 0 among point masses, midpoints, then seeded samples."""
+    hit = _refute_at_point_masses_and_midpoints(f)
+    if hit is not None:
+        return hit
+    nv = f.nvars
     rng = random.Random(seed)
     for t in range(trials):
         weights = [rng.randrange(0, 101) for _ in range(nv)]
@@ -242,62 +286,68 @@ def _witness_from_values(
 def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     """Decide strategy-proofness w.r.t. all i.i.d. beliefs.
 
-    Each instance is first scanned at the deterministic beliefs (point
-    masses, midpoints), then pushed up the certificate ladder, and only
-    instances the ladder cannot settle are sampled.  By anonymity a single
-    manipulating voter index covers all of them.
+    Each instance first tries the degree-0 certificate (all coefficients
+    nonnegative).  One it does not settle is scanned at the deterministic
+    beliefs (point masses, midpoints), then pushed up the rest of the
+    certificate ladder, and only instances the ladder cannot settle are
+    sampled.  By anonymity a single manipulating voter index covers all of
+    them.
     """
     config = config or SPConfig()
-    instances = list(enumerate_instances(v.m))
-    pending: list[tuple[ManipulationInstance, SimplexPolynomial]] = []
+    fact = math.factorial(v.m)
+    total = fact * (fact - 1) * (v.m - 1)  # instances: (truthful, misreport, k)
+    rungs = range(config.polya_max + 1)
+    pending: list[tuple[ManipulationInstance, SimplexPolynomial, tuple[SimplexPolynomial, ...]]] = []
     certified_at = 0
     max_tried = 0
-    for inst in instances:
-        f = dominance_polynomial(v, inst)
-        hit = sample_refute(f, 0, config.seed)
-        if hit is not None:
-            return _refuted_verdict(v, inst, hit, len(instances), max_tried)
-        settled = False
-        for boost in range(config.polya_max + 1):
-            max_tried = max(max_tried, boost)
-            if polya_certify(f, boost):
-                certified_at = max(certified_at, boost)
-                settled = True
-                break
-        if not settled:
-            pending.append((inst, f))
+    # enumerate_instances order, with the k-siblings of each misreport built together
+    for truthful, misreport in itertools.permutations(enumerate_orderings(v.m), 2):
+        siblings = _dominance_siblings(v, truthful, misreport)
+        for k, f in enumerate(siblings, 1):
+            inst = ManipulationInstance(truthful, misreport, k)
+            if 0 in rungs and polya_certify(f, 0):
+                continue  # f >= 0 on the simplex: no scan can refute it
+            hit = sample_refute(f, 0, config.seed)
+            if hit is not None:
+                return _refuted_verdict(inst, siblings, hit, total, max_tried)
+            g = f
+            for boost in rungs[1:]:
+                max_tried = max(max_tried, boost)
+                g = g.times_coordinate_sum()
+                if all(c >= 0 for c in g.terms.values()):
+                    certified_at = max(certified_at, boost)
+                    break
+            else:
+                pending.append((inst, f, siblings))
     unknown: list[ManipulationInstance] = []
-    for inst, f in pending:
+    for inst, f, siblings in pending:
         hit = sample_refute(f, config.trials, config.seed)
         if hit is not None:
-            return _refuted_verdict(v, inst, hit, len(instances), max_tried)
+            return _refuted_verdict(inst, siblings, hit, total, max_tried)
         unknown.append(inst)
     if unknown:
         return SPVerdict(
             STATUS_UNKNOWN,
             max_degree_tried=max_tried,
-            instances_total=len(instances),
+            instances_total=total,
             instances_unknown=tuple(unknown),
         )
     return SPVerdict(
         STATUS_CERTIFIED,
         polya_degree=certified_at,
         max_degree_tried=max_tried,
-        instances_total=len(instances),
+        instances_total=total,
     )
 
 
 def _refuted_verdict(
-    v: RuleTable,
     inst: ManipulationInstance,
+    siblings: tuple[SimplexPolynomial, ...],
     hit: RefutationPoint,
     total: int,
     max_tried: int,
 ) -> SPVerdict:
-    k_values = {}
-    for k in range(1, v.m):
-        sibling = ManipulationInstance(inst.truthful, inst.misreport, k)
-        k_values[k] = dominance_polynomial(v, sibling).evaluate(hit.belief)
+    k_values = {k: f.evaluate(hit.belief) for k, f in enumerate(siblings, 1)}
     utility, rho, gain = _witness_from_values(inst, k_values)
     witness = SPWitness(inst, utility, rho, gain, belief=hit.belief, stage=hit.stage)
     return SPVerdict(

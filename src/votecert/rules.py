@@ -36,7 +36,7 @@ ONE = Fraction(1)
 
 def validate_lottery(m: int, probs) -> Lottery:
     """Check length, range, and exact normalization; return as a tuple."""
-    lot = tuple(Fraction(p) for p in probs)
+    lot = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
     if len(lot) != m:
         raise ValidationError(f"lottery has {len(lot)} entries, expected {m}")
     for p in lot:
@@ -372,6 +372,7 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
     if len(names) != m:
         raise ValidationError(f"expected {m} candidate names, got {len(names)}")
     table: dict[AnonKey, Lottery] = {}
+    parsed: dict[str, Ordering] = {}  # each distinct ordering string, parsed once
     for entry in entries:
         if not (
             isinstance(entry, dict)
@@ -388,7 +389,10 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         for item in entry["lottery"]:
             if type(item) not in (str, int):
                 raise ValidationError(f"lottery item {item!r} is not a string or an integer")
-        profile = tuple(parse_ordering(text, names) for text in entry["profile"])
+        for text in entry["profile"]:
+            if text not in parsed:
+                parsed[text] = parse_ordering(text, names)
+        profile = tuple(parsed[text] for text in entry["profile"])
         if len(profile) != n:
             raise ValidationError(f"entry lists {len(profile)} orderings, expected {n}")
         key = canonicalize(profile)

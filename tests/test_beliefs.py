@@ -10,12 +10,18 @@ independent code paths and compared exactly.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from votecert import beliefs
 from votecert.beliefs import (
     ManipulationInstance,
+    RefutationPoint,
+    SPConfig,
+    SPVerdict,
+    SPWitness,
     check_classic_sp,
     check_weak_sp,
     dominance_polynomial,
@@ -173,6 +179,120 @@ def test_sample_refute_finds_point_mass_first():
     assert hit.stage == "point-mass"
     assert hit.belief == (F(1), F(0))
     assert hit.value == -1
+
+
+def dense_scan(f):
+    """Reference for the deterministic stage: evaluate every point mass, then
+    every pairwise midpoint in combinations order."""
+    nv = f.nvars
+    for i in range(nv):
+        phi = tuple(F(1) if t == i else F(0) for t in range(nv))
+        val = f.evaluate(phi)
+        if val < 0:
+            return RefutationPoint(phi, val, "point-mass", i)
+    for idx, (i, j) in enumerate(itertools.combinations(range(nv), 2)):
+        phi = tuple(F(1, 2) if t in (i, j) else F(0) for t in range(nv))
+        val = f.evaluate(phi)
+        if val < 0:
+            return RefutationPoint(phi, val, "midpoint", idx)
+    return None
+
+
+def seeded_sparse_polynomial(rng, nvars, degree):
+    """Few terms on small supports, pure terms mostly positive, so that all
+    three scan outcomes occur."""
+    terms = {}
+    for _ in range(rng.randrange(0, 7)):
+        support = rng.sample(range(nvars), min(nvars, degree, rng.choice((1, 1, 2, 2, 3))))
+        exps = [0] * nvars
+        for _ in range(degree):
+            exps[rng.choice(support)] += 1
+        low = -1 if len(support) == 1 else -6
+        coeff = F(rng.randrange(low, 6), rng.randrange(1, 4))
+        terms[tuple(exps)] = terms.get(tuple(exps), F(0)) + coeff
+    return polynomial_from_terms(nvars, degree, terms)
+
+
+def test_structural_scan_matches_dense_scan():
+    rng = random.Random(2015)
+    stages = Counter()
+    for trial in range(600):
+        f = seeded_sparse_polynomial(rng, rng.randrange(2, 7), rng.randrange(0, 4))
+        want = dense_scan(f)
+        assert sample_refute(f, 0, seed=trial) == want, f
+        stages[want.stage if want else None] += 1
+        if f.degree == 0:
+            stages["degree-0 " + (want.stage if want else "none")] += 1
+    zero = polynomial_from_terms(4, 2, {})
+    assert sample_refute(zero, 0, seed=0) is None and dense_scan(zero) is None
+    for stage in ("point-mass", "midpoint", None, "degree-0 point-mass", "degree-0 none"):
+        assert stages[stage] >= 10, stages
+
+
+def test_weak_sp_verdicts_match_pinned():
+    """Verdicts captured before the deterministic scan was read off the terms
+    grouped by support: a midpoint refutation, and a point-mass refutation
+    of a single-voter rule, whose polynomials are degree-0 constants."""
+    v1, v0 = F(1), F(0)
+    midpoint = SPVerdict(
+        "refuted",
+        witness=SPWitness(
+            ManipulationInstance((0, 1, 2), (1, 0, 2), 2),
+            (v1, F(4, 5), v0),
+            v1,
+            F(1, 10),
+            belief=(v0, v0, F(1, 2), v0, F(1, 2), v0),
+            stage="midpoint",
+        ),
+        instances_total=60,
+    )
+    point_mass = SPVerdict(
+        "refuted",
+        witness=SPWitness(
+            ManipulationInstance((0, 1, 2), (0, 2, 1), 1),
+            (v1, F(1, 5), v0),
+            v1,
+            F(5649067, 92877050),
+            belief=(v1, v0, v0, v0, v0, v0),
+            stage="point-mass",
+        ),
+        instances_total=60,
+    )
+    config = SPConfig(trials=200, seed=1)
+    assert check_weak_sp(plurality_uniform_tiebreak(3, 3), config) == midpoint
+    assert check_weak_sp(perturb(random_dictatorship(3, 1), F(1, 7), seed=1), config) == point_mass
+
+
+def test_weak_sp_ladder_reports_first_certified_rung(monkeypatch):
+    """Above degree 0 each rung multiplies the previous one by the coordinate
+    sum; the verdict must name the rung polya_certify would find from f."""
+
+    def square_form(c):  # w1^2 - c w1 w2 + w2^2, >= 0 on the simplex for c <= 2
+        return polynomial_from_terms(2, 2, {(2, 0): 1, (1, 1): -c, (0, 2): 1})
+
+    one, three, never = square_form(F(2, 3)), square_form(F(5, 4)), square_form(F(2))
+    assert [next(b for b in range(7) if polya_certify(f, b)) for f in (one, three)] == [1, 3]
+    v = uniform_rule(2, 3)  # two instances: (ab, ba, 1) and (ba, ab, 1)
+
+    def verdict(first, second, polya_max):
+        fake = {(0, 1): (first,), (1, 0): (second,)}
+        monkeypatch.setattr(beliefs, "_dominance_siblings", lambda v, t, q: fake[t])
+        return check_weak_sp(v, SPConfig(polya_max=polya_max, trials=50, seed=0))
+
+    assert verdict(one, three, 6) == SPVerdict(
+        "certified", polya_degree=3, max_degree_tried=3, instances_total=2
+    )
+    assert verdict(three, one, 2) == SPVerdict(
+        "unknown",
+        max_degree_tried=2,
+        instances_total=2,
+        instances_unknown=(ManipulationInstance((0, 1), (1, 0), 1),),
+    )
+    stuck = verdict(one, never, 4)
+    assert (stuck.status, stuck.max_degree_tried) == ("unknown", 4)
+    nonnegative = square_form(F(0))
+    no_rungs = verdict(nonnegative, nonnegative, -1)  # no certificate, not even degree 0
+    assert (no_rungs.status, len(no_rungs.instances_unknown)) == ("unknown", 2)
 
 
 def test_validate_belief():
