@@ -139,15 +139,16 @@ class SPVerdict:
     instances_unknown: tuple[ManipulationInstance, ...] = ()
 
 
+def _misreport_pairs(m: int) -> list[tuple[Ordering, Ordering]]:
+    """All (truthful, misreport) pairs, in instance order."""
+    return list(itertools.permutations(enumerate_orderings(m), 2))
+
+
 def enumerate_instances(m: int):
     """All (truthful, misreport, k) triples, deterministically ordered."""
-    orderings = enumerate_orderings(m)
-    for p in orderings:
-        for q in orderings:
-            if p == q:
-                continue
-            for k in range(1, m):
-                yield ManipulationInstance(p, q, k)
+    for p, q in _misreport_pairs(m):
+        for k in range(1, m):
+            yield ManipulationInstance(p, q, k)
 
 
 def _multinomial(key: tuple[int, ...]) -> int:
@@ -294,14 +295,14 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     them.
     """
     config = config or SPConfig()
-    fact = math.factorial(v.m)
-    total = fact * (fact - 1) * (v.m - 1)  # instances: (truthful, misreport, k)
+    pairs = _misreport_pairs(v.m)
+    total = len(pairs) * (v.m - 1)  # instances: (truthful, misreport, k)
     rungs = range(config.polya_max + 1)
     pending: list[tuple[ManipulationInstance, SimplexPolynomial, tuple[SimplexPolynomial, ...]]] = []
     certified_at = 0
     max_tried = 0
     # enumerate_instances order, with the k-siblings of each misreport built together
-    for truthful, misreport in itertools.permutations(enumerate_orderings(v.m), 2):
+    for truthful, misreport in pairs:
         siblings = _dominance_siblings(v, truthful, misreport)
         for k, f in enumerate(siblings, 1):
             inst = ManipulationInstance(truthful, misreport, k)
@@ -310,11 +311,9 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
             hit = sample_refute(f, 0, config.seed)
             if hit is not None:
                 return _refuted_verdict(inst, siblings, hit, total, max_tried)
-            g = f
             for boost in rungs[1:]:
                 max_tried = max(max_tried, boost)
-                g = g.times_coordinate_sum()
-                if all(c >= 0 for c in g.terms.values()):
+                if polya_certify(f, boost):
                     certified_at = max(certified_at, boost)
                     break
             else:

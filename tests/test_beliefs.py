@@ -264,8 +264,8 @@ def test_weak_sp_verdicts_match_pinned():
 
 
 def test_weak_sp_ladder_reports_first_certified_rung(monkeypatch):
-    """Above degree 0 each rung multiplies the previous one by the coordinate
-    sum; the verdict must name the rung polya_certify would find from f."""
+    """Above degree 0 the ladder stops at the first rung polya_certify accepts;
+    the verdict names the largest such rung over all instances."""
 
     def square_form(c):  # w1^2 - c w1 w2 + w2^2, >= 0 on the simplex for c <= 2
         return polynomial_from_terms(2, 2, {(2, 0): 1, (1, 1): -c, (0, 2): 1})
