@@ -14,6 +14,11 @@ exact values at point masses and pairwise midpoints, read off the terms
 grouped by support, then by exact evaluation at seeded rational samples.
 Each instance tries the degree-0 certificate first, so a polynomial with
 nonnegative coefficients is never scanned.
+
+The opponents' monomial carries the multinomial times their upper-set gap
+at that fixed profile, so classic strategy-proofness (dominance at every
+profile of the others) is the degree-0 certificate on every instance.  Both
+checks read the gaps from one opponent walk, `_opponent_gaps`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank, upper_set
+from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank
 from .rules import RuleTable, upper_set_utility
 
 ZERO = Fraction(0)
@@ -104,6 +109,8 @@ class ManipulationInstance:
 
     def __post_init__(self):
         m = len(self.truthful)
+        if sorted(self.truthful) != list(range(m)) or sorted(self.misreport) != list(range(m)):
+            raise DomainError("truthful and misreport must both be orderings of 0..m-1")
         if self.truthful == self.misreport:
             raise DomainError("misreport must differ from the truthful ordering")
         if not 1 <= self.k <= m - 1:
@@ -158,30 +165,37 @@ def _multinomial(key: tuple[int, ...]) -> int:
     return total
 
 
+def _opponent_gaps(v: RuleTable, truthful: Ordering, misreport: Ordering):
+    """Walk the opponents' multisets once for a (truthful, misreport) pair.
+
+    Yields (others, gaps), in combinations_with_replacement order, for each
+    multiset where the two reports' lotteries differ.  gaps[k-1] is the k-th
+    prefix sum, along the truthful ordering, of the truthful-minus-misreport
+    lottery: the two reports' difference in top-k upper-set mass.
+    """
+    r_true = ordering_rank(truthful)
+    r_lie = ordering_rank(misreport)
+    for others in itertools.combinations_with_replacement(range(math.factorial(v.m)), v.n - 1):
+        lot_true = v.lottery_at(tuple(sorted(others + (r_true,))))
+        lot_lie = v.lottery_at(tuple(sorted(others + (r_lie,))))
+        if lot_true != lot_lie:  # equal lotteries: every gap is 0
+            diffs = (lot_true[x] - lot_lie[x] for x in truthful[:-1])
+            yield others, tuple(itertools.accumulate(diffs))
+
+
 def _dominance_siblings(
     v: RuleTable, truthful: Ordering, misreport: Ordering
 ) -> tuple[SimplexPolynomial, ...]:
-    """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1.
-
-    One pass over the opponents' multisets: the k-th gap is the k-th prefix
-    sum, along the truthful ordering, of the truthful-minus-misreport lottery.
-    """
+    """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1:
+    the opponents' monomial carries multinomial times their k-th gap."""
     fact = math.factorial(v.m)
-    r_true = ordering_rank(truthful)
-    r_lie = ordering_rank(misreport)
     terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(v.m - 1)]
-    for others in itertools.combinations_with_replacement(range(fact), v.n - 1):
-        lot_true = v.lottery_at(tuple(sorted(others + (r_true,))))
-        lot_lie = v.lottery_at(tuple(sorted(others + (r_lie,))))
-        if lot_true == lot_lie:
-            continue  # every gap is 0; otherwise some gap is not
+    for others, gaps in _opponent_gaps(v, truthful, misreport):
         counts = [0] * fact
         for s in others:
             counts[s] += 1
         exps, weight = tuple(counts), _multinomial(others)
-        gap = ZERO
-        for x, k_terms in zip(truthful, terms):
-            gap += lot_true[x] - lot_lie[x]
+        for k_terms, gap in zip(terms, gaps):
             if gap:
                 k_terms[exps] = weight * gap
     return tuple(SimplexPolynomial(fact, v.n - 1, k_terms) for k_terms in terms)
@@ -264,15 +278,16 @@ class SPConfig:
     seed: int = 42
 
 
-def _witness_from_values(
-    inst: ManipulationInstance, k_values: dict[int, Fraction]
-) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
-    """Build a strictly consistent utility whose misreport gain is positive.
+def _refuted_verdict(
+    inst: ManipulationInstance, k_values: dict[int, Fraction], total: int, max_tried: int, *,
+    belief: Belief | None = None, stage: str | None = None, others: AnonKey | None = None,
+) -> SPVerdict:
+    """A refuted verdict whose strictly consistent witness utility gains by lying.
 
-    k_values maps each upper-set size to the truthful-minus-misreport mass
-    at the refuting belief; k_values[inst.k] must be negative.  The utility
-    is the upper-set indicator plus rho times a rank bonus, with rho small
-    enough that the gain's sign survives the perturbation.
+    k_values maps each upper-set size to the truthful-minus-misreport mass at
+    the refuting belief or fixed `others`, and k_values[inst.k] < 0.  The
+    utility is the upper-set indicator plus rho times a rank bonus, with rho
+    small enough that the gain's sign survives the perturbation.
     """
     m = len(inst.truthful)
     f_k = k_values[inst.k]
@@ -281,7 +296,10 @@ def _witness_from_values(
     utility = upper_set_utility(inst.truthful, inst.k, rho)
     scale = 1 / (1 + rho * Fraction(m - 1, m))
     gain = scale * (-(f_k + rho * spill))
-    return utility, rho, gain
+    witness = SPWitness(inst, utility, rho, gain, belief=belief, stage=stage, others=others)
+    return SPVerdict(
+        STATUS_REFUTED, witness=witness, max_degree_tried=max_tried, instances_total=total
+    )
 
 
 def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
@@ -301,6 +319,11 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     pending: list[tuple[ManipulationInstance, SimplexPolynomial, tuple[SimplexPolynomial, ...]]] = []
     certified_at = 0
     max_tried = 0
+
+    def refuted(inst, siblings, hit: RefutationPoint) -> SPVerdict:
+        values = {k: f.evaluate(hit.belief) for k, f in enumerate(siblings, 1)}
+        return _refuted_verdict(inst, values, total, max_tried, belief=hit.belief, stage=hit.stage)
+
     # enumerate_instances order, with the k-siblings of each misreport built together
     for truthful, misreport in pairs:
         siblings = _dominance_siblings(v, truthful, misreport)
@@ -310,7 +333,7 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
                 continue  # f >= 0 on the simplex: no scan can refute it
             hit = sample_refute(f, 0, config.seed)
             if hit is not None:
-                return _refuted_verdict(inst, siblings, hit, total, max_tried)
+                return refuted(inst, siblings, hit)
             for boost in rungs[1:]:
                 max_tried = max(max_tried, boost)
                 if polya_certify(f, boost):
@@ -322,7 +345,7 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     for inst, f, siblings in pending:
         hit = sample_refute(f, config.trials, config.seed)
         if hit is not None:
-            return _refuted_verdict(inst, siblings, hit, total, max_tried)
+            return refuted(inst, siblings, hit)
         unknown.append(inst)
     if unknown:
         return SPVerdict(
@@ -339,46 +362,22 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     )
 
 
-def _refuted_verdict(
-    inst: ManipulationInstance,
-    siblings: tuple[SimplexPolynomial, ...],
-    hit: RefutationPoint,
-    total: int,
-    max_tried: int,
-) -> SPVerdict:
-    k_values = {k: f.evaluate(hit.belief) for k, f in enumerate(siblings, 1)}
-    utility, rho, gain = _witness_from_values(inst, k_values)
-    witness = SPWitness(inst, utility, rho, gain, belief=hit.belief, stage=hit.stage)
-    return SPVerdict(
-        STATUS_REFUTED,
-        witness=witness,
-        max_degree_tried=max_tried,
-        instances_total=total,
-    )
-
-
 def check_classic_sp(v: RuleTable) -> SPVerdict:
     """Classic strategy-proofness: dominance must hold at every fixed profile
-    of the other voters, not just in expectation under a belief."""
-    fact = math.factorial(v.m)
-    instances = list(enumerate_instances(v.m))
-    for inst in instances:
-        u = upper_set(inst.truthful, inst.k)
-        r_true = ordering_rank(inst.truthful)
-        r_lie = ordering_rank(inst.misreport)
-        for others in itertools.combinations_with_replacement(range(fact), v.n - 1):
-            truth_key = tuple(sorted(others + (r_true,)))
-            lie_key = tuple(sorted(others + (r_lie,)))
-            gap = v.upper_mass_at(truth_key, u) - v.upper_mass_at(lie_key, u)
-            if gap < 0:
-                k_values = {}
-                for k in range(1, v.m):
-                    uk = upper_set(inst.truthful, k)
-                    k_values[k] = v.upper_mass_at(truth_key, uk) - v.upper_mass_at(lie_key, uk)
-                utility, rho, gain = _witness_from_values(inst, k_values)
-                witness = SPWitness(inst, utility, rho, gain, others=others)
-                return SPVerdict(STATUS_REFUTED, witness=witness, instances_total=len(instances))
-    return SPVerdict(STATUS_CERTIFIED, polya_degree=0, instances_total=len(instances))
+    of the other voters, not just in expectation under a belief.  It holds
+    exactly when every dominance polynomial passes the degree-0 certificate;
+    this reads the same `_opponent_gaps` walk and refutes at the first
+    negative gap, in enumerate_instances order."""
+    pairs = _misreport_pairs(v.m)
+    total = len(pairs) * (v.m - 1)
+    for truthful, misreport in pairs:
+        walk = list(_opponent_gaps(v, truthful, misreport))
+        for k in range(1, v.m):
+            for others, gaps in walk:
+                if gaps[k - 1] < 0:
+                    inst = ManipulationInstance(truthful, misreport, k)
+                    return _refuted_verdict(inst, dict(enumerate(gaps, 1)), total, 0, others=others)
+    return SPVerdict(STATUS_CERTIFIED, polya_degree=0, instances_total=total)
 
 
 def replay_gain(v: RuleTable, witness: SPWitness) -> Fraction:
@@ -387,6 +386,11 @@ def replay_gain(v: RuleTable, witness: SPWitness) -> Fraction:
     Independent of the polynomial path: expectations are expanded directly
     over the opponents, weighted by multinomial belief mass.
     """
+    fact = math.factorial(v.m)
+    if (witness.belief is None) == (witness.others is None):
+        raise DomainError("a witness carries exactly one of a belief and fixed opponents")
+    if witness.others is None:
+        belief = validate_belief(fact, witness.belief)
     r_true = ordering_rank(witness.instance.truthful)
     r_lie = ordering_rank(witness.instance.misreport)
     u = witness.utility
@@ -397,11 +401,10 @@ def replay_gain(v: RuleTable, witness: SPWitness) -> Fraction:
             lot = v.lottery_at(key)
             return sum((u[x] * lot[x] for x in range(v.m)), ZERO)
         total = ZERO
-        fact = math.factorial(v.m)
         for others in itertools.combinations_with_replacement(range(fact), v.n - 1):
             weight = Fraction(_multinomial(others))
             for s in others:
-                weight *= witness.belief[s]
+                weight *= belief[s]
             if not weight:
                 continue
             lot = v.lottery_at(tuple(sorted(others + (report_rank,))))

@@ -204,8 +204,8 @@ def gen(kind, m, n, delta, seed, out):
 
 @main.command()
 @click.option("--rule", "rule_path", required=True, type=click.Path(exists=True))
-@click.option("--axiom", default="all", show_default=True,
-              help=f"One of {', '.join(AXIOM_NAMES)}, distance, or all.")
+@click.option("--axiom", default="all", show_default=True, help="An axiom, distance, or all.",
+              type=click.Choice(AXIOM_NAMES + ("distance", "all")))
 @click.option("--out", default=None, type=click.Path())
 @_handle_errors
 def check(rule_path, axiom, out):

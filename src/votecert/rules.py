@@ -99,10 +99,6 @@ class RuleTable:
             raise DomainError(f"candidate {x} outside 0..{self.m - 1}")
         return self.lottery(profile)[x]
 
-    def upper_mass_at(self, key: AnonKey, candidates) -> Fraction:
-        lot = self.table[key]
-        return sum((lot[x] for x in candidates), ZERO)
-
     def _check_profile(self, profile: Profile):
         if len(profile) != self.n or any(len(o) != self.m for o in profile):
             raise DomainError(

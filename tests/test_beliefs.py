@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -36,10 +37,12 @@ from votecert.axioms import isolation_deviation, responsiveness_deviation
 from votecert.errors import DomainError
 from votecert.prefs import enumerate_orderings, upper_set
 from votecert.rules import (
+    constant_rule,
     is_consistent_utility,
     mixture,
     pair_rule,
     perturb,
+    plurality_fixed_tiebreak,
     plurality_uniform_tiebreak,
     random_dictatorship,
     rank_rule,
@@ -433,3 +436,102 @@ def test_upper_set_reduction_identity_seeded():
             assert direct >= 0
         if direct < 0:
             assert min(f_values.values()) < 0
+
+
+# -- classic SP and the shared opponent walk -----------------------------------------
+
+
+def test_classic_sp_verdicts_match_pinned():
+    """Full classic verdicts, witnesses included, as the per-instance opponent
+    loop produced them before both checks shared one walk."""
+    v0, v1 = F(0), F(1)
+
+    def refuted(truthful, misreport, k, utility, gain, others, total=60):
+        witness = SPWitness(
+            ManipulationInstance(truthful, misreport, k), utility, v1, gain, others=others
+        )
+        return SPVerdict("refuted", witness=witness, instances_total=total)
+
+    cases = [
+        (
+            plurality_uniform_tiebreak(3, 3),
+            refuted((0, 1, 2), (1, 0, 2), 2, (v1, F(4, 5), v0), F(1, 5), (2, 4)),
+        ),
+        (
+            rank_rule(3, 2, 2),
+            refuted((0, 1, 2), (1, 0, 2), 1, (v1, F(1, 5), v0), F(2, 5), (0,)),
+        ),
+        (
+            perturb(random_dictatorship(3, 2), F(1, 7), seed=0),
+            refuted((0, 1, 2), (0, 2, 1), 1, (v1, F(1, 5), v0), F(3629467, 98743575), (0,)),
+        ),
+        (  # (0,) refutes only at k = 2, so a scan of all k per opponent would pick it
+            perturb(random_dictatorship(3, 2), F(1, 7), seed=5),
+            refuted((0, 1, 2), (0, 2, 1), 1, (v1, F(1, 5), v0), F(2030179, 108675770), (1,)),
+        ),
+        (
+            plurality_fixed_tiebreak(4, 2),
+            refuted(
+                (2, 0, 1, 3), (0, 1, 2, 3), 2, (F(6, 7), F(1, 7), v1, v0), F(5, 7), (6,), total=1656
+            ),
+        ),
+    ]
+    for v, expected in cases:
+        verdict = check_classic_sp(v)
+        assert verdict == expected
+        assert replay_gain(v, verdict.witness) == verdict.witness.gain
+
+
+def test_classic_sp_holds_iff_every_dominance_polynomial_certifies_at_degree_zero():
+    """The opponents' monomial carries multinomial times their gap, so classic
+    strategy-proofness is exactly the degree-0 certificate on every instance."""
+    rules = [
+        random_dictatorship(3, 2),
+        uniform_rule(3, 3),
+        pair_rule(3, 3, A, C),
+        constant_rule(3, 2, [F(1, 2), F(1, 3), F(1, 6)]),
+        mixture([random_dictatorship(3, 3), uniform_rule(3, 3)], [F(1, 3), F(2, 3)]),
+        random_dictatorship(4, 2),
+        plurality_uniform_tiebreak(3, 3),
+        plurality_fixed_tiebreak(3, 2),
+        rank_rule(3, 2, 2),
+        rank_rule(3, 3, 3),
+        perturb(random_dictatorship(3, 2), F(1, 7), seed=0),
+        mixture([random_dictatorship(3, 3), plurality_uniform_tiebreak(3, 3)], [F(9, 10), F(1, 10)]),
+        plurality_fixed_tiebreak(4, 2),
+    ]
+    statuses = set()
+    for v in rules:
+        classic = check_classic_sp(v).status
+        degree_zero = all(
+            polya_certify(dominance_polynomial(v, inst), 0) for inst in enumerate_instances(v.m)
+        )
+        assert (classic == "certified") == degree_zero
+        statuses.add(classic)
+    assert statuses == {"certified", "refuted"}
+
+
+@pytest.mark.parametrize(
+    "truthful, misreport",
+    [((0, 1, 2), (1, 0)), ((0, 1), (1, 0, 2)), ((0, 1, 1), (1, 0, 2)), ((0, 1, 3), (1, 0, 2))],
+)
+def test_manipulation_instance_rejects_non_orderings(truthful, misreport):
+    with pytest.raises(DomainError):
+        ManipulationInstance(truthful, misreport, 1)
+
+
+def test_replay_gain_rejects_malformed_witness():
+    v = plurality_uniform_tiebreak(3, 3)
+    good = check_weak_sp(v).witness
+    classic = check_classic_sp(v).witness
+    assert replay_gain(v, good) == good.gain
+    bad = [
+        replace(good, belief=good.belief + (F(0),)),  # 7 weights at m = 3
+        replace(good, belief=good.belief[:5]),
+        replace(good, belief=(F(1, 2),) * 6),  # weights sum to 3
+        replace(good, belief=None, stage=None),  # neither a belief nor opponents
+        replace(good, others=classic.others),  # both
+    ]
+    for witness in bad:
+        with pytest.raises(DomainError):
+            replay_gain(v, witness)

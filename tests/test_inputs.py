@@ -165,3 +165,16 @@ def test_internal_failure_exits_4_not_1(runner, tmp_path, monkeypatch, exc):
     assert result.exit_code == 4, result.output
     assert "Traceback" in result.output
     assert str(exc) in result.output
+
+
+def test_unknown_axiom_exits_2_before_loading_the_rule(runner, tmp_path, monkeypatch):
+    rule_path = tmp_path / "uniform.json"
+    save_rule(uniform_rule(3, 2), str(rule_path))
+
+    def never_load_rule(path):
+        raise RuntimeError("the rule file must not be read for an unknown axiom")
+
+    monkeypatch.setattr("votecert.cli.load_rule", never_load_rule)
+    result = runner.invoke(main, ["check", "--rule", str(rule_path), "--axiom", "bogus"])
+    _assert_input_error(result)
+    assert "bogus" in result.output
