@@ -389,6 +389,14 @@ def replay_gain(v: RuleTable, witness: SPWitness) -> Fraction:
     fact = math.factorial(v.m)
     if (witness.belief is None) == (witness.others is None):
         raise DomainError("a witness carries exactly one of a belief and fixed opponents")
+    if len(witness.instance.truthful) != v.m:
+        raise DomainError(f"the witness orders {len(witness.instance.truthful)} candidates, expected {v.m}")
+    if len(witness.utility) != v.m:
+        raise DomainError(f"the witness utility has {len(witness.utility)} entries, expected {v.m}")
+    if witness.others is not None and (
+        len(witness.others) != v.n - 1 or any(s not in range(fact) for s in witness.others)
+    ):
+        raise DomainError(f"fixed opponents must be {v.n - 1} ordering ranks in range({fact})")
     if witness.others is None:
         belief = validate_belief(fact, witness.belief)
     r_true = ordering_rank(witness.instance.truthful)

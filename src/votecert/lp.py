@@ -1,17 +1,23 @@
 """Exact rational linear programming.
 
 A `Constraint` keeps only its nonzero (column, coefficient) terms and its
-width; `.coeffs` gives the dense row.  `solve_lp` is a two-phase simplex
-over Fractions with Bland's anti-cycling rule: deterministic and exact,
-with infeasible/unbounded reported as statuses.  `SlackBasisSimplex` is the
-warm-startable core used for the polytope sweeps, where the origin is known
-feasible and many objectives are maximized over one constraint set.
-`reduce_equalities` is a sparse exact Gauss-Jordan elimination used to fold
-equality constraints away before optimizing.
+width; `.coeffs` gives the dense row.  One simplex kernel serves both
+solvers: a fraction-free tableau of integer-scaled sparse rows, pivoted with
+Bland's anti-cycling rule, so every pivot is exact and deterministic.
+Fractions appear only at the edges: each input row is scaled by the lcm of
+its denominators, and values are read back as Fractions.  `solve_lp` runs
+it as a two-phase simplex, with infeasible/unbounded reported as statuses.
+`SlackBasisSimplex` is the warm-startable core used for the polytope
+sweeps, where the origin is known feasible and many objectives are
+maximized over one constraint set; each solve leaves its optimal dual in
+`.dual`, and `dual_certifies` checks such a dual independently, over
+Fractions.  `reduce_equalities` is a sparse exact Gauss-Jordan elimination
+used to fold equality constraints away before optimizing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,6 +80,95 @@ def constraint(coeffs, rel: str, rhs) -> Constraint:
     return Constraint(tuple((j, a) for j, a in enumerate(row) if a), len(row), rel, Fraction(rhs))
 
 
+# -- Integer-scaled simplex kernel ----------------------------------------------
+#
+# A tableau row is a dict of its nonzero entries, column -> int, holding its
+# right-hand side under the key RHS.  The entry in the row's basic column is
+# the row's positive scale, so the basic variable's value is rhs / scale.
+# The reduced-cost row keeps its positive scale under the key Z, so the
+# reduced cost of column j is red[j] / red[Z].  Rows are kept primitive (the
+# gcd of their entries is 1), which is the smallest integer form of the
+# Fraction row; Fractions appear only when rows are built and read back.
+
+RHS = -1
+Z = -2
+
+
+def _integer_row(coeffs: dict[int, Fraction]) -> dict[int, int]:
+    """The nonzero entries of coeffs, scaled by the lcm of their denominators."""
+    scale = math.lcm(*(a.denominator for a in coeffs.values()))
+    return {j: a.numerator * (scale // a.denominator) for j, a in coeffs.items() if a}
+
+
+def _eliminate(row: dict[int, int], f: int, prow: dict[int, int], p: int) -> dict[int, int]:
+    """p*row - f*prow divided by the gcd of its entries, for p > 0."""
+    if p != 1:
+        row = {j: p * a for j, a in row.items()}
+    for j, a in prow.items():
+        v = row.get(j, 0) - f * a
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    g = math.gcd(*row.values())
+    if g > 1:
+        row = {j: a // g for j, a in row.items()}
+    return row
+
+
+def _pivot(rows, basis, r: int, e: int) -> None:
+    """Make column e basic in row r; rows with no entry in e are not touched."""
+    prow = rows[r]
+    p = prow[e]
+    if p < 0:
+        prow = rows[r] = {j: -a for j, a in prow.items()}
+        p = -p
+    for i, row in enumerate(rows):
+        f = row.get(e)
+        if f and i != r:
+            rows[i] = _eliminate(row, f, prow, p)
+    basis[r] = e
+
+
+def _reduced_costs(rows, basis, cost: dict[int, int]) -> dict[int, int]:
+    red = cost
+    for i, b in enumerate(basis):
+        f = red.get(b)
+        if f:
+            red = _eliminate(red, f, rows[i], rows[i][b])
+    return red
+
+
+def _optimize(rows, basis, cost: dict[int, int], blocked=frozenset()) -> tuple[str, dict[int, int]]:
+    """Primal simplex with Bland's rule from the current feasible basis.
+
+    cost is the objective as a row with its scale under Z; columns in
+    blocked never enter.  Returns the status and the final reduced-cost row.
+    """
+    red = _reduced_costs(rows, basis, cost)
+    while True:
+        enter = min((j for j, a in red.items() if a > 0 and j >= 0 and j not in blocked), default=-1)
+        if enter < 0:
+            return OPTIMAL, red
+        # Smallest (rhs / a, basic column) over rows with a > 0: the row scales cancel.
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row.get(enter, 0)
+            if a > 0:
+                b = row.get(RHS, 0)
+                if leave < 0:
+                    leave, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, b
+        if leave < 0:
+            return UNBOUNDED, red
+        _pivot(rows, basis, leave, enter)
+        prow = rows[leave]
+        red = _eliminate(red, red[enter], prow, prow[enter])
+
+
 # -- Generic two-phase simplex -------------------------------------------------
 
 
@@ -101,29 +196,18 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             col_of.append((ncols, ncols + 1))
             ncols += 2
 
-    def expand(terms) -> list[Fraction]:
-        row = [ZERO] * ncols
+    def expand(terms) -> dict[int, Fraction]:
+        row: dict[int, Fraction] = {}
         for j, c in terms:
             plus, minus = col_of[j]
-            row[plus] += c
+            row[plus] = row.get(plus, ZERO) + c
             if minus is not None:
-                row[minus] -= c
+                row[minus] = row.get(minus, ZERO) - c
         return row
 
-    rows: list[list[Fraction]] = []
-    rels: list[str] = []
-    rhs: list[Fraction] = []
-    for c in lp.constraints:
-        row, rel, b = expand(c.terms), c.rel, c.rhs
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-            rel = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}[rel]
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
-
-    nstruct = ncols
+    # Rows with b < 0 are negated so every right-hand side is >= 0.
+    flip = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}
+    rels = [flip[c.rel] if c.rhs < 0 else c.rel for c in lp.constraints]
     slack_cols: dict[int, int] = {}
     art_cols: dict[int, int] = {}
     for i, rel in enumerate(rels):
@@ -135,42 +219,39 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             art_cols[i] = ncols
             ncols += 1
 
-    tableau: list[list[Fraction]] = []
+    rows: list[dict[int, int]] = []
     basis: list[int] = []
-    for i, row in enumerate(rows):
-        full = row + [ZERO] * (ncols - nstruct) + [rhs[i]]
+    for i, c in enumerate(lp.constraints):
+        sign = -1 if c.rhs < 0 else 1
+        row = {j: sign * a for j, a in expand(c.terms).items()}
+        row[RHS] = sign * c.rhs
         if i in slack_cols:
-            full[slack_cols[i]] = ONE if rels[i] == REL_LE else -ONE
+            row[slack_cols[i]] = ONE if rels[i] == REL_LE else -ONE
         if i in art_cols:
-            full[art_cols[i]] = ONE
-            basis.append(art_cols[i])
-        else:
-            basis.append(slack_cols[i])
-        tableau.append(full)
+            row[art_cols[i]] = ONE
+        rows.append(_integer_row(row))
+        basis.append(art_cols.get(i, slack_cols.get(i)))
 
-    artificial = set(art_cols.values())
+    artificial = frozenset(art_cols.values())
 
     if artificial:
-        phase1 = [ZERO] * (ncols + 1)
-        for col in artificial:
-            phase1[col] = -ONE
-        status = _optimize(tableau, basis, phase1, ncols, allowed=None)
+        phase1 = {**{col: -1 for col in artificial}, Z: 1}
+        status, _red = _optimize(rows, basis, phase1)
         if status != OPTIMAL:
             raise InternalError("phase 1 reported unbounded, but it is bounded below by 0")
-        if _objective_value(tableau, basis, phase1, ncols) != 0:
+        if any(b in artificial and rows[i].get(RHS) for i, b in enumerate(basis)):
             return LPSolution(INFEASIBLE)
-        _drive_out_artificials(tableau, basis, artificial, ncols)
+        _drive_out_artificials(rows, basis, artificial)
 
-    allowed = [j for j in range(ncols) if j not in artificial]
     sign = 1 if lp.maximize else -1
-    cost = expand(enumerate(sign * c for c in lp.objective)) + [ZERO] * (ncols - nstruct) + [ZERO]
-    status = _optimize(tableau, basis, cost, ncols, allowed=allowed)
+    cost = _integer_row({**expand(enumerate(sign * c for c in lp.objective)), Z: ONE})
+    status, _red = _optimize(rows, basis, cost, blocked=artificial)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
     xcols = [ZERO] * ncols
-    for i, b in enumerate(basis):
-        xcols[b] = tableau[i][-1]
+    for row, b in zip(rows, basis):
+        xcols[b] = Fraction(row.get(RHS, 0), row[b])
     x = []
     for j in range(lp.n_vars):
         plus, minus = col_of[j]
@@ -179,81 +260,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     return LPSolution(OPTIMAL, value, tuple(x))
 
 
-def _objective_value(tableau, basis, cost, ncols) -> Fraction:
-    return sum((cost[b] * tableau[i][-1] for i, b in enumerate(basis)), ZERO)
-
-
-def _reduced_costs(tableau, basis, cost, ncols) -> list[Fraction]:
-    red = list(cost[:ncols])
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = tableau[i]
-            for j in range(ncols):
-                if row[j]:
-                    red[j] -= cb * row[j]
-    return red
-
-
-def _pivot(tableau, basis, r: int, e: int) -> None:
-    prow = tableau[r]
-    piv = prow[e]
-    if piv != 1:
-        inv = 1 / piv
-        for j, a in enumerate(prow):
-            if a:
-                prow[j] = a * inv
-    nz = [j for j, a in enumerate(prow) if a]
-    for i, row in enumerate(tableau):
-        if i == r:
-            continue
-        f = row[e]
-        if f:
-            for j in nz:
-                row[j] -= f * prow[j]
-    basis[r] = e
-
-
-def _optimize(tableau, basis, cost, ncols, allowed) -> str:
-    """Primal simplex with Bland's rule from the current feasible basis."""
-    cols = list(allowed) if allowed is not None else list(range(ncols))
-    red = _reduced_costs(tableau, basis, cost, ncols)
-    while True:
-        enter = -1
-        for j in cols:
-            if red[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return OPTIMAL
-        leave = -1
-        best = None
-        for i, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED
-        _pivot(tableau, basis, leave, enter)
-        prow = tableau[leave]
-        f = red[enter]
-        for j in range(ncols):
-            if prow[j]:
-                red[j] -= f * prow[j]
-
-
-def _drive_out_artificials(tableau, basis, artificial, ncols) -> None:
+def _drive_out_artificials(rows, basis, artificial) -> None:
     for i in range(len(basis)):
         if basis[i] not in artificial:
             continue
-        row = tableau[i]
-        enter = next((j for j in range(ncols) if j not in artificial and row[j]), None)
+        enter = min((j for j in rows[i] if j >= 0 and j not in artificial), default=None)
         if enter is not None:
-            _pivot(tableau, basis, i, enter)
+            _pivot(rows, basis, i, enter)
         # else: the row is all zeros outside artificials (redundant constraint);
         # the artificial stays basic at level 0 and never re-enters play.
 
@@ -267,7 +280,8 @@ class SlackBasisSimplex:
 
     The all-slack basis at y = 0 is feasible by construction, so no phase 1
     is ever needed; after each solve the optimal basis is kept and the next
-    objective continues from it.
+    objective continues from it.  `dual` holds the last solve's optimal dual:
+    one entry per row of G, minus the reduced cost of that row's slack.
     """
 
     def __init__(self, G: list[list[Fraction]], h: list[Fraction]):
@@ -276,26 +290,50 @@ class SlackBasisSimplex:
         self.nrows = len(G)
         self.nstruct = len(G[0]) if G else 0
         self.ncols = self.nstruct + self.nrows
-        self.tableau = []
-        for i, row in enumerate(G):
-            slacks = [ZERO] * self.nrows
-            slacks[i] = ONE
-            self.tableau.append(list(row) + slacks + [h[i]])
+        self.rows = [
+            _integer_row({**dict(enumerate(row)), self.nstruct + i: ONE, RHS: h[i]})
+            for i, row in enumerate(G)
+        ]
         self.basis = [self.nstruct + i for i in range(self.nrows)]
+        self.dual: list[Fraction] = []
 
     def solve(self, objective: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
         if len(objective) != self.nstruct:
             raise DomainError(f"objective has {len(objective)} entries, expected {self.nstruct}")
-        cost = list(objective) + [ZERO] * (self.nrows + 1)
-        status = _optimize(self.tableau, self.basis, cost, self.ncols, allowed=None)
+        cost = _integer_row({**dict(enumerate(objective)), Z: ONE})
+        status, red = _optimize(self.rows, self.basis, cost)
         if status == UNBOUNDED:
             raise DomainError("objective is unbounded over the polytope")
         y = [ZERO] * self.nstruct
-        for i, b in enumerate(self.basis):
+        for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
-                y[b] = self.tableau[i][-1]
+                y[b] = Fraction(row.get(RHS, 0), row[b])
+        self.dual = [ZERO] * self.nrows
+        for j, a in red.items():
+            if j >= self.nstruct:
+                self.dual[j - self.nstruct] = Fraction(-a, red[Z])
         value = sum((c * yj for c, yj in zip(objective, y)), ZERO)
         return value, y
+
+
+def dual_certifies(G, h, objective, value, y) -> bool:
+    """Whether y proves max objective . t over {G t <= h}, t free, is at most value.
+
+    For such t, objective . t = y^T G t <= y^T h when y >= 0 and
+    y^T G = objective, so y >= 0, y^T G = objective and y^T h = value make
+    value an upper bound; a feasible point attaining value makes it the max.
+    """
+    if len(y) != len(G) or any(yi < 0 for yi in y):
+        return False
+    lhs = [ZERO] * len(objective)
+    rhs = ZERO
+    for yi, row, b in zip(y, G, h):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    lhs[j] += yi * a
+            rhs += yi * b
+    return lhs == list(objective) and rhs == value
 
 
 # -- Sparse exact Gauss-Jordan over equalities ----------------------------------

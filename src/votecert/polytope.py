@@ -12,7 +12,8 @@ deviation meters, so each axiom is enumerated in one place.
 objective per (profile, candidate, sign).  Equalities are folded away by
 exact elimination first, the parametrization is shifted so that random
 dictatorship sits at the origin (making the all-slack basis feasible), and
-objectives equivalent under candidate relabeling are solved once.
+objectives equivalent under candidate relabeling are solved once.  Every
+optimum is checked against the simplex's dual certificate.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .lp import (
     REL_EQ,
     REL_GE,
     SlackBasisSimplex,
+    dual_certifies,
     reduce_equalities,
 )
 from .prefs import AnonKey, enumerate_orderings, enumerate_profiles
@@ -56,6 +58,16 @@ def _var(pidx: int, x: int, m: int) -> int:
     return pidx * m + x
 
 
+def _checked_eps(eps) -> Fraction:
+    eps = Fraction(eps)
+    # The message leaves the value out: str() of eps = 1e5000 would itself fail.
+    if eps < 0:
+        raise DomainError("eps must lie in [0, 1], got a negative value")
+    if eps > 1:
+        raise DomainError("eps must lie in [0, 1], got a value above 1")
+    return eps
+
+
 def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
     """Constraint system over rule-table variables; the objective is zero.
 
@@ -65,9 +77,7 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
     """
     if m < 2:
         raise DomainError(f"polytope construction needs m >= 2, got m={m}")
-    eps = Fraction(eps)
-    if eps < 0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
+    eps = _checked_eps(eps)
     parts = normalize_parts(parts)
     keys = list(enumerate_profiles(m, n, anonymous=True))
     key_index = {k: i for i, k in enumerate(keys)}
@@ -259,8 +269,10 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
         k, x = rep
         cvec = row_of[_var(k, x, m)]
         for sign in (1, -1):
-            obj = [sign * a for a in cvec] + [-sign * a for a in cvec]
-            value, y = simplex.solve(obj)
+            obj = [sign * a for a in cvec]
+            value, y = simplex.solve(obj + [-a for a in obj])
+            if not dual_certifies(G, h, obj, value, simplex.dual):
+                raise InternalError(f"the simplex dual does not certify the optimum {value}")
             solved.append((value, rep, sign, [y[i] - y[d + i] for i in range(d)]))
     rep_values = {(rep, sign): value for value, rep, sign, _t in solved}
 
@@ -353,7 +365,7 @@ def traced_constant(m: int) -> TracedConstant:
 
 def verify_theorem(m: int, n: int, eps, parts=ALL_PARTS) -> dict:
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
-    eps = Fraction(eps)
+    eps = _checked_eps(eps)
     if m < 3:
         return {
             "status": "SKIPPED",

@@ -535,3 +535,30 @@ def test_replay_gain_rejects_malformed_witness():
     for witness in bad:
         with pytest.raises(DomainError):
             replay_gain(v, witness)
+
+
+
+_FOUR = ManipulationInstance((0, 1, 2, 3), (1, 0, 2, 3), 2)
+_TWO = ManipulationInstance((0, 1), (1, 0), 1)
+MISSHAPEN = {  # name -> (witness kind, alteration), on plurality_uniform_tiebreak(3, 3)
+    "one-opponent": ("classic", lambda w: replace(w, others=(0,))),  # n - 1 = 2 expected
+    "three-opponents": ("classic", lambda w: replace(w, others=(2, 4, 1))),
+    "rank-past-m-factorial": ("classic", lambda w: replace(w, others=(2, 6))),
+    "negative-rank": ("classic", lambda w: replace(w, others=(-1, 2))),
+    "short-utility-classic": ("classic", lambda w: replace(w, utility=w.utility[:2])),
+    "long-utility-classic": ("classic", lambda w: replace(w, utility=w.utility + (F(0),))),
+    "short-utility-belief": ("iid", lambda w: replace(w, utility=w.utility[:2])),
+    "four-candidates-belief": ("iid", lambda w: replace(w, instance=_FOUR)),
+    "four-candidates-classic": ("classic", lambda w: replace(w, instance=_FOUR)),
+    "two-candidates-belief": ("iid", lambda w: replace(w, instance=_TWO)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_replay_gain_rejects_misshapen_witness(case):
+    v = plurality_uniform_tiebreak(3, 3)
+    kind, alter = MISSHAPEN[case]
+    witness = (check_classic_sp(v) if kind == "classic" else check_weak_sp(v)).witness
+    assert replay_gain(v, witness) == witness.gain
+    with pytest.raises(DomainError):
+        replay_gain(v, alter(witness))

@@ -178,3 +178,24 @@ def test_unknown_axiom_exits_2_before_loading_the_rule(runner, tmp_path, monkeyp
     result = runner.invoke(main, ["check", "--rule", str(rule_path), "--axiom", "bogus"])
     _assert_input_error(result)
     assert "bogus" in result.output
+
+
+# -- eps outside [0, 1] -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lp-max", "--m", "3", "--n", "2", "--eps", "1e400"],
+        ["lp-max", "--m", "3", "--n", "2", "--eps", "5"],
+        ["lp-max", "--m", "3", "--n", "2", "--eps=-1/10"],
+        ["lp-max", "--m", "3", "--n", "2", "--eps", "1e5000"],
+        ["verify-theorem", "3", "2", "1e400"],
+        ["verify-theorem", "2", "2", "1e400"],  # before the m < 3 SKIPPED report
+        ["verify-theorem", "3", "2", "--", "-1/10"],
+    ],
+)
+def test_eps_outside_unit_interval_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    _assert_input_error(result)
+    assert "eps must lie in [0, 1]" in result.output

@@ -17,6 +17,7 @@ from votecert.lp import (
     LinearProgram,
     SlackBasisSimplex,
     constraint,
+    dual_certifies,
     reduce_equalities,
     solve_lp,
 )
@@ -216,3 +217,57 @@ def test_reduce_equalities_parametrizes_the_solution_set():
 def test_reduce_equalities_detects_inconsistency():
     rows = [({0: ONE, 1: ONE}, F(1)), ({0: F(2), 1: F(2)}, F(3))]
     assert reduce_equalities(rows, 2) is None
+
+
+def _random_free_polytope(rng):
+    """G t <= h with h >= 0, rows -t_j <= 0 and sum(t) <= B: bounded, origin feasible."""
+    n = rng.randrange(1, 5)
+    G, h = [], []
+    for _ in range(rng.randrange(1, 5)):
+        G.append([F(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for _ in range(n)])
+        h.append(F(rng.randrange(0, 13), rng.choice((1, 2, 5))))
+    for j in range(n):
+        G.append([-ONE if i == j else ZERO for i in range(n)])
+        h.append(ZERO)
+    G.append([ONE] * n)
+    h.append(F(rng.randrange(1, 8)))
+    return G, h
+
+
+def test_warm_started_core_matches_oracle_with_dual_certificates():
+    rng = random.Random(7)
+    solves = 0
+    for _ in range(25):
+        G, h = _random_free_polytope(rng)
+        n = len(G[0])
+        core = SlackBasisSimplex([row + [-a for a in row] for row in G], h)
+        as_lp = [constraint(row, "<=", b) for row, b in zip(G, h)]
+        for _ in range(rng.randrange(3, 7)):  # one core, warm-started across objectives
+            c = [F(rng.randrange(-5, 6), rng.choice((1, 4))) for _ in range(n)]
+            value, y = core.solve(c + [-a for a in c])
+            status, want = oracle_solve(LinearProgram(n, tuple(c), tuple(as_lp)))
+            assert status == "optimal" and value == want
+            t = [y[j] - y[n + j] for j in range(n)]
+            assert sum(a * tj for a, tj in zip(c, t)) == value
+            assert all(sum(a * tj for a, tj in zip(row, t)) <= b for row, b in zip(G, h))
+            assert dual_certifies(G, h, c, value, core.dual)
+            solves += 1
+    assert solves >= 75
+
+
+def test_dual_check_rejects_tampered_duals():
+    # max t0 + t1 over t0 + 2 t1 <= 4, 3 t0 + t1 <= 6, t >= 0: optimum 14/5
+    G = [[ONE, F(2)], [F(3), ONE], [-ONE, ZERO], [ZERO, -ONE]]
+    h = [F(4), F(6), ZERO, ZERO]
+    c = [ONE, ONE]
+    core = SlackBasisSimplex([row + [-a for a in row] for row in G], h)
+    value, _ = core.solve(c + [-a for a in c])
+    y = core.dual
+    assert value == F(14, 5) and y == [F(2, 5), F(1, 5), ZERO, ZERO]
+    assert dual_certifies(G, h, c, value, y)
+    assert not dual_certifies(G, h, c, value, [y[0] + F(1, 10)] + y[1:])  # one entry shifted
+    assert not dual_certifies(G, h, c, value, y[:2] + [F(-1), ZERO])  # one entry negative
+    # y^T G = c and y^T h = 0, a false bound of 0 that only the sign check catches
+    assert not dual_certifies(G, h, c, ZERO, [ZERO, ZERO, F(-1), F(-1)])
+    assert not dual_certifies(G, h, c, value + 1, y)  # y^T h no longer the value
+    assert not dual_certifies(G, h, c, value, y[:3])  # one entry short

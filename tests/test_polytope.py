@@ -6,10 +6,12 @@ regression.  The eps = 0 rows reproduce the collapse of the polytope onto
 random dictatorship.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from votecert import lp as lp_module, polytope
 from votecert.axioms import (
     candidate_anonymity_deviation,
     distance_to_random_dictatorship,
@@ -21,7 +23,7 @@ from votecert.axioms import (
     times_at_top_deviation,
     tops_only_deviation,
 )
-from votecert.errors import DomainError
+from votecert.errors import DomainError, InternalError
 from votecert.polytope import (
     ALL_PARTS,
     build_polytope,
@@ -227,3 +229,98 @@ def test_reduced_sweep_agrees_with_full_size_simplex():
         sol = solve_lp(LinearProgram(lp.n_vars, tuple(obj), lp.constraints))
         assert sol.status == "optimal"
         assert sol.value - F(sign) * F(j, n) == by[(key, x, sign)]
+
+
+# -- the pivot path and every reported number, pinned --------------------------------
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _table_repr(v: RuleTable):
+    return sorted((key, tuple(str(p) for p in lot)) for key, lot in v.table.items())
+
+
+@pytest.mark.parametrize("m, n, eps, pivots", [(3, 2, F(1, 10), 153), (3, 3, F(1, 10), 678), (3, 4, F(0), 0)])
+def test_pivot_count_is_pinned(monkeypatch, m, n, eps, pivots):
+    """Bland's rule fixes the pivot path; these counts were taken from the
+    Fraction tableau that the integer-scaled kernel replaced."""
+    calls = []
+    pivot = lp_module._pivot
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return pivot(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", counted)
+    max_distance(m, n, eps)
+    assert len(calls) == pivots
+
+
+# (m, n, eps, parts) -> d_star, witness profile, candidate, sign, digests of the
+# witness table, per_objective and all_witnesses, witness count, free_dim, n_solves
+PINNED_MAX_DISTANCE = {
+    (3, 2, F(1, 10), ALL_PARTS): (
+        F(1, 5), (0, 5), 1, 1, "0a8c24df0dbdbbb8", "ed6b90d75004db8e", "a00a7b73fac376a7", 13, 9, 24,
+    ),
+    (3, 3, F(1, 7), ALL_PARTS): (
+        F(1, 3), (0, 0, 3), 0, -1, "15c818373d8aaf46", "73501805e45ee3ae", "64c6da8a30712382", 24, 12, 56,
+    ),
+    (3, 2, F(0), ALL_PARTS): (
+        F(0), (0, 0), 0, 1, "7ae39a124e72df72", "65896e7168ee625b", "12e3332abdb3a44f", 1, 0, 24,
+    ),
+    (3, 2, F(1, 10), frozenset({"responsive", "unanimity"})): (
+        F(1, 5), (0, 5), 1, 1, "0a8c24df0dbdbbb8", "ed6b90d75004db8e", "a00a7b73fac376a7", 13, 9, 24,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MAX_DISTANCE))
+def test_max_distance_results_are_pinned(case):
+    res = max_distance(*case, keep_witnesses=True)
+    per_objective = [(o.profile, o.candidate, o.sign, str(o.value)) for o in res.per_objective]
+    got = (
+        res.d_star,
+        res.witness_profile,
+        res.witness_candidate,
+        res.witness_sign,
+        _digest(_table_repr(res.witness)),
+        _digest(per_objective),
+        _digest([_table_repr(w) for w in res.all_witnesses]),
+        len(res.all_witnesses),
+        res.free_dim,
+        res.n_solves,
+    )
+    assert got == PINNED_MAX_DISTANCE[case]
+
+
+# -- dual certificates ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3)])
+def test_every_solve_passes_the_dual_check(monkeypatch, m, n):
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(lp_module.dual_certifies(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(polytope, "dual_certifies", recorded)
+    res = max_distance(m, n, F(1, 10))
+    assert len(verdicts) == res.n_solves and all(verdicts)
+
+
+@pytest.mark.parametrize("tamper", ["shift", "negate"])
+def test_tampered_dual_stops_max_distance(monkeypatch, tamper):
+    solve = lp_module.SlackBasisSimplex.solve
+
+    def tampered(self, objective):
+        out = solve(self, objective)
+        i = next((i for i, yi in enumerate(self.dual) if yi), 0)
+        self.dual[i] = self.dual[i] + F(1, 7) if tamper == "shift" else -self.dual[i] - 1
+        return out
+
+    monkeypatch.setattr(lp_module.SlackBasisSimplex, "solve", tampered)
+    with pytest.raises(InternalError, match="dual"):
+        max_distance(3, 2, F(1, 10))
