@@ -23,7 +23,7 @@ from .prefs import (
     enumerate_orderings,
     enumerate_profiles,
 )
-from .rules import RuleTable, closeness_witness, random_dictatorship
+from .rules import RuleTable, _tops, closeness_witness, random_dictatorship
 
 ZERO = Fraction(0)
 
@@ -58,10 +58,6 @@ class DistanceReport:
 
 
 # -- Helpers -------------------------------------------------------------------
-
-
-def _tops_of_ranks(m: int) -> list[int]:
-    return [o[0] for o in enumerate_orderings(m)]
 
 
 def _replace_rank(key: AnonKey, old: int, new: int) -> AnonKey:
@@ -212,7 +208,7 @@ def _group_spreads(v: RuleTable, groups):
 
 def tops_only_deviation(v: RuleTable) -> AxiomReport:
     """Spread of any candidate's probability across profiles with equal tops."""
-    tops = _tops_of_ranks(v.m)
+    tops = _tops(v.m)
     groups: dict[tuple, list] = defaultdict(list)
     for key in v.keys():
         cnt = Counter(tops[r] for r in key)
@@ -223,7 +219,7 @@ def tops_only_deviation(v: RuleTable) -> AxiomReport:
 
 def times_at_top_deviation(v: RuleTable) -> AxiomReport:
     """Spread of x's probability across profiles with the same x top-count."""
-    tops = _tops_of_ranks(v.m)
+    tops = _tops(v.m)
     groups: dict[tuple, list] = defaultdict(list)
     for x in range(v.m):
         for key in v.keys():
@@ -308,7 +304,7 @@ def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
     if v.m < 2:
         return DistanceReport(close, AxiomReport("table-vs-canonical", ZERO, None),
                               AxiomReport("canonical-vs-linear", ZERO, None))
-    tops = _tops_of_ranks(v.m)
+    tops = _tops(v.m)
     vp = vprime_table(v)
 
     def table_gaps():

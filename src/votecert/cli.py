@@ -32,6 +32,7 @@ from .polytope import max_distance, normalize_parts, traced_constant, verify_the
 from .prefs import anon_expand, enumerate_orderings, format_ordering
 from .rules import (
     RuleTable,
+    checked_unit,
     load_rule,
     perturb,
     plurality_uniform_tiebreak,
@@ -39,6 +40,7 @@ from .rules import (
     rule_to_json_obj,
     save_rule,
     uniform_rule,
+    within_digit_limit,
 )
 
 EXIT_FAIL = 1
@@ -53,11 +55,15 @@ def _rational(q: Fraction) -> dict:
     return {"frac": str(q), "approx": float(q)}
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _fraction_arg(text: str, name: str) -> Fraction:
+    """The rational argument `name`, checked to lie in [0, 1] and to be printable."""
     try:
-        return Fraction(text)
+        q = checked_unit(Fraction(text), name)
     except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"{text!r} is not a rational number like 1/10")
+    if not within_digit_limit(q):
+        raise ValidationError(f"{name} has more digits than Python will print")
+    return q
 
 
 def _digest(path: str) -> str:
@@ -197,7 +203,7 @@ def gen(kind, m, n, delta, seed, out):
     elif kind == "plurality-tiebreak":
         rule = plurality_uniform_tiebreak(m, n)
     else:
-        rule = perturb(random_dictatorship(m, n), _fraction_arg(delta), seed)
+        rule = perturb(random_dictatorship(m, n), _fraction_arg(delta, "delta"), seed)
     save_rule(rule, out)
     click.echo(f"wrote {kind} rule for m={m}, n={n} with {len(rule.table)} profiles to {out}")
 
@@ -257,7 +263,7 @@ def sp_check(rule_path, classic, polya_max, trials, seed, out):
 def lp_max(m, n, eps, parts, out):
     """Maximize the distance to random dictatorship over the constraint polytope."""
     started = time.monotonic()
-    eps = _fraction_arg(eps)
+    eps = _fraction_arg(eps, "eps")
     part_set = normalize_parts(p.strip() for p in parts.split(","))
     result = max_distance(m, n, eps, part_set)
     constant = traced_constant(m) if m >= 3 else None
@@ -301,7 +307,7 @@ def lp_max(m, n, eps, parts, out):
 def verify_theorem_cmd(m, n, eps, out):
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
     started = time.monotonic()
-    eps = _fraction_arg(eps)
+    eps = _fraction_arg(eps, "eps")
     outcome = verify_theorem(m, n, eps)
     results = {"status": outcome["status"], "m": m, "n": n, "eps": _rational(eps)}
     if outcome["status"] == "SKIPPED":

@@ -11,8 +11,8 @@ it as a two-phase simplex, with infeasible/unbounded reported as statuses.
 sweeps, where the origin is known feasible and many objectives are
 maximized over one constraint set; each solve leaves its optimal dual in
 `.dual`, and `dual_certifies` checks such a dual independently, over
-Fractions.  `reduce_equalities` is a sparse exact Gauss-Jordan elimination
-used to fold equality constraints away before optimizing.
+Fractions.  `reduce_equalities` folds equality constraints away before
+optimizing, by Gauss-Jordan elimination on the same integer rows.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class LinearProgram:
     constraints: tuple[Constraint, ...]
     maximize: bool = True
     nonneg: tuple[bool, ...] | None = None  # None means every variable >= 0
-    names: tuple[str, ...] | None = None
 
     def var_nonneg(self, j: int) -> bool:
         return True if self.nonneg is None else self.nonneg[j]
@@ -336,7 +335,7 @@ def dual_certifies(G, h, objective, value, y) -> bool:
     return lhs == list(objective) and rhs == value
 
 
-# -- Sparse exact Gauss-Jordan over equalities ----------------------------------
+# -- Equality elimination on the kernel's integer rows ---------------------------
 
 
 def reduce_equalities(
@@ -346,44 +345,28 @@ def reduce_equalities(
 
     Returns (pivots, free_cols) where pivots maps a pivot column p to
     (row, rhs) with x_p = rhs - sum(row[f] * x_f over free columns f),
-    or None when the system is inconsistent.
+    or None when the system is inconsistent.  Rows are the kernel's integer
+    rows, positive at their pivot column, and become Fractions when read back.
     """
-    pivots: dict[int, list] = {}
-    for row_in, rhs_in in eqs:
-        row = {c: Fraction(a) for c, a in row_in.items() if a}
-        rhs = Fraction(rhs_in)
-        while True:
-            hit = next((c for c in sorted(row) if c in pivots), None)
-            if hit is None:
-                break
-            f = row.pop(hit)
-            prow, prhs = pivots[hit]
-            for c, a in prow.items():
-                nv = row.get(c, ZERO) - f * a
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            rhs -= f * prhs
-        if not row:
-            if rhs != 0:
+    pivots: dict[int, dict[int, int]] = {}
+    for coeffs, rhs in eqs:
+        row = _integer_row({**coeffs, RHS: Fraction(rhs)})
+        for q in sorted(c for c in row if c in pivots):
+            row = _eliminate(row, row[q], pivots[q], pivots[q][q])
+        p = min((c for c in row if c >= 0), default=None)
+        if p is None:
+            if row:  # 0 = a nonzero right-hand side
                 return None
             continue
-        p = min(row)
-        lead = row.pop(p)
-        prow = {c: a / lead for c, a in row.items()}
-        prhs = rhs / lead
-        for other_p, (orow, orhs) in pivots.items():
-            f = orow.pop(p, None)
-            if f is None:
-                continue
-            for c, a in prow.items():
-                nv = orow.get(c, ZERO) - f * a
-                if nv:
-                    orow[c] = nv
-                else:
-                    orow.pop(c, None)
-            pivots[other_p][1] = orhs - f * prhs
-        pivots[p] = [prow, prhs]
+        if row[p] < 0:
+            row = {c: -a for c, a in row.items()}
+        for q, prow in pivots.items():
+            if p in prow:
+                pivots[q] = _eliminate(prow, prow[p], row, row[p])
+        pivots[p] = row
     free = [c for c in range(n_vars) if c not in pivots]
-    return {p: (row, rhs) for p, (row, rhs) in pivots.items()}, free
+    return {
+        p: ({c: Fraction(a, row[p]) for c, a in row.items() if c >= 0 and c != p},
+            Fraction(row.get(RHS, 0), row[p]))
+        for p, row in pivots.items()
+    }, free

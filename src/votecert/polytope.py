@@ -35,7 +35,7 @@ from .lp import (
     reduce_equalities,
 )
 from .prefs import AnonKey, enumerate_orderings, enumerate_profiles
-from .rules import RuleTable, random_dictatorship
+from .rules import RuleTable, checked_unit, random_dictatorship
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,16 +58,6 @@ def _var(pidx: int, x: int, m: int) -> int:
     return pidx * m + x
 
 
-def _checked_eps(eps) -> Fraction:
-    eps = Fraction(eps)
-    # The message leaves the value out: str() of eps = 1e5000 would itself fail.
-    if eps < 0:
-        raise DomainError("eps must lie in [0, 1], got a negative value")
-    if eps > 1:
-        raise DomainError("eps must lie in [0, 1], got a value above 1")
-    return eps
-
-
 def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
     """Constraint system over rule-table variables; the objective is zero.
 
@@ -77,7 +67,7 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
     """
     if m < 2:
         raise DomainError(f"polytope construction needs m >= 2, got m={m}")
-    eps = _checked_eps(eps)
+    eps = checked_unit(eps, "eps")
     parts = normalize_parts(parts)
     keys = list(enumerate_profiles(m, n, anonymous=True))
     key_index = {k: i for i, k in enumerate(keys)}
@@ -125,14 +115,7 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
                 else:
                     add({var(key, x): ONE}, REL_GE, 1 - eps)
 
-    names = tuple(f"p{k}/c{x}" for k in range(len(keys)) for x in range(m))
-    return LinearProgram(
-        n_vars=nvars,
-        objective=tuple([ZERO] * nvars),
-        constraints=tuple(rows),
-        maximize=True,
-        names=names,
-    )
+    return LinearProgram(n_vars=nvars, objective=tuple([ZERO] * nvars), constraints=tuple(rows))
 
 
 # -- Candidate-relabeling symmetry ----------------------------------------------
@@ -365,7 +348,7 @@ def traced_constant(m: int) -> TracedConstant:
 
 def verify_theorem(m: int, n: int, eps, parts=ALL_PARTS) -> dict:
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
-    eps = _checked_eps(eps)
+    eps = checked_unit(eps, "eps")
     if m < 3:
         return {
             "status": "SKIPPED",

@@ -7,9 +7,11 @@ exactly 1 and the table must be total, both checked at construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,16 +36,42 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+@functools.cache
+def _power_of_ten(k: int) -> int:
+    return 10**k
+
+
+def within_digit_limit(*qs: Fraction) -> bool:
+    """Whether str() works on each q: no numerator or denominator has more digits
+    than sys.get_int_max_str_digits(), where 0 or no such function means no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        bound = _power_of_ten(limit)
+        for q in qs:
+            if q.denominator >= bound or abs(q.numerator) >= bound:
+                return False
+    return True
+
+
+def checked_unit(q, name: str) -> Fraction:
+    """q as a Fraction, checked to lie in [0, 1]; like every message about a
+    rational, the error leaves the value out, which str() may refuse to print."""
+    q = Fraction(q)
+    if not 0 <= q <= 1:
+        raise DomainError(f"{name} must lie in [0, 1]")
+    return q
+
+
 def validate_lottery(m: int, probs) -> Lottery:
     """Check length, range, and exact normalization; return as a tuple."""
     lot = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
     if len(lot) != m:
         raise ValidationError(f"lottery has {len(lot)} entries, expected {m}")
-    for p in lot:
+    for i, p in enumerate(lot):
         if p < 0 or p > 1:
-            raise ValidationError(f"lottery entry {p} outside [0, 1]")
+            raise ValidationError(f"lottery entry {i} lies outside [0, 1]")
     if sum(lot) != 1:
-        raise ValidationError(f"lottery sums to {sum(lot)}, not 1")
+        raise ValidationError("lottery does not sum to 1")
     return lot
 
 
@@ -236,9 +264,7 @@ def closeness_witness(v: RuleTable, w: RuleTable) -> tuple[Fraction, AnonKey | N
 
 def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
     """Move each lottery toward a seeded pseudo-random lottery by factor delta."""
-    delta = Fraction(delta)
-    if not 0 <= delta <= 1:
-        raise DomainError(f"delta={delta} outside [0, 1]")
+    delta = checked_unit(delta, "delta")
     rng = random.Random(seed)
     table = {}
     for key in sorted(v.keys()):
@@ -395,9 +421,12 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         if key in table:
             raise ValidationError(f"duplicate entry for profile {entry['profile']}")
         try:
-            table[key] = tuple(Fraction(text) for text in entry["lottery"])
+            lot = tuple(Fraction(text) for text in entry["lottery"])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational in lottery: {exc}") from None
+        if not within_digit_limit(*lot):
+            raise ValidationError("lottery entry has more digits than Python will print")
+        table[key] = lot
     return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum
 
 

@@ -38,7 +38,8 @@ json_values = st.recursive(
 ordering_texts = st.permutations(["a", "b", "c"]).map(">".join) | st.sampled_from(
     ["a>b", "a>b>b", "a>b>c>d", "a > c > b"]
 )
-lottery_items = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "-1/3", "3/2", "1/0", "x", ""])
+lottery_items = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "-1/3", "3/2", "1/0", "x", "",
+                                 "1e5000", "1e-5000"])
 
 
 @st.composite

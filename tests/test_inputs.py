@@ -103,6 +103,11 @@ def _drop_profile(obj):
     del obj["entries"][0]["profile"]
 
 
+# Coprime 3,001-digit integers: 1/P and 1/Q print, but their sum's denominator
+# has 6,001 digits, past Python's default limit of 4,300.
+_P, _Q = 10**3000 + 1, 10**3000 + 3
+
+
 MALFORMED = {
     "entry-without-profile": (3, 2, _drop_profile),
     "nested-lottery-item": (3, 2, lambda o: _mutate_entry(o, "lottery", [[1], "0", "0"])),
@@ -118,6 +123,9 @@ MALFORMED = {
     "unhashable-candidate": (3, 2, lambda o: o.__setitem__("candidates", [["a"], "b", "c"])),
     "candidates-string": (3, 2, lambda o: o.__setitem__("candidates", "abc")),
     "candidates-object": (3, 2, lambda o: o.__setitem__("candidates", {"a": 1, "b": 2, "c": 3})),
+    "numerator-digits": (3, 2, lambda o: _mutate_entry(o, "lottery", ["1e5000", "0", "0"])),
+    "denominator-digits": (3, 2, lambda o: _mutate_entry(o, "lottery", ["1e-5000", "0", "1"])),
+    "sum-digits": (3, 2, lambda o: _mutate_entry(o, "lottery", [f"1/{_P}", f"1/{_Q}", "0"])),
 }
 
 
@@ -199,3 +207,30 @@ def test_eps_outside_unit_interval_exits_2(runner, args):
     result = runner.invoke(main, args)
     _assert_input_error(result)
     assert "eps must lie in [0, 1]" in result.output
+
+
+# -- rationals past Python's integer digit limit ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-theorem", "2", "2", "1e-5000"],
+        ["lp-max", "--m", "3", "--n", "2", "--eps", "1e-5000"],
+        ["gen", "perturbed", "3", "2", "--delta", "1e-5000", "--out", "x.json"],
+    ],
+)
+def test_rational_arguments_past_digit_limit_exit_2(runner, tmp_path, args):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+        assert not os.path.exists("x.json")
+    _assert_input_error(result)
+    assert "error:" in result.output and "more digits than Python will print" in result.output
+
+
+def test_delta_past_digit_limit_exits_2(runner, tmp_path):
+    out = str(tmp_path / "x.json")
+    result = runner.invoke(main, ["gen", "perturbed", "3", "2", "--delta", "1e5000", "--out", out])
+    _assert_input_error(result)
+    assert "error: delta must lie in [0, 1]" in result.output
+    assert not os.path.exists(out)

@@ -7,6 +7,7 @@ bound sum(x) <= B, so every nonempty feasible region is a pointed polytope
 and has an optimal vertex; unboundedness cannot occur.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ import pytest
 
 from votecert.errors import DomainError
 from votecert.lp import (
+    REL_EQ,
     LinearProgram,
     SlackBasisSimplex,
     constraint,
@@ -21,6 +23,7 @@ from votecert.lp import (
     reduce_equalities,
     solve_lp,
 )
+from votecert.polytope import build_polytope
 
 ZERO, ONE = F(0), F(1)
 
@@ -271,3 +274,80 @@ def test_dual_check_rejects_tampered_duals():
     assert not dual_certifies(G, h, c, ZERO, [ZERO, ZERO, F(-1), F(-1)])
     assert not dual_certifies(G, h, c, value + 1, y)  # y^T h no longer the value
     assert not dual_certifies(G, h, c, value, y[:3])  # one entry short
+
+
+# -- elimination on rational systems and on the polytope's equalities ------------
+
+
+def _rational(rng):
+    return F(rng.randrange(-6, 7), rng.randrange(1, 6))
+
+
+def _check_pivot_rows_hold_no_pivot_column(pivots, free, n):
+    assert sorted([*pivots, *free]) == list(range(n))
+    for prow, _ in pivots.values():
+        assert not set(prow) & set(pivots)
+
+
+def test_reduce_equalities_on_rational_systems():
+    """Coefficients and right-hand sides with denominators 1 to 5."""
+    rng = random.Random(29)
+    inconsistent = 0
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        base = [_rational(rng) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randrange(1, n + 3)):
+            row = {j: _rational(rng) for j in range(n) if rng.randrange(3)}
+            rows.append((row, sum((a * base[j] for j, a in row.items()), ZERO)))
+        if rng.randrange(2):
+            # A combination of the rows whose right-hand side is shifted: no
+            # solution of the system satisfies it, even when its row cancels to 0.
+            weights = [_rational(rng) for _ in rows]
+            combo = {j: sum((w * row.get(j, ZERO) for w, (row, _) in zip(weights, rows)), ZERO)
+                     for j in range(n)}
+            shift = _rational(rng) or ONE
+            rhs = sum((w * b for w, (_, b) in zip(weights, rows)), ZERO) + shift
+            rows.insert(rng.randrange(len(rows) + 1), (combo, rhs))
+            assert reduce_equalities(rows, n) is None
+            inconsistent += 1
+            continue
+        reduced = reduce_equalities(rows, n)
+        assert reduced is not None
+        pivots, free = reduced
+        _check_pivot_rows_hold_no_pivot_column(pivots, free, n)
+        for _ in range(3):  # any free assignment extends to a solution
+            x = [ZERO] * n
+            for f in free:
+                x[f] = _rational(rng)
+            for p, (prow, prhs) in pivots.items():
+                x[p] = prhs - sum(a * x[f] for f, a in prow.items())
+            for row, rhs in rows:
+                assert sum(a * x[j] for j, a in row.items()) == rhs
+    assert 100 < inconsistent < 200
+
+
+# Free columns and a digest of the pivots (columns in order, rows, right-hand
+# sides) of the polytope's equality system, pinned from the Fraction
+# Gauss-Jordan elimination that the integer-row elimination replaced.
+POLYTOPE_ELIMINATIONS = {
+    (3, 3, F(1, 10)): (
+        [107, 110, 119, 137, 140, 146, 155, 157, 160, 163, 166, 167],
+        "a89e11186b5a9432a1f39e9adfdf0f57d1b387ef1fbb88636d0c673aa7f26ac3",
+    ),
+    (3, 4, F(1, 10)): (
+        [272, 275, 284, 302, 332, 335, 341, 350, 362, 364, 367, 370, 373, 376, 377],
+        "db8a525e638bc4dd5244dcaa15b8b6c3a5f2b0a825cbbc19cf538624a61c5282",
+    ),
+    (3, 4, F(0)): ([], "80a0756203f0b039982765fe81294c4ecd48b23d01e186e6fc265ca0bf8d6c67"),
+}
+
+
+@pytest.mark.parametrize("m,n,eps", sorted(POLYTOPE_ELIMINATIONS))
+def test_reduce_equalities_is_pinned_on_the_polytope(m, n, eps):
+    lp = build_polytope(m, n, eps)
+    eqs = [(dict(c.terms), c.rhs) for c in lp.constraints if c.rel == REL_EQ]
+    pivots, free = reduce_equalities(eqs, lp.n_vars)
+    _check_pivot_rows_hold_no_pivot_column(pivots, free, lp.n_vars)
+    text = repr([(p, sorted(row.items()), rhs) for p, (row, rhs) in pivots.items()])
+    assert (free, hashlib.sha256(text.encode()).hexdigest()) == POLYTOPE_ELIMINATIONS[(m, n, eps)]
