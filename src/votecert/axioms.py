@@ -255,9 +255,9 @@ def vprime_table(v: RuleTable, base: Ordering | None = None) -> VPrimeTable:
     return VPrimeTable(v.m, v.n, tuple(base), values)
 
 
-def candidate_anonymity_deviation(v: RuleTable, vp: VPrimeTable | None = None) -> AxiomReport:
+def candidate_anonymity_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the canonical-profile table across candidates at fixed top count."""
-    vp = vp or vprime_table(v)
+    vp = vprime_table(v)
     return _worst("candidate-anonymity", ("x", "y", "j"), (
         (abs(vp[(x, j)] - vp[(y, j)]), x, y, j)
         for j in range(v.n + 1)
@@ -266,9 +266,9 @@ def candidate_anonymity_deviation(v: RuleTable, vp: VPrimeTable | None = None) -
     ))
 
 
-def sliding_window_deviation(v: RuleTable, vp: VPrimeTable | None = None) -> AxiomReport:
+def sliding_window_deviation(v: RuleTable) -> AxiomReport:
     """How much a canonical-table increment of width l depends on its start point."""
-    vp = vp or vprime_table(v)
+    vp = vprime_table(v)
     return _worst("sliding-window", ("x", "j", "jp", "l"), (
         (abs(vp[(x, j + width)] - vp[(x, j)] - vp[(x, jp + width)] + vp[(x, jp)]), x, j, jp, width)
         for x in range(v.m)

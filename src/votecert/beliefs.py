@@ -15,10 +15,12 @@ grouped by support, then by exact evaluation at seeded rational samples.
 Each instance tries the degree-0 certificate first, so a polynomial with
 nonnegative coefficients is never scanned.
 
-The opponents' monomial carries the multinomial times their upper-set gap
-at that fixed profile, so classic strategy-proofness (dominance at every
-profile of the others) is the degree-0 certificate on every instance.  Both
-checks read the gaps from one opponent walk, `_opponent_gaps`.
+A monomial is keyed by the sorted tuple of its variables, each repeated by
+its exponent, so the opponents' multiset is its own key.  The opponents'
+monomial carries the multinomial times their upper-set gap at that fixed
+profile, so classic strategy-proofness (dominance at every profile of the
+others) is the degree-0 certificate on every instance.  Both checks read
+the gaps from one opponent walk, `_opponent_gaps`.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def validate_belief(nvars: int, weights) -> Belief:
 
 @dataclass(frozen=True)
 class SimplexPolynomial:
-    """Sparse homogeneous polynomial over the belief variables."""
+    """Sparse homogeneous polynomial over the belief variables; a monomial is
+    keyed by its sorted variables, with repeats: x_0^2 x_3 is (0, 0, 3)."""
 
     nvars: int
     degree: int
@@ -67,37 +70,27 @@ class SimplexPolynomial:
     def evaluate(self, point: Belief) -> Fraction:
         if len(point) != self.nvars:
             raise DomainError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        total = ZERO
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for w, e in zip(point, exps):
-                if e:
-                    if w == 0:
-                        term = ZERO
-                        break
-                    term *= w**e
-            total += term
-        return total
+        return sum((c * math.prod(point[i] for i in mono) for mono, c in self.terms.items()), ZERO)
 
     def times_coordinate_sum(self) -> "SimplexPolynomial":
         out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
+        for mono, coeff in self.terms.items():
             for i in range(self.nvars):
-                bumped = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                bumped = tuple(sorted(mono + (i,)))
                 out[bumped] = out.get(bumped, ZERO) + coeff
         out = {e: c for e, c in out.items() if c}
         return SimplexPolynomial(self.nvars, self.degree + 1, out)
 
 
 def polynomial_from_terms(nvars: int, degree: int, terms) -> SimplexPolynomial:
+    """A polynomial from {exponent vector: coefficient}."""
     clean = {}
     for exps, coeff in dict(terms).items():
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        if len(exps) != nvars or sum(exps) != degree:
+        if len(exps) != nvars or sum(exps) != degree or any(e < 0 for e in exps):
             raise DomainError(f"exponent vector {exps} does not match nvars={nvars}, degree={degree}")
-        clean[tuple(exps)] = coeff
+        coeff = Fraction(coeff)
+        if coeff:
+            clean[tuple(i for i, e in enumerate(exps) for _ in range(e))] = coeff
     return SimplexPolynomial(nvars, degree, clean)
 
 
@@ -188,17 +181,13 @@ def _dominance_siblings(
 ) -> tuple[SimplexPolynomial, ...]:
     """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1:
     the opponents' monomial carries multinomial times their k-th gap."""
-    fact = math.factorial(v.m)
     terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(v.m - 1)]
     for others, gaps in _opponent_gaps(v, truthful, misreport):
-        counts = [0] * fact
-        for s in others:
-            counts[s] += 1
-        exps, weight = tuple(counts), _multinomial(others)
+        weight = _multinomial(others)
         for k_terms, gap in zip(terms, gaps):
             if gap:
-                k_terms[exps] = weight * gap
-    return tuple(SimplexPolynomial(fact, v.n - 1, k_terms) for k_terms in terms)
+                k_terms[others] = weight * gap
+    return tuple(SimplexPolynomial(math.factorial(v.m), v.n - 1, k_terms) for k_terms in terms)
 
 
 def dominance_polynomial(v: RuleTable, inst: ManipulationInstance) -> SimplexPolynomial:
@@ -228,14 +217,13 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
     nv = f.nvars
     pure = [ZERO] * nv
     mixed: dict[tuple[int, int], Fraction] = {}
-    for exps, coeff in f.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if not support:  # degree 0: the same constant at every point
+    for mono, coeff in f.terms.items():
+        if not mono:  # degree 0: the same constant at every point
             pure = [coeff] * nv
-        elif len(support) == 1:
-            pure[support[0]] += coeff
-        elif len(support) == 2:
-            pair = (support[0], support[1])
+        elif mono[0] == mono[-1]:
+            pure[mono[0]] += coeff
+        elif len(set(mono)) == 2:
+            pair = (mono[0], mono[-1])
             mixed[pair] = mixed.get(pair, ZERO) + coeff
     for i, val in enumerate(pure):
         if val < 0:

@@ -2,9 +2,10 @@
 strategy-proofness, and run the polytope sweeps, all as JSON reports.
 
 Exit codes: 0 success, 1 theorem-check FAIL, 2 input validation error,
-3 resource cap exceeded, 4 internal error (a defect in votecert; the
-traceback goes to stderr).  Rationals are serialized as "p/q" strings in
-lowest terms together with a display-only decimal approximation.
+3 resource cap exceeded (including a result with more digits than Python
+will print), 4 internal error (a defect in votecert; the traceback goes to
+stderr).  Rationals are serialized as "p/q" strings in lowest terms
+together with a display-only decimal approximation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .polytope import max_distance, normalize_parts, traced_constant, verify_the
 from .prefs import anon_expand, enumerate_orderings, format_ordering
 from .rules import (
     RuleTable,
+    check_printable,
     checked_unit,
     load_rule,
     perturb,
@@ -52,6 +54,7 @@ GEN_KINDS = ("random-dictatorship", "uniform", "plurality-tiebreak", "perturbed"
 
 
 def _rational(q: Fraction) -> dict:
+    check_printable(q)
     return {"frac": str(q), "approx": float(q)}
 
 
@@ -136,6 +139,7 @@ def _verdict_json(verdict: SPVerdict, rule: RuleTable) -> dict:
         ]
     w = verdict.witness
     if w is not None:
+        check_printable(*w.utility, w.rho, *(w.belief or ()))
         orderings = enumerate_orderings(rule.m)
         entry = {
             "truthful": format_ordering(w.instance.truthful, rule.names),

@@ -9,10 +9,12 @@ its denominators, and values are read back as Fractions.  `solve_lp` runs
 it as a two-phase simplex, with infeasible/unbounded reported as statuses.
 `SlackBasisSimplex` is the warm-startable core used for the polytope
 sweeps, where the origin is known feasible and many objectives are
-maximized over one constraint set; each solve leaves its optimal dual in
-`.dual`, and `dual_certifies` checks such a dual independently, over
-Fractions.  `reduce_equalities` folds equality constraints away before
-optimizing, by Gauss-Jordan elimination on the same integer rows.
+maximized over one constraint set: it takes sparse rows over a free t and
+is the only code that splits t into nonnegative parts.  Each solve leaves
+its optimal dual in `.dual`, and `dual_certifies` checks such a dual
+independently, over Fractions.  `reduce_equalities` folds equality
+constraints away before optimizing, by Gauss-Jordan elimination on the
+same integer rows.
 """
 
 from __future__ import annotations
@@ -274,65 +276,76 @@ def _drive_out_artificials(rows, basis, artificial) -> None:
 
 
 class SlackBasisSimplex:
-    """max c . y over {G y <= h, y >= 0} with h >= 0, reusing the basis
+    """max c . t over {G t <= h}, t free, with h >= 0, reusing the basis
     across objective changes.
 
-    The all-slack basis at y = 0 is feasible by construction, so no phase 1
-    is ever needed; after each solve the optimal basis is kept and the next
-    objective continues from it.  `dual` holds the last solve's optimal dual:
-    one entry per row of G, minus the reduced cost of that row's slack.
+    G's rows are sparse dicts {column: coefficient} over columns
+    0..width-1.  The kernel pivots on t = u - w with u, w >= 0: u takes
+    columns 0..width-1, w takes width..2*width-1 and the slack of row i takes
+    column 2*width + i.  The all-slack basis at t = 0 is feasible by
+    construction, so no phase 1 is ever needed; after each solve the optimal
+    basis is kept and the next objective continues from it.  `solve` returns
+    the value and t; `dual` holds the last solve's optimal dual: one entry
+    per row of G, minus the reduced cost of that row's slack.
     """
 
-    def __init__(self, G: list[list[Fraction]], h: list[Fraction]):
+    def __init__(self, G: list[dict[int, Fraction]], h: list[Fraction], width: int):
         if any(b < 0 for b in h):
             raise DomainError("slack-basis simplex needs nonnegative right-hand sides")
+        if any(not 0 <= j < width for row in G for j in row):
+            raise DomainError(f"a constraint row has a column outside 0..{width - 1}")
+        self.width = width
         self.nrows = len(G)
-        self.nstruct = len(G[0]) if G else 0
-        self.ncols = self.nstruct + self.nrows
+        self.ncols = 2 * width + self.nrows
         self.rows = [
-            _integer_row({**dict(enumerate(row)), self.nstruct + i: ONE, RHS: h[i]})
+            _integer_row(self._split(row) | {2 * width + i: ONE, RHS: h[i]})
             for i, row in enumerate(G)
         ]
-        self.basis = [self.nstruct + i for i in range(self.nrows)]
+        self.basis = [2 * width + i for i in range(self.nrows)]
         self.dual: list[Fraction] = []
 
+    def _split(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+        return row | {self.width + j: -a for j, a in row.items()}  # a on u_j, -a on w_j
+
     def solve(self, objective: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-        if len(objective) != self.nstruct:
-            raise DomainError(f"objective has {len(objective)} entries, expected {self.nstruct}")
-        cost = _integer_row({**dict(enumerate(objective)), Z: ONE})
+        width = self.width
+        if len(objective) != width:
+            raise DomainError(f"objective has {len(objective)} entries, expected {width}")
+        cost = _integer_row(self._split(dict(enumerate(objective))) | {Z: ONE})
         status, red = _optimize(self.rows, self.basis, cost)
         if status == UNBOUNDED:
             raise DomainError("objective is unbounded over the polytope")
-        y = [ZERO] * self.nstruct
+        t = [ZERO] * width
         for row, b in zip(self.rows, self.basis):
-            if b < self.nstruct:
-                y[b] = Fraction(row.get(RHS, 0), row[b])
+            if b < 2 * width:  # u_j or w_j, with t_j = u_j - w_j
+                sign = 1 if b < width else -1
+                t[b % width] += Fraction(sign * row.get(RHS, 0), row[b])
         self.dual = [ZERO] * self.nrows
         for j, a in red.items():
-            if j >= self.nstruct:
-                self.dual[j - self.nstruct] = Fraction(-a, red[Z])
-        value = sum((c * yj for c, yj in zip(objective, y)), ZERO)
-        return value, y
+            if j >= 2 * width:
+                self.dual[j - 2 * width] = Fraction(-a, red[Z])
+        value = sum((c * tj for c, tj in zip(objective, t)), ZERO)
+        return value, t
 
 
 def dual_certifies(G, h, objective, value, y) -> bool:
     """Whether y proves max objective . t over {G t <= h}, t free, is at most value.
 
-    For such t, objective . t = y^T G t <= y^T h when y >= 0 and
-    y^T G = objective, so y >= 0, y^T G = objective and y^T h = value make
-    value an upper bound; a feasible point attaining value makes it the max.
+    G's rows are sparse dicts {column: coefficient}.  For such t,
+    objective . t = y^T G t <= y^T h when y >= 0 and y^T G = objective, so
+    y >= 0, y^T G = objective and y^T h = value make value an upper bound; a
+    feasible point attaining value makes it the max.
     """
     if len(y) != len(G) or any(yi < 0 for yi in y):
         return False
-    lhs = [ZERO] * len(objective)
+    lhs = dict.fromkeys(range(len(objective)), ZERO)
     rhs = ZERO
     for yi, row, b in zip(y, G, h):
         if yi:
-            for j, a in enumerate(row):
-                if a:
-                    lhs[j] += yi * a
+            for j, a in row.items():
+                lhs[j] = lhs.get(j, ZERO) + yi * a
             rhs += yi * b
-    return lhs == list(objective) and rhs == value
+    return lhs == dict(enumerate(objective)) and rhs == value
 
 
 # -- Equality elimination on the kernel's integer rows ---------------------------

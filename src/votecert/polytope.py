@@ -12,8 +12,9 @@ deviation meters, so each axiom is enumerated in one place.
 objective per (profile, candidate, sign).  Equalities are folded away by
 exact elimination first, the parametrization is shifted so that random
 dictatorship sits at the origin (making the all-slack basis feasible), and
-objectives equivalent under candidate relabeling are solved once.  Every
-optimum is checked against the simplex's dual certificate.
+objectives equivalent under candidate relabeling are solved once.  The
+t-space rows stay sparse from the elimination's pivot rows to the simplex,
+which solves over a free t.  Every optimum is checked against its dual.
 """
 
 from __future__ import annotations
@@ -189,51 +190,38 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     d = len(free)
     free_pos = {f: i for i, f in enumerate(free)}
 
-    # Affine parametrization x = x0 + Nt with t free; row_of[v] is N's row v.
-    def nrow(var: int) -> list[Fraction]:
-        row = [ZERO] * d
-        if var in free_pos:
-            row[free_pos[var]] = ONE
-        else:
-            prow, _ = pivots[var]
-            for f, a in prow.items():
-                row[free_pos[f]] = -a
-        return row
+    # Affine parametrization x = x0 + N t with t free; N[v] is row v of N, sparse.
+    N = [
+        {free_pos[v]: ONE} if v in free_pos else {free_pos[f]: -a for f, a in pivots[v][0].items()}
+        for v in range(nvars)
+    ]
 
-    row_of = [nrow(vv) for vv in range(nvars)]
+    # Inequalities in t-space as G t <= h with h >= 0 (t = 0 is the dictatorship),
+    # each row keyed by its sorted nonzero (position, coefficient) terms.
+    gmap: dict[tuple[tuple[int, Fraction], ...], Fraction] = {}
 
-    # Inequalities in t-space as G t <= h with h >= 0 (t = 0 is the dictatorship).
-    gmap: dict[tuple[Fraction, ...], Fraction] = {}
-
-    def add_row(coeffs: list[Fraction], slack: Fraction):
+    def add_row(coeffs: dict[int, Fraction], slack: Fraction):
         if slack < 0:
             raise InternalError("random dictatorship violates an inequality row")
-        key = tuple(coeffs)
-        if any(key):
-            if key not in gmap or slack < gmap[key]:
-                gmap[key] = slack
+        key = tuple(sorted((i, a) for i, a in coeffs.items() if a))
+        if key and (key not in gmap or slack < gmap[key]):
+            gmap[key] = slack
 
     for var in range(nvars):  # x_var >= 0  ->  -N_var . t <= x0_var
-        add_row([-a for a in row_of[var]], x0[var])
+        add_row({i: -a for i, a in N[var].items()}, x0[var])
     for c in ineqs:
-        coeffs = [ZERO] * d
+        coeffs: dict[int, Fraction] = defaultdict(Fraction)
         const = ZERO
         for j, a in c.terms:
             const += a * x0[j]
-            rj = row_of[j]
-            for i in range(d):
-                if rj[i]:
-                    coeffs[i] += a * rj[i]
-        if c.rel == REL_GE:  # a.x >= rhs  ->  -(a.N) t <= a.x0 - rhs
-            add_row([-a for a in coeffs], const - c.rhs)
-        else:
-            add_row(coeffs, c.rhs - const)
+            for i, b in N[j].items():
+                coeffs[i] += a * b
+        sign = -1 if c.rel == REL_GE else 1  # a.x >= rhs  ->  -(a.N) t <= a.x0 - rhs
+        add_row({i: sign * a for i, a in coeffs.items()}, sign * (c.rhs - const))
 
-    G = [list(row) for row in gmap]
-    h = [gmap[tuple(row)] for row in G]
-    # Split t = u - w so both parts are nonnegative.
-    G2 = [row + [-a for a in row] for row in G]
-    simplex = SlackBasisSimplex(G2, h)
+    G = [dict(key) for key in gmap]
+    h = list(gmap.values())
+    simplex = SlackBasisSimplex(G, h, d)
 
     reps: dict[tuple[int, int], list[tuple[int, int]]] = {}
     maps = _relabel_maps(m, n, keys, key_index)
@@ -250,18 +238,17 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     solved = []  # (value, rep, sign, t) in solve order
     for rep in sorted(reps):
         k, x = rep
-        cvec = row_of[_var(k, x, m)]
         for sign in (1, -1):
-            obj = [sign * a for a in cvec]
-            value, y = simplex.solve(obj + [-a for a in obj])
+            obj = [sign * N[_var(k, x, m)].get(i, ZERO) for i in range(d)]
+            value, t = simplex.solve(obj)
             if not dual_certifies(G, h, obj, value, simplex.dual):
                 raise InternalError(f"the simplex dual does not certify the optimum {value}")
-            solved.append((value, rep, sign, [y[i] - y[d + i] for i in range(d)]))
+            solved.append((value, rep, sign, t))
     rep_values = {(rep, sign): value for value, rep, sign, _t in solved}
 
     # max keeps the first of equal optima, so the witness follows solve order.
     d_star, (bk, bx), bsign, bt = max(solved, key=lambda s: s[0])
-    witness = _table_from_t(m, n, keys, x0, row_of, bt)
+    witness = _table_from_t(m, n, keys, x0, N, bt)
 
     per_objective = []
     for rep, orbit in reps.items():
@@ -274,7 +261,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     uniq = []
     if keep_witnesses:
         for *_, t in solved:
-            w = _table_from_t(m, n, keys, x0, row_of, t)
+            w = _table_from_t(m, n, keys, x0, N, t)
             if w not in uniq:
                 uniq.append(w)
 
@@ -291,14 +278,13 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     )
 
 
-def _table_from_t(m, n, keys, x0, row_of, t) -> RuleTable:
+def _table_from_t(m, n, keys, x0, N, t) -> RuleTable:
     table = {}
     for k, key in enumerate(keys):
         lot = []
         for x in range(m):
             var = _var(k, x, m)
-            val = x0[var] + sum((a * ti for a, ti in zip(row_of[var], t)), ZERO)
-            lot.append(val)
+            lot.append(x0[var] + sum((a * t[i] for i, a in N[var].items()), ZERO))
         table[key] = tuple(lot)
     return RuleTable(m, n, table)
 
@@ -346,7 +332,7 @@ def traced_constant(m: int) -> TracedConstant:
     return TracedConstant(value, links)
 
 
-def verify_theorem(m: int, n: int, eps, parts=ALL_PARTS) -> dict:
+def verify_theorem(m: int, n: int, eps) -> dict:
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
     eps = checked_unit(eps, "eps")
     if m < 3:
@@ -358,7 +344,7 @@ def verify_theorem(m: int, n: int, eps, parts=ALL_PARTS) -> dict:
             "eps": eps,
         }
     constant = traced_constant(m)
-    result = max_distance(m, n, eps, parts)
+    result = max_distance(m, n, eps)
     bound = constant.value * eps
     status = "PASS" if result.d_star <= bound else "FAIL"
     return {

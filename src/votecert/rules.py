@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ValidationError
+from .errors import CapExceededError, DomainError, ValidationError
 from .prefs import (
     AnonKey,
     Ordering,
@@ -51,6 +51,13 @@ def within_digit_limit(*qs: Fraction) -> bool:
             if q.denominator >= bound or abs(q.numerator) >= bound:
                 return False
     return True
+
+
+def check_printable(*qs: Fraction) -> None:
+    """Raise CapExceededError, naming the digit limit, unless str() works on each q."""
+    if not within_digit_limit(*qs):
+        raise CapExceededError("a result has more digits than Python will print: "
+                               f"sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()}")
 
 
 def checked_unit(q, name: str) -> Fraction:
@@ -143,19 +150,12 @@ def _tops(m: int) -> list[int]:
 
 def random_dictatorship(m: int, n: int) -> RuleTable:
     """Pick a voter uniformly at random and elect her top choice."""
-    tops = _tops(m)
-    table = {}
-    for key in enumerate_profiles(m, n, anonymous=True):
-        cnt = Counter(tops[r] for r in key)
-        table[key] = tuple(Fraction(cnt.get(x, 0), n) for x in range(m))
-    return RuleTable(m, n, table)
+    return rank_rule(m, n, 1)
 
 
 def uniform_rule(m: int, n: int) -> RuleTable:
     """Ignore the votes; elect uniformly at random."""
-    lot = tuple(Fraction(1, m) for _ in range(m))
-    table = {key: lot for key in enumerate_profiles(m, n, anonymous=True)}
-    return RuleTable(m, n, table)
+    return constant_rule(m, n, (Fraction(1, m) for _ in range(m)))  # lazy: no 1/0 at m = 0
 
 
 def plurality_uniform_tiebreak(m: int, n: int) -> RuleTable:
@@ -185,9 +185,9 @@ def plurality_fixed_tiebreak(m: int, n: int) -> RuleTable:
 
 def rank_rule(m: int, n: int, r: int) -> RuleTable:
     """Pick a voter uniformly at random and elect her r-th ranked candidate."""
+    orderings = enumerate_orderings(m)  # rejects m < 1 before r is checked
     if not 1 <= r <= m:
         raise DomainError(f"rank r={r} outside 1..{m}")
-    orderings = enumerate_orderings(m)
     table = {}
     for key in enumerate_profiles(m, n, anonymous=True):
         cnt = Counter(orderings[idx][r - 1] for idx in key)
@@ -213,9 +213,8 @@ def pair_rule(m: int, n: int, x: int, y: int) -> RuleTable:
 
 def constant_rule(m: int, n: int, lottery) -> RuleTable:
     """Ignore the votes; always play the given lottery."""
-    lot = validate_lottery(m, lottery)
-    table = {key: lot for key in enumerate_profiles(m, n, anonymous=True)}
-    return RuleTable(m, n, table)
+    keys = list(enumerate_profiles(m, n, anonymous=True))  # rejects m < 1 or n < 1 first
+    return RuleTable(m, n, dict.fromkeys(keys, validate_lottery(m, lottery)))
 
 
 # -- Combinators and comparisons ---------------------------------------------
@@ -370,10 +369,12 @@ def rule_to_json_obj(v: RuleTable) -> dict:
     entries = []
     for key in sorted(v.keys()):
         orderings = enumerate_orderings(v.m)
+        lot = v.lottery_at(key)
+        check_printable(*lot)
         entries.append(
             {
                 "profile": [format_ordering(orderings[r], v.names) for r in key],
-                "lottery": [str(p) for p in v.lottery_at(key)],
+                "lottery": [str(p) for p in lot],
             }
         )
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}

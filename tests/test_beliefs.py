@@ -232,6 +232,55 @@ def test_structural_scan_matches_dense_scan():
         assert stages[stage] >= 10, stages
 
 
+def dense_times_sum(terms, nvars, boost):
+    """Exponent-vector reference: the terms of f times (sum of x_i)^boost."""
+    for _ in range(boost):
+        bumped = {}
+        for exps, c in terms.items():
+            for i in range(nvars):
+                e = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                bumped[e] = bumped.get(e, F(0)) + c
+        terms = {e: c for e, c in bumped.items() if c}
+    return terms
+
+
+def test_monomial_keys_match_dense_exponent_vectors():
+    rng = random.Random(1916)
+    ladder = Counter()
+    for _ in range(150):
+        nvars, degree = rng.randrange(2, 7), rng.randrange(0, 4)
+        terms = {}
+        if rng.randrange(2):  # positive pure terms, which a climb of the ladder can spread
+            for i in range(nvars):
+                terms[tuple(degree if t == i else 0 for t in range(nvars))] = F(rng.randrange(2, 7))
+        for _ in range(rng.randrange(0, 6)):
+            exps = [0] * nvars
+            for _ in range(degree):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = F(rng.randrange(-2, 7), rng.randrange(1, 4))
+        terms = {e: c for e, c in terms.items() if c}
+        f = polynomial_from_terms(nvars, degree, terms)
+        for _ in range(3):
+            point = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(nvars))
+            want = sum((c * math.prod(w**e for w, e in zip(point, exps)) for exps, c in terms.items()), F(0))
+            assert f.evaluate(point) == want
+        assert f.times_coordinate_sum() == polynomial_from_terms(
+            nvars, degree + 1, dense_times_sum(terms, nvars, 1)
+        )
+        verdicts = [polya_certify(f, boost) for boost in range(4)]
+        assert verdicts == [
+            all(c >= 0 for c in dense_times_sum(terms, nvars, boost).values()) for boost in range(4)
+        ]
+        ladder[verdicts.index(True) if True in verdicts else None] += 1
+    assert ladder[0] >= 10 and ladder[None] >= 10 and ladder[1] + ladder[2] + ladder[3] >= 3, ladder
+
+
+@pytest.mark.parametrize("coeff", [F(1), F(0)])
+def test_polynomial_from_terms_rejects_negative_exponents(coeff):
+    with pytest.raises(DomainError):
+        polynomial_from_terms(2, 2, {(3, -1): coeff})
+
+
 def test_weak_sp_verdicts_match_pinned():
     """Verdicts captured before the deterministic scan was read off the terms
     grouped by support: a midpoint refutation, and a point-mass refutation

@@ -234,3 +234,36 @@ def test_delta_past_digit_limit_exits_2(runner, tmp_path):
     _assert_input_error(result)
     assert "error: delta must lie in [0, 1]" in result.output
     assert not os.path.exists(out)
+
+
+# -- results past Python's integer digit limit -------------------------------------
+
+
+def _assert_cap_error(result):
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "error: a result has more digits than Python will print" in result.output
+    assert str(sys.get_int_max_str_digits()) in result.output
+
+
+@pytest.mark.parametrize("args", [["check"], ["sp-check"], ["sp-check", "--classic"]])
+def test_results_past_digit_limit_exit_3(runner, tmp_path, args):
+    # Lotteries alternate between (1/P, (P-1)/P, 0) and (1/Q, (Q-1)/Q, 0) for
+    # coprime 3,001-digit P and Q: every entry prints, but a value such as
+    # 1/P - 1/Q has a 6,001-digit denominator.
+    big_p, big_q = 10**3000 + 1, 10**3000 + 3
+    obj = rule_to_json_obj(uniform_rule(3, 2))
+    for i, entry in enumerate(obj["entries"]):
+        r = (big_p, big_q)[i % 2]
+        entry["lottery"] = [f"1/{r}", f"{r - 1}/{r}", "0"]
+    rule_path = tmp_path / "long.json"
+    rule_path.write_text(json.dumps(obj))
+    _assert_cap_error(runner.invoke(main, [*args, "--rule", str(rule_path)]))
+
+
+def test_perturbed_lotteries_past_digit_limit_exit_3(runner, tmp_path):
+    out = tmp_path / "x.json"
+    delta = "1/1" + "0" * 4299  # prints, but the perturbed lotteries do not
+    _assert_cap_error(runner.invoke(main, ["gen", "perturbed", "3", "2", "--delta", delta, "--out", str(out)]))
+    assert not out.exists()

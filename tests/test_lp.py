@@ -175,19 +175,30 @@ def test_oracle_agreement_seeded():
 
 
 def test_slack_basis_multiple_objectives():
-    # triangle x + y <= 1 in the nonnegative quadrant
-    core = SlackBasisSimplex([[ONE, ONE]], [ONE])
-    value, y = core.solve([ONE, ZERO])
-    assert value == 1 and y == [ONE, ZERO]
-    value, y = core.solve([ZERO, ONE])
-    assert value == 1 and y == [ZERO, ONE]
-    value, y = core.solve([-ONE, -ONE])
-    assert value == 0 and y == [ZERO, ZERO]
+    # triangle x + y <= 1, x >= 0, y >= 0, with t = (x, y) free
+    core = SlackBasisSimplex([{0: ONE, 1: ONE}, {0: -ONE}, {1: -ONE}], [ONE, ZERO, ZERO], 2)
+    value, t = core.solve([ONE, ZERO])
+    assert value == 1 and t == [ONE, ZERO]
+    value, t = core.solve([ZERO, ONE])
+    assert value == 1 and t == [ZERO, ONE]
+    value, t = core.solve([-ONE, -ONE])
+    assert value == 0 and t == [ZERO, ZERO]
+
+
+def test_slack_basis_optimum_with_negative_component():
+    # x + y <= 1, x >= -1, y >= 0: the optima sit at x = -1
+    G = [{0: ONE, 1: ONE}, {0: -ONE}, {1: -ONE}]
+    h = [ONE, ONE, ZERO]
+    core = SlackBasisSimplex(G, h, 2)
+    for c, want_value, want_t in (([ZERO, ONE], F(2), [F(-1), F(2)]), ([-ONE, -ONE], ONE, [F(-1), ZERO])):
+        value, t = core.solve(c)
+        assert value == want_value and t == want_t
+        assert dual_certifies(G, h, c, value, core.dual)
 
 
 def test_slack_basis_rejects_negative_rhs():
     with pytest.raises(DomainError):
-        SlackBasisSimplex([[ONE]], [F(-1)])
+        SlackBasisSimplex([{0: ONE}], [F(-1)], 1)
 
 
 # -- sparse equality reduction --------------------------------------------------------
@@ -223,48 +234,54 @@ def test_reduce_equalities_detects_inconsistency():
 
 
 def _random_free_polytope(rng):
-    """G t <= h with h >= 0, rows -t_j <= 0 and sum(t) <= B: bounded, origin feasible."""
+    """Sparse rows G t <= h with h >= 0, rows -t_j <= low_j and sum(t) <= B:
+    bounded, origin feasible, and t may go negative down to -low."""
     n = rng.randrange(1, 5)
+    low = [F(rng.randrange(0, 4)) for _ in range(n)]
     G, h = [], []
     for _ in range(rng.randrange(1, 5)):
-        G.append([F(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for _ in range(n)])
+        row = {j: F(rng.randrange(-6, 7), rng.choice((1, 2, 3))) for j in range(n)}
+        G.append({j: a for j, a in row.items() if a})
         h.append(F(rng.randrange(0, 13), rng.choice((1, 2, 5))))
     for j in range(n):
-        G.append([-ONE if i == j else ZERO for i in range(n)])
-        h.append(ZERO)
-    G.append([ONE] * n)
+        G.append({j: -ONE})
+        h.append(low[j])
+    G.append({j: ONE for j in range(n)})
     h.append(F(rng.randrange(1, 8)))
-    return G, h
+    return G, h, n, low
 
 
 def test_warm_started_core_matches_oracle_with_dual_certificates():
     rng = random.Random(7)
-    solves = 0
+    solves = negative = 0
     for _ in range(25):
-        G, h = _random_free_polytope(rng)
-        n = len(G[0])
-        core = SlackBasisSimplex([row + [-a for a in row] for row in G], h)
-        as_lp = [constraint(row, "<=", b) for row, b in zip(G, h)]
+        G, h, n, low = _random_free_polytope(rng)
+        core = SlackBasisSimplex(G, h, n)
+        # The oracle takes s = t + low >= 0, so G t <= h reads G s <= h + G low.
+        shifted = [
+            constraint([row.get(j, ZERO) for j in range(n)], "<=", b + sum(a * low[j] for j, a in row.items()))
+            for row, b in zip(G, h)
+        ]
         for _ in range(rng.randrange(3, 7)):  # one core, warm-started across objectives
             c = [F(rng.randrange(-5, 6), rng.choice((1, 4))) for _ in range(n)]
-            value, y = core.solve(c + [-a for a in c])
-            status, want = oracle_solve(LinearProgram(n, tuple(c), tuple(as_lp)))
-            assert status == "optimal" and value == want
-            t = [y[j] - y[n + j] for j in range(n)]
+            value, t = core.solve(c)
+            status, want = oracle_solve(LinearProgram(n, tuple(c), tuple(shifted)))
+            assert status == "optimal" and value == want - sum(a * lj for a, lj in zip(c, low))
             assert sum(a * tj for a, tj in zip(c, t)) == value
-            assert all(sum(a * tj for a, tj in zip(row, t)) <= b for row, b in zip(G, h))
+            assert all(sum(a * t[j] for j, a in row.items()) <= b for row, b in zip(G, h))
             assert dual_certifies(G, h, c, value, core.dual)
             solves += 1
-    assert solves >= 75
+            negative += any(tj < 0 for tj in t)
+    assert solves >= 75 and negative >= 10
 
 
 def test_dual_check_rejects_tampered_duals():
     # max t0 + t1 over t0 + 2 t1 <= 4, 3 t0 + t1 <= 6, t >= 0: optimum 14/5
-    G = [[ONE, F(2)], [F(3), ONE], [-ONE, ZERO], [ZERO, -ONE]]
+    G = [{0: ONE, 1: F(2)}, {0: F(3), 1: ONE}, {0: -ONE}, {1: -ONE}]
     h = [F(4), F(6), ZERO, ZERO]
     c = [ONE, ONE]
-    core = SlackBasisSimplex([row + [-a for a in row] for row in G], h)
-    value, _ = core.solve(c + [-a for a in c])
+    core = SlackBasisSimplex(G, h, 2)
+    value, _ = core.solve(c)
     y = core.dual
     assert value == F(14, 5) and y == [F(2, 5), F(1, 5), ZERO, ZERO]
     assert dual_certifies(G, h, c, value, y)
