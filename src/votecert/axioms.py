@@ -4,6 +4,12 @@ Every checker returns the smallest eps for which its axiom holds, together
 with a witness that replays to exactly that value.  Deviation meters return
 0 exactly when the corresponding structural property (pairwise responsive,
 pairwise isolated, tops-only, ...) holds.
+
+The meters read each lottery as integers over a common denominator (the
+table's `_scaled` view), so every difference is an integer pair and every
+comparison a cross-multiplication; a Fraction is built only for the
+reported value.  `replay_report` stays on the Fractions of the table, so it
+checks the integer meters independently.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import DomainError
 from .prefs import (
@@ -23,7 +28,7 @@ from .prefs import (
     enumerate_orderings,
     enumerate_profiles,
 )
-from .rules import RuleTable, _tops, closeness_witness, random_dictatorship
+from .rules import RuleTable, _scaled_lottery, _tops
 
 ZERO = Fraction(0)
 
@@ -70,14 +75,35 @@ def _replace_rank(key: AnonKey, old: int, new: int) -> AnonKey:
 def _worst(axiom: str, fields: tuple[str, ...], scored) -> AxiomReport:
     """The witness rule shared by every meter.
 
-    `scored` yields (value, *parts) in enumeration order.  The report carries
-    the first strictly largest value, with its parts named by `fields`; when
-    no value exceeds 0 it is eps 0 with no witness.
+    `scored` yields (num, den, *parts) in enumeration order, for the value
+    num/den with den > 0.  The report carries the first strictly largest
+    value (compared by cross-multiplication) as a Fraction, with its parts
+    named by `fields`; when no value exceeds 0 it is eps 0 with no witness.
     """
-    top = max(scored, key=itemgetter(0), default=None)
-    if top is None or top[0] <= 0:
+    bn, bd, top = 0, 1, None
+    for item in scored:
+        if item[0] * bd > bn * item[1]:
+            bn, bd, top = item[0], item[1], item
+    if top is None:
         return AxiomReport(axiom, ZERO, None)
-    return AxiomReport(axiom, top[0], dict(zip(fields, top[1:])))
+    return AxiomReport(axiom, Fraction(bn, bd), dict(zip(fields, top[2:])))
+
+
+def _extremes(items):
+    """(first minimum, first maximum) of nonempty (num, den, *parts) items by num/den."""
+    it = iter(items)
+    lo = hi = next(it)
+    for item in it:
+        if item[0] * lo[1] < lo[0] * item[1]:
+            lo = item
+        elif item[0] * hi[1] > hi[0] * item[1]:
+            hi = item
+    return lo, hi
+
+
+def _spread(lo, hi) -> tuple[int, int]:
+    """hi - lo as (num, den) for two (num, den, ...) items."""
+    return hi[0] * lo[1] - lo[0] * hi[1], hi[1] * lo[1]
 
 
 # -- Linear axioms: one generator each, shared with polytope.build_polytope ------
@@ -136,35 +162,55 @@ def isolation_groups(m: int, n: int):
 
 def min_eps_pareto(v: RuleTable) -> AxiomReport:
     """Largest probability a unanimously dominated candidate ever receives."""
-    pos = [{c: i for i, c in enumerate(o)} for o in enumerate_orderings(v.m)]
-    return _worst("pareto", ("profile", "dominator", "dominated"), (
-        (v.prob_at(key, y), key, x, y)
-        for key in v.keys()
-        for x in range(v.m)
-        for y in range(v.m)
-        if x != y and all(pos[r][x] < pos[r][y] for r in key)
-    ))
+    pairs = [(x, y, 1 << (x * v.m + y)) for x in range(v.m) for y in range(v.m) if x != y]
+    # above[r] has the bit of (x, y) set when ordering r ranks x above y
+    above = [sum(bit for x, y, bit in pairs if o.index(x) < o.index(y))
+             for o in enumerate_orderings(v.m)]
+    all_pairs = sum(bit for _, _, bit in pairs)
+
+    def dominated():
+        for key, (nums, den) in v._scaled().items():
+            common = all_pairs
+            for r in key:
+                common &= above[r]
+            if common:
+                for x, y, bit in pairs:
+                    if common & bit:
+                        yield nums[y], den, key, x, y
+
+    return _worst("pareto", ("profile", "dominator", "dominated"), dominated())
+
+
+def _unanimity_gaps(v: RuleTable, x: int):
+    """(num, den, key) with num/den = 1 - v(key, x), over unanimous_profiles(x)."""
+    view = v._scaled()
+    for key in unanimous_profiles(v.m, v.n, x):
+        nums, den = view[key]
+        yield den - nums[x], den, key
 
 
 def min_eps_strong_unanimity(v: RuleTable) -> AxiomReport:
     return _worst("strong-unanimity", ("profile", "x"), (
-        (1 - v.prob_at(key, x), key, x)
-        for x in range(v.m)
-        for key in unanimous_profiles(v.m, v.n, x)
+        (*gap, x) for x in range(v.m) for gap in _unanimity_gaps(v, x)
     ))
 
 
 def min_eps_weak_unanimity(v: RuleTable) -> AxiomReport:
-    return _worst("weak-unanimity", ("profile", "x"), (
-        (1 - v.prob_at((r,) * v.n, o[0]), (r,) * v.n, o[0])
-        for r, o in enumerate(enumerate_orderings(v.m))
-    ))
+    view = v._scaled()
+
+    def gaps():
+        for r, o in enumerate(enumerate_orderings(v.m)):
+            nums, den = view[(r,) * v.n]
+            yield den - nums[o[0]], den, (r,) * v.n, o[0]
+
+    return _worst("weak-unanimity", ("profile", "x"), gaps())
 
 
 def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
+    # unanimous_profiles yields keys in ascending order, so the first minimum
+    # is the minimum by (value, key)
     return _worst("super-weak-unanimity", ("profile", "x"), (
-        (*min((1 - v.prob_at(key, x), key) for key in unanimous_profiles(v.m, v.n, x)), x)
-        for x in range(v.m)
+        (*_extremes(_unanimity_gaps(v, x))[0], x) for x in range(v.m)
     ))
 
 
@@ -173,37 +219,46 @@ def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
 
 def responsiveness_deviation(v: RuleTable) -> AxiomReport:
     """How much an adjacent swap can move a bystander candidate's probability."""
+    view = v._scaled()
+
+    def gaps():
+        for key, key2, r, p, z in responsive_pairs(v.m, v.n):
+            a, da = view[key]
+            b, db = view[key2]
+            yield abs(b[z] * da - a[z] * db), da * db, key, key2, r, p, z
+
     fields = ("profile", "swapped_profile", "acting_rank", "pos", "z")
-    return _worst("responsiveness", fields, (
-        (abs(v.prob_at(key2, z) - v.prob_at(key, z)), key, key2, r, p, z)
-        for key, key2, r, p, z in responsive_pairs(v.m, v.n)
-    ))
+    return _worst("responsiveness", fields, gaps())
 
 
 def isolation_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the raised candidate's probability change across matched contexts."""
     orderings = enumerate_orderings(v.m)
+    view = v._scaled()
+
+    def deltas(group, y):
+        for others, before, after in group:
+            a, da = view[after]
+            b, db = view[before]
+            yield a[y] * db - b[y] * da, da * db, others
 
     def spreads():
         for r, p, c, group in isolation_groups(v.m, v.n):
-            y = orderings[r][p + 1]
-            members = [(v.prob_at(after, y) - v.prob_at(before, y), others)
-                       for others, before, after in group]
-            lo = min(members, key=itemgetter(0))
-            hi = max(members, key=itemgetter(0))
-            yield hi[0] - lo[0], r, p, c, hi[1], lo[1]
+            lo, hi = _extremes(deltas(group, orderings[r][p + 1]))
+            yield *_spread(lo, hi), r, p, c, hi[2], lo[2]
 
     fields = ("acting_rank", "pos", "pair_count", "others", "others_2")
     return _worst("isolation", fields, spreads())
 
 
 def _group_spreads(v: RuleTable, groups):
-    """(spread, argmax profile, argmin profile, x) of v(., x) over each (profiles, x)."""
+    """(spread num, spread den, first argmax profile, first argmin profile, x)
+    of v(., x) over each (profiles, x)."""
+    view = v._scaled()
     for members, x in groups:
         if len(members) >= 2:
-            lo = min(members, key=lambda k: v.prob_at(k, x))
-            hi = max(members, key=lambda k: v.prob_at(k, x))
-            yield v.prob_at(hi, x) - v.prob_at(lo, x), hi, lo, x
+            lo, hi = _extremes((view[k][0][x], view[k][1], k) for k in members)
+            yield *_spread(lo, hi), hi[2], lo[2], x
 
 
 def tops_only_deviation(v: RuleTable) -> AxiomReport:
@@ -255,11 +310,21 @@ def vprime_table(v: RuleTable, base: Ordering | None = None) -> VPrimeTable:
     return VPrimeTable(v.m, v.n, tuple(base), values)
 
 
+def _vprime_scaled(v: RuleTable) -> tuple[dict[tuple[int, int], int], int]:
+    """The canonical-profile table as integers over one denominator:
+    ({(x, j): num}, den) with vprime_table(v)[(x, j)] == num / den."""
+    values = vprime_table(v).values
+    nums, den = _scaled_lottery(tuple(values.values()))
+    return dict(zip(values, nums)), den
+
+
 def candidate_anonymity_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the canonical-profile table across candidates at fixed top count."""
-    vp = vprime_table(v)
+    if v.m < 2:  # one candidate: nothing to compare, and no canonical table
+        return AxiomReport("candidate-anonymity", ZERO, None)
+    vp, den = _vprime_scaled(v)
     return _worst("candidate-anonymity", ("x", "y", "j"), (
-        (abs(vp[(x, j)] - vp[(y, j)]), x, y, j)
+        (abs(vp[(x, j)] - vp[(y, j)]), den, x, y, j)
         for j in range(v.n + 1)
         for x in range(v.m)
         for y in range(x + 1, v.m)
@@ -268,9 +333,12 @@ def candidate_anonymity_deviation(v: RuleTable) -> AxiomReport:
 
 def sliding_window_deviation(v: RuleTable) -> AxiomReport:
     """How much a canonical-table increment of width l depends on its start point."""
-    vp = vprime_table(v)
+    if v.m < 2:  # one candidate: v'(x, j) = 1 for every j, so every window is flat
+        return AxiomReport("sliding-window", ZERO, None)
+    vp, den = _vprime_scaled(v)
     return _worst("sliding-window", ("x", "j", "jp", "l"), (
-        (abs(vp[(x, j + width)] - vp[(x, j)] - vp[(x, jp + width)] + vp[(x, jp)]), x, j, jp, width)
+        (abs(vp[(x, j + width)] - vp[(x, j)] - vp[(x, jp + width)] + vp[(x, jp)]), den,
+         x, j, jp, width)
         for x in range(v.m)
         for width in range(1, v.n + 1)
         for j in range(v.n - width + 1)
@@ -289,7 +357,8 @@ def vprime_sweep(v: RuleTable) -> tuple[Fraction, dict | None]:
             for j in range(v.n + 1):
                 vals = [(vp[(x, j)], base) for base, vp in tables.items()]
                 lo, hi = min(vals), max(vals)
-                yield hi[0] - lo[0], x, j, hi[1], lo[1]
+                gap = hi[0] - lo[0]
+                yield gap.numerator, gap.denominator, x, j, hi[1], lo[1]
 
     report = _worst("vprime-sweep", ("x", "j", "base", "base_2"), spreads())
     return report.eps, report.witness
@@ -298,28 +367,40 @@ def vprime_sweep(v: RuleTable) -> tuple[Fraction, dict | None]:
 # -- Distance to random dictatorship ----------------------------------------------
 
 
+def _top_counts(v: RuleTable):
+    """(key, nums, den, counts) per profile, counts[x] the voters with x on top."""
+    tops = _tops(v.m)
+    for key, (nums, den) in v._scaled().items():
+        counts = [0] * v.m
+        for r in key:
+            counts[tops[r]] += 1
+        yield key, nums, den, counts
+
+
 def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
-    eps, key, x = closeness_witness(v, random_dictatorship(v.m, v.n))
-    close = AxiomReport("distance", eps, None if key is None else {"profile": key, "x": x})
+    """Random dictatorship elects x with probability (voters with x on top) / n;
+    its table is read that way, never built."""
+    n = v.n
+    close = _worst("distance", ("profile", "x"), (
+        (abs(nums[x] * n - counts[x] * den), den * n, key, x)
+        for key, nums, den, counts in _top_counts(v)
+        for x in range(v.m)
+    ))
     if v.m < 2:
         return DistanceReport(close, AxiomReport("table-vs-canonical", ZERO, None),
                               AxiomReport("canonical-vs-linear", ZERO, None))
-    tops = _tops(v.m)
-    vp = vprime_table(v)
-
-    def table_gaps():
-        for key in v.keys():
-            for x in range(v.m):
-                j = sum(1 for r in key if tops[r] == x)
-                yield abs(v.prob_at(key, x) - vp[(x, j)]), key, x, j
-
+    vp, vden = _vprime_scaled(v)
     return DistanceReport(
         close,
-        _worst("table-vs-canonical", ("profile", "x", "j"), table_gaps()),
-        _worst("canonical-vs-linear", ("x", "j"), (
-            (abs(vp[(x, j)] - Fraction(j, v.n)), x, j)
+        _worst("table-vs-canonical", ("profile", "x", "j"), (
+            (abs(nums[x] * vden - vp[(x, counts[x])] * den), den * vden, key, x, counts[x])
+            for key, nums, den, counts in _top_counts(v)
             for x in range(v.m)
-            for j in range(v.n + 1)
+        )),
+        _worst("canonical-vs-linear", ("x", "j"), (
+            (abs(vp[(x, j)] * n - j * vden), vden * n, x, j)
+            for x in range(v.m)
+            for j in range(n + 1)
         )),
     )
 
@@ -351,9 +432,10 @@ def replay_report(v: RuleTable, report: AxiomReport) -> Fraction:
         vp = vprime_table(v)
         x, j, jp, length = w["x"], w["j"], w["jp"], w["l"]
         return abs((vp[(x, j + length)] - vp[(x, j)]) - (vp[(x, jp + length)] - vp[(x, jp)]))
-    if name == "distance":
-        dict_rule = random_dictatorship(v.m, v.n)
-        return abs(v.prob_at(w["profile"], w["x"]) - dict_rule.prob_at(w["profile"], w["x"]))
+    if name == "distance":  # random dictatorship: the share of voters with x on top
+        tops = _tops(v.m)
+        share = Fraction(sum(1 for r in w["profile"] if tops[r] == w["x"]), v.n)
+        return abs(v.prob_at(w["profile"], w["x"]) - share)
     if name == "table-vs-canonical":
         vp = vprime_table(v)
         return abs(v.prob_at(w["profile"], w["x"]) - vp[(w["x"], w["j"])])

@@ -20,7 +20,10 @@ its exponent, so the opponents' multiset is its own key.  The opponents'
 monomial carries the multinomial times their upper-set gap at that fixed
 profile, so classic strategy-proofness (dominance at every profile of the
 others) is the degree-0 certificate on every instance.  Both checks read
-the gaps from one opponent walk, `_opponent_gaps`.
+the gaps from one opponent walk, `_opponent_gaps`, which works on the rule
+table's integer-scaled lotteries: the gaps at a fixed profile are integers
+over one denominator, and a Fraction is built only for a polynomial
+coefficient or a refuting witness.  `replay_gain` stays on Fractions.
 """
 
 from __future__ import annotations
@@ -161,19 +164,26 @@ def _multinomial(key: tuple[int, ...]) -> int:
 def _opponent_gaps(v: RuleTable, truthful: Ordering, misreport: Ordering):
     """Walk the opponents' multisets once for a (truthful, misreport) pair.
 
-    Yields (others, gaps), in combinations_with_replacement order, for each
-    multiset where the two reports' lotteries differ.  gaps[k-1] is the k-th
-    prefix sum, along the truthful ordering, of the truthful-minus-misreport
-    lottery: the two reports' difference in top-k upper-set mass.
+    Yields (others, gaps, den), in combinations_with_replacement order, for
+    each multiset where the two reports' lotteries differ.  gaps[k-1] / den
+    is the k-th prefix sum, along the truthful ordering, of the
+    truthful-minus-misreport lottery: the two reports' difference in top-k
+    upper-set mass.  The gaps are ints and den > 0.
     """
+    view = v._scaled()
+    head = truthful[:-1]
     r_true = ordering_rank(truthful)
     r_lie = ordering_rank(misreport)
     for others in itertools.combinations_with_replacement(range(math.factorial(v.m)), v.n - 1):
-        lot_true = v.lottery_at(tuple(sorted(others + (r_true,))))
-        lot_lie = v.lottery_at(tuple(sorted(others + (r_lie,))))
-        if lot_true != lot_lie:  # equal lotteries: every gap is 0
-            diffs = (lot_true[x] - lot_lie[x] for x in truthful[:-1])
-            yield others, tuple(itertools.accumulate(diffs))
+        a, da = view[tuple(sorted(others + (r_true,)))]
+        b, db = view[tuple(sorted(others + (r_lie,)))]
+        if da == db:
+            if a == b:  # equal lotteries (the view is canonical): every gap is 0
+                continue
+            den, diffs = da, (a[x] - b[x] for x in head)
+        else:
+            den, diffs = da * db, (a[x] * db - b[x] * da for x in head)
+        yield others, tuple(itertools.accumulate(diffs)), den
 
 
 def _dominance_siblings(
@@ -182,11 +192,11 @@ def _dominance_siblings(
     """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1:
     the opponents' monomial carries multinomial times their k-th gap."""
     terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(v.m - 1)]
-    for others, gaps in _opponent_gaps(v, truthful, misreport):
+    for others, gaps, den in _opponent_gaps(v, truthful, misreport):
         weight = _multinomial(others)
         for k_terms, gap in zip(terms, gaps):
             if gap:
-                k_terms[others] = weight * gap
+                k_terms[others] = Fraction(weight * gap, den)
     return tuple(SimplexPolynomial(math.factorial(v.m), v.n - 1, k_terms) for k_terms in terms)
 
 
@@ -354,17 +364,19 @@ def check_classic_sp(v: RuleTable) -> SPVerdict:
     """Classic strategy-proofness: dominance must hold at every fixed profile
     of the other voters, not just in expectation under a belief.  It holds
     exactly when every dominance polynomial passes the degree-0 certificate;
-    this reads the same `_opponent_gaps` walk and refutes at the first
-    negative gap, in enumerate_instances order."""
+    this reads the same `_opponent_gaps` walk, tests the sign of its integer
+    gaps and refutes at the first negative one, in enumerate_instances
+    order."""
     pairs = _misreport_pairs(v.m)
     total = len(pairs) * (v.m - 1)
     for truthful, misreport in pairs:
         walk = list(_opponent_gaps(v, truthful, misreport))
         for k in range(1, v.m):
-            for others, gaps in walk:
+            for others, gaps, den in walk:
                 if gaps[k - 1] < 0:
                     inst = ManipulationInstance(truthful, misreport, k)
-                    return _refuted_verdict(inst, dict(enumerate(gaps, 1)), total, 0, others=others)
+                    k_values = {j: Fraction(gap, den) for j, gap in enumerate(gaps, 1)}
+                    return _refuted_verdict(inst, k_values, total, 0, others=others)
     return SPVerdict(STATUS_CERTIFIED, polya_degree=0, instances_total=total)
 
 

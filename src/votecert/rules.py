@@ -3,12 +3,20 @@
 A rule table maps every anonymous profile for a fixed (m, n) to a lottery
 over candidates.  All probabilities are Fractions; lotteries must sum to
 exactly 1 and the table must be total, both checked at construction.
+
+The meters read an integer-scaled view of each lottery instead: (nums, den)
+with den the lcm of the entries' denominators, so p[x] = nums[x] / den.
+Entries are reduced Fractions, so the pair is canonical (equal lotteries
+have equal pairs) and comparisons become cross-multiplications.  The view
+is built on first use by `RuleTable._scaled`, never for a table that is
+only built, saved or replayed.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -69,23 +77,34 @@ def checked_unit(q, name: str) -> Fraction:
     return q
 
 
+def _scaled_lottery(lot: Lottery) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with lot[x] == nums[x] / den and den the lcm of the denominators."""
+    den = math.lcm(*(p.denominator for p in lot))
+    return tuple(p.numerator * (den // p.denominator) for p in lot), den
+
+
 def validate_lottery(m: int, probs) -> Lottery:
     """Check length, range, and exact normalization; return as a tuple."""
     lot = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
     if len(lot) != m:
         raise ValidationError(f"lottery has {len(lot)} entries, expected {m}")
-    for i, p in enumerate(lot):
-        if p < 0 or p > 1:
+    nums, den = _scaled_lottery(lot)
+    for i, num in enumerate(nums):
+        if num < 0 or num > den:
             raise ValidationError(f"lottery entry {i} lies outside [0, 1]")
-    if sum(lot) != 1:
+    if sum(nums) != den:
         raise ValidationError("lottery does not sum to 1")
     return lot
 
 
 class RuleTable:
-    """Total map from anonymous profiles to exact lotteries."""
+    """Total map from anonymous profiles to exact lotteries.
 
-    __slots__ = ("m", "n", "names", "table")
+    Tables are never mutated after construction, so the integer-scaled view
+    that `_scaled` caches stays valid.
+    """
+
+    __slots__ = ("m", "n", "names", "table", "_view")
 
     def __init__(self, m: int, n: int, table: dict[AnonKey, Lottery], names=None):
         if m < 1 or n < 1:
@@ -104,6 +123,7 @@ class RuleTable:
             extra = sorted(set(table) - set(checked))[0]
             raise ValidationError(f"rule table lists unknown profile {extra}")
         self.table = checked
+        self._view = None
 
     def __eq__(self, other):
         return (
@@ -117,6 +137,13 @@ class RuleTable:
 
     def keys(self):
         return self.table.keys()
+
+    def _scaled(self) -> dict[AnonKey, tuple[tuple[int, ...], int]]:
+        """{key: (nums, den)}, the lottery at key as integers over a common
+        denominator; built on the first call and cached."""
+        if self._view is None:
+            self._view = {key: _scaled_lottery(lot) for key, lot in self.table.items()}
+        return self._view
 
     def lottery_at(self, key: AnonKey) -> Lottery:
         return self.table[key]
@@ -245,20 +272,10 @@ def mixture(rules: list[RuleTable], weights) -> RuleTable:
 
 def closeness(v: RuleTable, w: RuleTable) -> Fraction:
     """Smallest eps such that the two tables differ by at most eps everywhere."""
-    return closeness_witness(v, w)[0]
-
-
-def closeness_witness(v: RuleTable, w: RuleTable) -> tuple[Fraction, AnonKey | None, int | None]:
     if (v.m, v.n) != (w.m, w.n):
         raise DomainError("closeness requires rules with identical dimensions")
-    best, bkey, bx = ZERO, None, None
-    for key in v.keys():
-        lv, lw = v.lottery_at(key), w.lottery_at(key)
-        for x in range(v.m):
-            d = abs(lv[x] - lw[x])
-            if d > best:
-                best, bkey, bx = d, key, x
-    return best, bkey, bx
+    return max((abs(p - q) for key, lot in v.table.items() for p, q in zip(lot, w.lottery_at(key))),
+               default=ZERO)
 
 
 def perturb(v: RuleTable, delta, seed: int) -> RuleTable:

@@ -69,6 +69,21 @@ def test_check_all_axioms_zero_for_random_dictatorship(runner, tmp_path):
             assert payload["eps"]["frac"] == "0", name
 
 
+@pytest.mark.parametrize("axiom", ["all", "candidate-anonymity", "sliding-window", "distance"])
+def test_check_single_candidate_rule_reports_zero(runner, tmp_path, axiom):
+    """With one candidate every meter is 0: no canonical table is needed."""
+    rule_path = _gen(runner, tmp_path, "random-dictatorship", 1, 2)
+    result = runner.invoke(main, ["check", "--rule", str(rule_path), "--axiom", axiom])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    results = json.loads(result.output)["results"]
+    assert len(results) == (11 if axiom == "all" else 1)
+    for name, payload in results.items():
+        subs = payload.values() if name == "distance" else [payload]
+        for sub in subs:
+            assert sub == {"eps": {"frac": "0", "approx": 0.0}, "witness": None}, name
+
+
 def test_check_uniform_pareto_value(runner, tmp_path):
     rule_path = _gen(runner, tmp_path, "uniform", 3, 3)
     result = runner.invoke(main, ["check", "--rule", str(rule_path), "--axiom", "pareto"])
