@@ -143,16 +143,17 @@ def isolation_groups(m: int, n: int):
     orderings = enumerate_orderings(m)
     swaps = adjacent_swaps(m)
     contexts = list(itertools.combinations_with_replacement(range(len(orderings)), n - 1))
+    # above[x, y][s]: whether ordering s ranks x above y
+    above = {(x, y): [q.index(x) < q.index(y) for q in orderings]
+             for x in range(m) for y in range(m) if x != y}
     for r, o in enumerate(orderings):
+        befores = [tuple(sorted(others + (r,))) for others in contexts]
         for p, r2 in enumerate(swaps[r]):
-            x, y = o[p], o[p + 1]
-            x_above_y = [q.index(x) < q.index(y) for q in orderings]
+            x_above_y = above[o[p], o[p + 1]].__getitem__
             groups: dict[int, list] = defaultdict(list)
-            for others in contexts:
-                c = sum(x_above_y[s] for s in others)
-                before = tuple(sorted(others + (r,)))
+            for others, before in zip(contexts, befores):
                 after = tuple(sorted(others + (r2,)))
-                groups[c].append((others, before, after))
+                groups[sum(map(x_above_y, others))].append((others, before, after))
             for c, members in groups.items():
                 yield r, p, c, members
 

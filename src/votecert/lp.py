@@ -1,20 +1,21 @@
 """Exact rational linear programming.
 
 A `Constraint` keeps only its nonzero (column, coefficient) terms and its
-width; `.coeffs` gives the dense row.  One simplex kernel serves both
-solvers: a fraction-free tableau of integer-scaled sparse rows, pivoted with
-Bland's anti-cycling rule, so every pivot is exact and deterministic.
-Fractions appear only at the edges: each input row is scaled by the lcm of
-its denominators, and values are read back as Fractions.  `solve_lp` runs
-it as a two-phase simplex, with infeasible/unbounded reported as statuses.
-`SlackBasisSimplex` is the warm-startable core used for the polytope
-sweeps, where the origin is known feasible and many objectives are
-maximized over one constraint set: it takes sparse rows over a free t and
-is the only code that splits t into nonnegative parts.  Each solve leaves
-its optimal dual in `.dual`, and `dual_certifies` checks such a dual
+width; `.coeffs` gives the dense row.  `solve_lp` runs a two-phase simplex
+on a fraction-free tableau of integer-scaled sparse rows, pivoted with
+Bland's anti-cycling rule, so every pivot is exact and deterministic, with
+infeasible/unbounded reported as statuses.  Fractions appear only at the
+edges: each input row is scaled by the lcm of its denominators, and values
+are read back as Fractions.  `SlackBasisSimplex` is the warm-startable core
+used for the polytope sweeps, where the origin is known feasible and many
+objectives are maximized over one constraint set: it takes sparse rows over
+a free t and pivots in t-space, on one integer edge direction per nonbasic
+quantity, yet takes exactly the Bland pivots of the tableau over t = u - w
+(`solve_lp`'s tableau is its oracle in the tests).  Each solve leaves its
+optimal dual in `.dual`, and `dual_certifies` checks such a dual
 independently, over Fractions.  `reduce_equalities` folds equality
 constraints away before optimizing, by Gauss-Jordan elimination on the
-same integer rows.
+tableau's integer rows.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, InternalError
 
@@ -81,7 +83,7 @@ def constraint(coeffs, rel: str, rhs) -> Constraint:
     return Constraint(tuple((j, a) for j, a in enumerate(row) if a), len(row), rel, Fraction(rhs))
 
 
-# -- Integer-scaled simplex kernel ----------------------------------------------
+# -- Integer-scaled tableau kernel ----------------------------------------------
 #
 # A tableau row is a dict of its nonzero entries, column -> int, holding its
 # right-hand side under the key RHS.  The entry in the row's basic column is
@@ -117,7 +119,7 @@ def _eliminate(row: dict[int, int], f: int, prow: dict[int, int], p: int) -> dic
     return row
 
 
-def _pivot(rows, basis, r: int, e: int) -> None:
+def _tableau_pivot(rows, basis, r: int, e: int) -> None:
     """Make column e basic in row r; rows with no entry in e are not touched."""
     prow = rows[r]
     p = prow[e]
@@ -165,7 +167,7 @@ def _optimize(rows, basis, cost: dict[int, int], blocked=frozenset()) -> tuple[s
                     leave, best_a, best_b = i, a, b
         if leave < 0:
             return UNBOUNDED, red
-        _pivot(rows, basis, leave, enter)
+        _tableau_pivot(rows, basis, leave, enter)
         prow = rows[leave]
         red = _eliminate(red, red[enter], prow, prow[enter])
 
@@ -267,12 +269,12 @@ def _drive_out_artificials(rows, basis, artificial) -> None:
             continue
         enter = min((j for j in rows[i] if j >= 0 and j not in artificial), default=None)
         if enter is not None:
-            _pivot(rows, basis, i, enter)
+            _tableau_pivot(rows, basis, i, enter)
         # else: the row is all zeros outside artificials (redundant constraint);
         # the artificial stays basic at level 0 and never re-enters play.
 
 
-# -- Warm-startable slack-basis core -------------------------------------------
+# -- Warm-startable slack-basis core, in t-space -------------------------------
 
 
 class SlackBasisSimplex:
@@ -280,13 +282,23 @@ class SlackBasisSimplex:
     across objective changes.
 
     G's rows are sparse dicts {column: coefficient} over columns
-    0..width-1.  The kernel pivots on t = u - w with u, w >= 0: u takes
-    columns 0..width-1, w takes width..2*width-1 and the slack of row i takes
-    column 2*width + i.  The all-slack basis at t = 0 is feasible by
-    construction, so no phase 1 is ever needed; after each solve the optimal
-    basis is kept and the next objective continues from it.  `solve` returns
-    the value and t; `dual` holds the last solve's optimal dual: one entry
-    per row of G, minus the reduced cost of that row's slack.
+    0..width-1; `nrows` and `ncols` are G's shape.  The simplex works in
+    t-space but takes the Bland pivots of the tableau over t = u - w,
+    u, w >= 0, with u_j, w_j and slack_i in columns j, width + j and
+    2*width + i, from the all-slack basis at t = 0 (feasible, so no phase
+    1).  Its state: t and the row slacks as integers over one scale; the
+    basic coordinates J with their sign (+1 for u_j, -1 for w_j); the tight
+    rows K, whose slacks are nonbasic; and one primitive integer edge
+    direction, a positive multiple of the move that raises it, per nonbasic
+    quantity, keyed by column: t_j for j not in J and slack_i for i in K.
+    The entering column is the smallest with a positive reduced cost: c .
+    delta for u_j and slack_i, -c . delta for w_j (0 for the nonbasic part
+    of a basic t_j).  The leaving one has the smallest (value / rate, basic
+    column) among basic variables that fall along the entering direction.
+
+    The basis is kept for the next objective.  `solve` returns the value
+    and t; `dual` holds the last solve's optimal dual: one entry per row of
+    G, minus the reduced cost of that row's slack.
     """
 
     def __init__(self, G: list[dict[int, Fraction]], h: list[Fraction], width: int):
@@ -296,36 +308,119 @@ class SlackBasisSimplex:
             raise DomainError(f"a constraint row has a column outside 0..{width - 1}")
         self.width = width
         self.nrows = len(G)
-        self.ncols = 2 * width + self.nrows
-        self.rows = [
-            _integer_row(self._split(row) | {2 * width + i: ONE, RHS: h[i]})
-            for i, row in enumerate(G)
-        ]
-        self.basis = [2 * width + i for i in range(self.nrows)]
+        self.ncols = width
+        # Row i as (columns, coefficients), scaled to integers by scales[i].
+        self.rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.scales: list[int] = []
+        self.snum: list[int] = []  # slack_i = snum[i] / den, in row i's scaled units
+        for row, b in zip(G, h):
+            scale = math.lcm(b.denominator, *(a.denominator for a in row.values()))
+            cols = tuple(j for j, a in row.items() if a)
+            self.rows.append((cols, tuple(row[j].numerator * (scale // row[j].denominator) for j in cols)))
+            self.scales.append(scale)
+            self.snum.append(b.numerator * (scale // b.denominator))
+        self.den = 1
+        self.tnum = [0] * width  # t = tnum / den
+        self.signs: dict[int, int] = {}  # J
+        self.tight: set[int] = set()  # K
+        self.dirs = {j: [int(i == j) for i in range(width)] for j in range(width)}
         self.dual: list[Fraction] = []
 
-    def _split(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        return row | {self.width + j: -a for j, a in row.items()}  # a on u_j, -a on w_j
-
     def solve(self, objective: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-        width = self.width
-        if len(objective) != width:
-            raise DomainError(f"objective has {len(objective)} entries, expected {width}")
-        cost = _integer_row(self._split(dict(enumerate(objective))) | {Z: ONE})
-        status, red = _optimize(self.rows, self.basis, cost)
-        if status == UNBOUNDED:
-            raise DomainError("objective is unbounded over the polytope")
-        t = [ZERO] * width
-        for row, b in zip(self.rows, self.basis):
-            if b < 2 * width:  # u_j or w_j, with t_j = u_j - w_j
-                sign = 1 if b < width else -1
-                t[b % width] += Fraction(sign * row.get(RHS, 0), row[b])
+        d = self.width
+        if len(objective) != d:
+            raise DomainError(f"objective has {len(objective)} entries, expected {d}")
+        cscale = math.lcm(*(c.denominator for c in objective))
+        cost = [c.numerator * (cscale // c.denominator) for c in objective]
+        rows, tight = self.rows, self.tight
+        while True:
+            enter = -1
+            for key, delta in self.dirs.items():
+                red = sum(map(mul, cost, delta))
+                col = key if red > 0 else d + key if red < 0 and key < d else -1
+                if col >= 0 and (enter < 0 or col < enter):
+                    enter = col
+            if enter < 0:
+                break
+            delta = [-x for x in self.dirs[enter - d]] if d <= enter < 2 * d else self.dirs[enter]
+            leave = -1
+            rates = [0] * self.nrows  # how fast each loose row's slack falls along delta
+            at, snum = delta.__getitem__, self.snum
+            for i, (cols, coeffs) in enumerate(rows):
+                if i not in tight:
+                    rate = rates[i] = sum(map(mul, coeffs, map(at, cols)))
+                    if rate > 0 and (leave < 0 or _before(snum[i], rate, 2 * d + i, value, fall, leave)):
+                        leave, value, fall = 2 * d + i, snum[i], rate
+            for j, sign in self.signs.items():
+                col, rate, tj = (j if sign > 0 else d + j), -sign * delta[j], sign * self.tnum[j]
+                if rate > 0 and (leave < 0 or _before(tj, rate, col, value, fall, leave)):
+                    leave, value, fall = col, tj, rate
+            if leave < 0:
+                raise DomainError("objective is unbounded over the polytope")
+            _pivot(self, delta, rates, value, fall, leave, enter)
+        # y_i = -(c . delta_i) / (G_i . delta_i) on the tight rows, where G_i . delta_i < 0
         self.dual = [ZERO] * self.nrows
-        for j, a in red.items():
-            if j >= 2 * width:
-                self.dual[j - 2 * width] = Fraction(-a, red[Z])
-        value = sum((c * tj for c, tj in zip(objective, t)), ZERO)
-        return value, t
+        for i in tight:
+            delta = self.dirs[2 * d + i]
+            red = sum(map(mul, cost, delta))
+            if red:
+                self.dual[i] = Fraction(red * self.scales[i], cscale * _dot(rows[i], delta))
+        t = [Fraction(x, self.den) for x in self.tnum]
+        return Fraction(sum(map(mul, cost, self.tnum)), cscale * self.den), t
+
+
+def _dot(row: tuple[tuple[int, ...], tuple[int, ...]], delta: list[int]) -> int:
+    cols, coeffs = row
+    return sum(map(mul, coeffs, map(delta.__getitem__, cols)))
+
+
+def _before(value: int, rate: int, col: int, best: int, best_rate: int, best_col: int) -> bool:
+    """Whether (value / rate, col) < (best / best_rate, best_col), for rates > 0."""
+    lhs, rhs = value * best_rate, best * rate
+    return lhs < rhs or (lhs == rhs and col < best_col)
+
+
+def _pivot(core: SlackBasisSimplex, delta, rates, value: int, rate: int, leave: int, enter: int) -> None:
+    """Step along delta, the entering direction, until the basic variable in
+    column leave (value / den, falling at rate) reaches 0, and swap the two.
+
+    Every other direction gets the rank-one update that keeps the leaving
+    variable at 0, made primitive again.
+    """
+    d = core.width
+    if value:
+        if enter >= 2 * d:  # the entering slack rises from 0
+            rates[enter - 2 * d] = _dot(core.rows[enter - 2 * d], delta)
+        den = core.den * rate
+        tnum = [rate * x + value * y for x, y in zip(core.tnum, delta)]
+        snum = [rate * s - value * r for s, r in zip(core.snum, rates)]
+        g = math.gcd(den, *tnum, *snum)
+        core.den = den // g
+        core.tnum = [x // g for x in tnum]
+        core.snum = [x // g for x in snum]
+    dirs = core.dirs
+    del dirs[enter - d if d <= enter < 2 * d else enter]
+    if leave >= 2 * d:  # slack_l falls at G_l . x along x
+        row = core.rows[leave - 2 * d]
+        falls = [_dot(row, x) for x in dirs.values()]
+    else:  # u_k falls at -x[k], w_k at x[k]
+        k = leave % d
+        falls = [x[k] if leave >= d else -x[k] for x in dirs.values()]
+    for (key, other), f in zip(dirs.items(), falls):
+        if f:
+            other = [rate * x - f * y for x, y in zip(other, delta)]
+            g = math.gcd(*other)
+            dirs[key] = [x // g for x in other]
+    if leave >= 2 * d:
+        core.tight.add(leave - 2 * d)  # its slack is now 0
+        dirs[leave] = [-x for x in delta]
+    else:
+        del core.signs[k]
+        dirs[k] = delta if leave >= d else [-x for x in delta]
+    if enter >= 2 * d:
+        core.tight.discard(enter - 2 * d)
+    else:
+        core.signs[enter % d] = 1 if enter < d else -1
 
 
 def dual_certifies(G, h, objective, value, y) -> bool:
@@ -348,7 +443,7 @@ def dual_certifies(G, h, objective, value, y) -> bool:
     return lhs == dict(enumerate(objective)) and rhs == value
 
 
-# -- Equality elimination on the kernel's integer rows ---------------------------
+# -- Equality elimination on the tableau's integer rows --------------------------
 
 
 def reduce_equalities(

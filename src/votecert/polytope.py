@@ -260,10 +260,9 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
 
     uniq = []
     if keep_witnesses:
-        for *_, t in solved:
-            w = _table_from_t(m, n, keys, x0, N, t)
-            if w not in uniq:
-                uniq.append(w)
+        # t fixes the table and back, as N has a unit row for each free column.
+        distinct = dict.fromkeys(tuple(t) for *_, t in solved)
+        uniq = [_table_from_t(m, n, keys, x0, N, t) for t in distinct]
 
     return MaxDistanceResult(
         d_star=d_star,

@@ -397,6 +397,19 @@ def rule_to_json_obj(v: RuleTable) -> dict:
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
 
 
+def _parse_rational(text: str | int) -> Fraction:
+    """Fraction(text), reading plain ASCII [-]digits[/digits] without its regex.
+
+    Everything else goes to Fraction(text), so each accepted value and each
+    error (zero denominators and the int digit limit included) is the same.
+    """
+    if type(text) is str and text.isascii():
+        num, slash, den = text.partition("/")
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(text)
+
+
 def rule_from_json_obj(obj: dict) -> RuleTable:
     try:
         m, n, names, entries = obj["m"], obj["n"], obj["candidates"], obj["entries"]
@@ -439,7 +452,7 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         if key in table:
             raise ValidationError(f"duplicate entry for profile {entry['profile']}")
         try:
-            lot = tuple(Fraction(text) for text in entry["lottery"])
+            lot = tuple(map(_parse_rational, entry["lottery"]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational in lottery: {exc}") from None
         if not within_digit_limit(*lot):

@@ -5,7 +5,9 @@ small inline brute-force scans, positive values against hand-constructed
 tables, and every reported witness must replay to the reported value.
 """
 
+import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from votecert.axioms import (
     canonical_profile,
     distance_to_random_dictatorship,
     isolation_deviation,
+    isolation_groups,
     min_eps_pareto,
     min_eps_strong_unanimity,
     min_eps_super_weak_unanimity,
@@ -30,7 +33,7 @@ from votecert.axioms import (
     vprime_table,
 )
 from votecert.errors import DomainError
-from votecert.prefs import canonicalize, enumerate_orderings, enumerate_profiles
+from votecert.prefs import adjacent_swaps, canonicalize, enumerate_orderings, enumerate_profiles
 from votecert.rules import (
     RuleTable,
     mixture,
@@ -354,3 +357,27 @@ def test_witness_is_absent_exactly_when_eps_is_zero(v):
     reports.append(("vprime-sweep", *vprime_sweep(v)))
     for name, eps, witness in reports:
         assert (eps == 0) == (witness is None), name
+
+
+def _isolation_groups_per_swap(m, n):
+    """isolation_groups as first written: before and x_above_y per swap."""
+    orderings = enumerate_orderings(m)
+    swaps = adjacent_swaps(m)
+    contexts = list(itertools.combinations_with_replacement(range(len(orderings)), n - 1))
+    for r, o in enumerate(orderings):
+        for p, r2 in enumerate(swaps[r]):
+            x, y = o[p], o[p + 1]
+            x_above_y = [q.index(x) < q.index(y) for q in orderings]
+            groups = defaultdict(list)
+            for others in contexts:
+                c = sum(x_above_y[s] for s in others)
+                before = tuple(sorted(others + (r,)))
+                after = tuple(sorted(others + (r2,)))
+                groups[c].append((others, before, after))
+            for c, members in groups.items():
+                yield r, p, c, members
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (4, 2)])
+def test_isolation_groups_match_the_per_swap_generator(m, n):
+    assert list(isolation_groups(m, n)) == list(_isolation_groups_per_swap(m, n))

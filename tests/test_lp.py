@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from votecert import lp, polytope
 from votecert.errors import DomainError
 from votecert.lp import (
     REL_EQ,
@@ -273,6 +274,103 @@ def test_warm_started_core_matches_oracle_with_dual_certificates():
             solves += 1
             negative += any(tj < 0 for tj in t)
     assert solves >= 75 and negative >= 10
+
+
+def test_slack_basis_reports_an_unbounded_objective():
+    # t0 <= 1 and t1 >= -1 leave t0 free downwards
+    core = SlackBasisSimplex([{0: ONE}, {1: -ONE}], [ONE, ONE], 2)
+    assert core.solve([ONE, -ONE]) == (F(2), [ONE, -ONE])
+    with pytest.raises(DomainError, match="unbounded"):
+        core.solve([-ONE, ZERO])
+
+
+# -- the t-space sweep takes the split tableau's Bland pivots ----------------------------
+
+
+class _SplitTableau:
+    """The sweep's former layout, on the tableau kernel that solve_lp keeps:
+    t = u - w with u_j in column j, w_j in column width + j and slack_i in
+    column 2*width + i, warm-started from the all-slack basis."""
+
+    def __init__(self, G, h, width):
+        self.width = width
+        self.rows = [
+            lp._integer_row(self._split(row) | {2 * width + i: ONE, lp.RHS: b})
+            for i, (row, b) in enumerate(zip(G, h))
+        ]
+        self.basis = [2 * width + i for i in range(len(G))]
+
+    def _split(self, row):
+        return row | {self.width + j: -a for j, a in row.items()}
+
+    def solve(self, objective):
+        cost = lp._integer_row(self._split(dict(enumerate(objective))) | {lp.Z: ONE})
+        status, _red = lp._optimize(self.rows, self.basis, cost)
+        assert status == "optimal"
+
+
+def _pivot_paths(monkeypatch, G, h, width, objectives):
+    """(leaving column, entering column) of every pivot of both cores."""
+    t_path, split_path = [], []
+    pivot, tableau_pivot = lp._pivot, lp._tableau_pivot
+
+    def t_pivot(*args):
+        t_path.append(args[-2:])
+        pivot(*args)
+
+    def split_pivot(rows, basis, r, e):
+        split_path.append((basis[r], e))
+        tableau_pivot(rows, basis, r, e)
+
+    monkeypatch.setattr(lp, "_pivot", t_pivot)
+    monkeypatch.setattr(lp, "_tableau_pivot", split_pivot)
+    core, split = SlackBasisSimplex(G, h, width), _SplitTableau(G, h, width)
+    for c in objectives:
+        core.solve(c)
+        split.solve(c)
+    return t_path, split_path
+
+
+def _sweep_program(monkeypatch, m, n, eps):
+    """G, h, width and the objectives, in order, of max_distance's sweep."""
+    seen = []
+
+    class Recorded(SlackBasisSimplex):
+        def __init__(self, G, h, width):
+            super().__init__(G, h, width)
+            seen.append((G, h, width, []))
+
+        def solve(self, objective):
+            seen[-1][3].append(objective)
+            return super().solve(objective)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "SlackBasisSimplex", Recorded)
+        polytope.max_distance(m, n, eps)
+    (program,) = seen
+    return program
+
+
+@pytest.mark.parametrize(
+    "m, n, eps",
+    [(3, 2, F(1, 10)), (3, 3, F(1, 10)), pytest.param(4, 2, F(1, 10), marks=pytest.mark.slow)],
+)
+def test_sweep_takes_the_split_tableau_pivot_path(monkeypatch, m, n, eps):
+    t_path, split_path = _pivot_paths(monkeypatch, *_sweep_program(monkeypatch, m, n, eps))
+    assert t_path == split_path and t_path
+
+
+def test_random_free_polytopes_take_the_split_tableau_pivot_path(monkeypatch):
+    rng = random.Random(7)
+    pivots = 0
+    for _ in range(25):
+        G, h, n, _low = _random_free_polytope(rng)
+        objectives = [[F(rng.randrange(-5, 6), rng.choice((1, 4))) for _ in range(n)]
+                      for _ in range(rng.randrange(3, 7))]
+        t_path, split_path = _pivot_paths(monkeypatch, G, h, n, objectives)
+        assert t_path == split_path
+        pivots += len(t_path)
+    assert pivots >= 100
 
 
 def test_dual_check_rejects_tampered_duals():

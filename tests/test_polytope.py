@@ -116,6 +116,14 @@ def test_distance_golden_values(m, n, eps):
     assert res.d_star == GOLDEN_D_STAR[(m, n, eps)]
 
 
+@pytest.mark.slow
+def test_distance_slope_at_three_candidates_five_voters():
+    """D* = c(3, n) * eps with c(3, n) = 3 - 2/n, measured for n = 2..7."""
+    res = max_distance(3, 5, F(1, 10))
+    assert res.d_star == (3 - F(2, 5)) * F(1, 10) == F(13, 50)
+    assert (res.free_dim, res.n_solves) == (18, 252)
+
+
 def test_distance_monotone_and_linearly_bounded():
     c3 = traced_constant(3).value
     for n in (2, 3):

@@ -6,6 +6,7 @@ closeness meter must behave like a metric on tables.
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from votecert.errors import DomainError, ValidationError
 from votecert.prefs import enumerate_profiles
 from votecert.rules import (
     RuleTable,
+    _parse_rational,
     closeness,
     constant_rule,
     is_consistent_utility,
@@ -241,3 +243,37 @@ def test_rank_and_pair_rule_values():
     assert pr.lottery((ABC, BAC)) == (F(1, 2), F(1, 2), F(0))
     assert pr.lottery((CAB, ACB)) == (F(1), F(0), F(0))
     assert list(enumerate_profiles(3, 2, anonymous=True))  # enumeration sanity
+
+
+# Plain [-]digits[/digits] strings take the fast path; everything else must
+# fall back to Fraction(text) with the same value or the same error.
+RATIONAL_TEXTS = [
+    "1/2", "-1/2", "0", "-0", "0/7", "007/010", "6/4", "-12", str(10**40) + "/3",
+    "1/0", "-5/0", "-0/0", "0/0",
+    " 1/2", "1/2 ", "1 /2", "\t3", "+1/2", "+0", "1_0/3", "1/1_0",
+    "0.5", "-.5", "1e3", "1E-2", "1.5/2",
+    "\u0661/\u0662", "\u0661", "\u00b2", "1/\u00b2", "\u00bd", "\uff11/2",
+    "", "-", "/", "1/", "/2", "--1", "1/-2", "3/4/5", "- 1", "nan", "inf",
+    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000,
+]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+def test_lottery_entries_parse_exactly_as_fraction_does(text):
+    assert _outcome(_parse_rational, text) == _outcome(F, text)
+
+
+def test_lottery_entry_errors_are_unchanged():
+    obj = rule_to_json_obj(random_dictatorship(2, 1))
+    for text, message in (("1/0", "Fraction(1, 0)"), ("1 /2", "Invalid literal for Fraction: '1 /2'")):
+        obj["entries"][0]["lottery"][0] = text
+        with pytest.raises(ValidationError, match=re.escape(f"bad rational in lottery: {message}")):
+            rule_from_json_obj(obj)
