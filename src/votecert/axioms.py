@@ -15,7 +15,7 @@ checks the integer meters independently.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,14 +197,10 @@ def min_eps_strong_unanimity(v: RuleTable) -> AxiomReport:
 
 
 def min_eps_weak_unanimity(v: RuleTable) -> AxiomReport:
-    view = v._scaled()
-
-    def gaps():
-        for r, o in enumerate(enumerate_orderings(v.m)):
-            nums, den = view[(r,) * v.n]
-            yield den - nums[o[0]], den, (r,) * v.n, o[0]
-
-    return _worst("weak-unanimity", ("profile", "x"), gaps())
+    """Strong unanimity on the profiles whose voters all cast one ordering."""
+    return _worst("weak-unanimity", ("profile", "x"), (
+        (*gap, x) for x in range(v.m) for gap in _unanimity_gaps(v, x) if len(set(gap[2])) == 1
+    ))
 
 
 def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
@@ -264,22 +260,20 @@ def _group_spreads(v: RuleTable, groups):
 
 def tops_only_deviation(v: RuleTable) -> AxiomReport:
     """Spread of any candidate's probability across profiles with equal tops."""
-    tops = _tops(v.m)
     groups: dict[tuple, list] = defaultdict(list)
-    for key in v.keys():
-        cnt = Counter(tops[r] for r in key)
-        groups[tuple(cnt.get(x, 0) for x in range(v.m))].append(key)
+    for key, _nums, _den, counts in _top_counts(v):
+        groups[tuple(counts)].append(key)
     pairs = ((members, x) for members in groups.values() for x in range(v.m))
     return _worst("tops-only", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
 
 
 def times_at_top_deviation(v: RuleTable) -> AxiomReport:
     """Spread of x's probability across profiles with the same x top-count."""
-    tops = _tops(v.m)
+    rows = list(_top_counts(v))
     groups: dict[tuple, list] = defaultdict(list)
     for x in range(v.m):
-        for key in v.keys():
-            groups[(x, sum(1 for r in key if tops[r] == x))].append(key)
+        for key, _nums, _den, counts in rows:
+            groups[(x, counts[x])].append(key)
     pairs = ((members, x) for (x, _), members in groups.items())
     return _worst("times-at-top", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 import traceback
@@ -27,10 +26,10 @@ from .axioms import (
     distance_to_random_dictatorship,
     run_axiom,
 )
-from .beliefs import SPConfig, SPVerdict, check_classic_sp, check_weak_sp
+from .beliefs import ManipulationInstance, SPConfig, SPVerdict, check_classic_sp, check_weak_sp
 from .errors import CapExceededError, DomainError, ValidationError
 from .polytope import max_distance, normalize_parts, traced_constant, verify_theorem
-from .prefs import anon_expand, enumerate_orderings, format_ordering
+from .prefs import enumerate_orderings, format_key, format_ordering
 from .rules import (
     RuleTable,
     check_printable,
@@ -43,6 +42,7 @@ from .rules import (
     save_rule,
     uniform_rule,
     within_digit_limit,
+    write_json,
 )
 
 EXIT_FAIL = 1
@@ -75,14 +75,10 @@ def _digest(path: str) -> str:
 
 
 def _write_report(out: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out is None:
-        click.echo(text, nl=False)
-        return
-    tmp = f"{out}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        write_json(out, payload)
 
 
 def _run_report(results: dict, seed: int | None, inputs: dict[str, str], started: float) -> dict:
@@ -99,15 +95,12 @@ def _run_report(results: dict, seed: int | None, inputs: dict[str, str], started
 def _witness_json(witness: dict | None, rule: RuleTable) -> dict | None:
     if witness is None:
         return None
-    orderings = enumerate_orderings(rule.m)
     out = {}
     for name, value in witness.items():
-        if name in ("profile", "profile_2", "swapped_profile"):
-            out[name] = [format_ordering(o, rule.names) for o in anon_expand(value, rule.m)]
-        elif name in ("others", "others_2"):
-            out[name] = [format_ordering(orderings[r], rule.names) for r in value]
+        if name in ("profile", "profile_2", "swapped_profile", "others", "others_2"):
+            out[name] = format_key(value, rule.names)
         elif name in ("acting_rank",):
-            out["acting"] = format_ordering(orderings[value], rule.names)
+            out["acting"] = format_key((value,), rule.names)[0]
         elif name in ("x", "y", "z", "dominator", "dominated"):
             out[name] = rule.names[value]
         else:
@@ -117,6 +110,11 @@ def _witness_json(witness: dict | None, rule: RuleTable) -> dict | None:
 
 def _report_json(report: AxiomReport, rule: RuleTable) -> dict:
     return {"eps": _rational(report.eps), "witness": _witness_json(report.witness, rule)}
+
+
+def _instance_json(inst: ManipulationInstance, names: tuple[str, ...]) -> dict:
+    return {"truthful": format_ordering(inst.truthful, names),
+            "misreport": format_ordering(inst.misreport, names), "k": inst.k}
 
 
 def _verdict_json(verdict: SPVerdict, rule: RuleTable) -> dict:
@@ -129,35 +127,26 @@ def _verdict_json(verdict: SPVerdict, rule: RuleTable) -> dict:
         "beliefs keeps every certified verdict certified",
     }
     if verdict.instances_unknown:
-        out["instances_unknown"] = [
-            {
-                "truthful": format_ordering(i.truthful, rule.names),
-                "misreport": format_ordering(i.misreport, rule.names),
-                "k": i.k,
-            }
-            for i in verdict.instances_unknown
-        ]
+        out["instances_unknown"] = [_instance_json(i, rule.names) for i in verdict.instances_unknown]
     w = verdict.witness
     if w is not None:
         check_printable(*w.utility, w.rho, *(w.belief or ()))
-        orderings = enumerate_orderings(rule.m)
         entry = {
-            "truthful": format_ordering(w.instance.truthful, rule.names),
-            "misreport": format_ordering(w.instance.misreport, rule.names),
-            "k": w.instance.k,
+            **_instance_json(w.instance, rule.names),
             "utility": [str(q) for q in w.utility],
             "rho": str(w.rho),
             "gain": _rational(w.gain),
         }
         if w.belief is not None:
             entry["stage"] = w.stage
+            orderings = enumerate_orderings(rule.m)
             entry["belief"] = {
                 format_ordering(orderings[r], rule.names): str(q)
                 for r, q in enumerate(w.belief)
                 if q
             }
         if w.others is not None:
-            entry["others"] = [format_ordering(orderings[r], rule.names) for r in w.others]
+            entry["others"] = format_key(w.others, rule.names)
         out["witness"] = entry
     return out
 
@@ -240,9 +229,9 @@ def check(rule_path, axiom, out):
 @main.command("sp-check")
 @click.option("--rule", "rule_path", required=True, type=click.Path(exists=True))
 @click.option("--classic", is_flag=True, help="Check classic strategy-proofness instead.")
-@click.option("--polya-max", default=6, show_default=True, type=click.IntRange(min=0))
-@click.option("--trials", default=10_000, show_default=True, type=click.IntRange(min=0))
-@click.option("--seed", default=42, show_default=True)
+@click.option("--polya-max", default=SPConfig().polya_max, show_default=True, type=click.IntRange(min=0))
+@click.option("--trials", default=SPConfig().trials, show_default=True, type=click.IntRange(min=0))
+@click.option("--seed", default=SPConfig().seed, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 @_handle_errors
 def sp_check(rule_path, classic, polya_max, trials, seed, out):
@@ -281,14 +270,12 @@ def lp_max(m, n, eps, parts, out):
         "free_dim": result.free_dim,
         "n_solves": result.n_solves,
         "witness_rule": rule_to_json_obj(result.witness),
-        "witness_profile": [
-            format_ordering(o, names) for o in anon_expand(result.witness_profile, m)
-        ],
+        "witness_profile": format_key(result.witness_profile, names),
         "witness_candidate": names[result.witness_candidate],
         "witness_sign": result.witness_sign,
         "per_objective": [
             {
-                "profile": [format_ordering(o, names) for o in anon_expand(o_v.profile, m)],
+                "profile": format_key(o_v.profile, names),
                 "candidate": names[o_v.candidate],
                 "sign": o_v.sign,
                 "value": _rational(o_v.value),

@@ -142,6 +142,12 @@ def _reduced_costs(rows, basis, cost: dict[int, int]) -> dict[int, int]:
     return red
 
 
+def _before(value: int, rate: int, col: int, best: int, best_rate: int, best_col: int) -> bool:
+    """Whether (value / rate, col) < (best / best_rate, best_col), for rates > 0."""
+    lhs, rhs = value * best_rate, best * rate
+    return lhs < rhs or (lhs == rhs and col < best_col)
+
+
 def _optimize(rows, basis, cost: dict[int, int], blocked=frozenset()) -> tuple[str, dict[int, int]]:
     """Primal simplex with Bland's rule from the current feasible basis.
 
@@ -159,12 +165,8 @@ def _optimize(rows, basis, cost: dict[int, int], blocked=frozenset()) -> tuple[s
             a = row.get(enter, 0)
             if a > 0:
                 b = row.get(RHS, 0)
-                if leave < 0:
-                    leave, best_a, best_b = i, a, b
-                    continue
-                lhs, rhs = b * best_a, best_b * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_a, best_b = i, a, b
+                if leave < 0 or _before(b, a, basis[i], best_b, best_a, basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             return UNBOUNDED, red
         _tableau_pivot(rows, basis, leave, enter)
@@ -372,12 +374,6 @@ class SlackBasisSimplex:
 def _dot(row: tuple[tuple[int, ...], tuple[int, ...]], delta: list[int]) -> int:
     cols, coeffs = row
     return sum(map(mul, coeffs, map(delta.__getitem__, cols)))
-
-
-def _before(value: int, rate: int, col: int, best: int, best_rate: int, best_col: int) -> bool:
-    """Whether (value / rate, col) < (best / best_rate, best_col), for rates > 0."""
-    lhs, rhs = value * best_rate, best * rate
-    return lhs < rhs or (lhs == rhs and col < best_col)
 
 
 def _pivot(core: SlackBasisSimplex, delta, rates, value: int, rate: int, leave: int, enter: int) -> None:

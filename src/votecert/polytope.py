@@ -36,7 +36,7 @@ from .lp import (
     reduce_equalities,
 )
 from .prefs import AnonKey, enumerate_orderings, enumerate_profiles
-from .rules import RuleTable, checked_unit, random_dictatorship
+from .rules import RuleTable, _tops, checked_unit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -168,12 +168,13 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     key_index = {k: i for i, k in enumerate(keys)}
     nvars = lp.n_vars
 
-    dict_rule = random_dictatorship(m, n)
-    x0 = [ZERO] * nvars
+    # Random dictatorship elects x with probability (voters with x on top) / n.
+    tops = _tops(m)
+    counts = [0] * nvars
     for k, key in enumerate(keys):
-        lot = dict_rule.lottery_at(key)
-        for x in range(m):
-            x0[_var(k, x, m)] = lot[x]
+        for r in key:
+            counts[_var(k, tops[r], m)] += 1
+    x0 = [Fraction(c, n) for c in counts]
 
     eqs = [(dict(c.terms), c.rhs) for c in lp.constraints if c.rel == REL_EQ]
     ineqs = [c for c in lp.constraints if c.rel != REL_EQ]
@@ -223,20 +224,19 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     h = list(gmap.values())
     simplex = SlackBasisSimplex(G, h, d)
 
-    reps: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # An orbit is met first at its minimum, its representative, so reps is
+    # built in ascending order, which fixes the solve order and the witness.
+    reps: dict[tuple[int, int], set[tuple[int, int]]] = {}
     maps = _relabel_maps(m, n, keys, key_index)
     seen_pairs = set()
     for k in range(len(keys)):
         for x in range(m):
-            if (k, x) in seen_pairs:
-                continue
-            orbit = {(key_map[k], perm[x]) for perm, key_map in maps}
-            rep = min(orbit)
-            reps[rep] = sorted(orbit)
-            seen_pairs |= orbit
+            if (k, x) not in seen_pairs:
+                reps[k, x] = {(key_map[k], perm[x]) for perm, key_map in maps}
+                seen_pairs |= reps[k, x]
 
     solved = []  # (value, rep, sign, t) in solve order
-    for rep in sorted(reps):
+    for rep in reps:
         k, x = rep
         for sign in (1, -1):
             obj = [sign * N[_var(k, x, m)].get(i, ZERO) for i in range(d)]

@@ -124,12 +124,6 @@ def canonicalize(profile: Profile) -> AnonKey:
     return tuple(sorted(rank[o] for o in profile))
 
 
-def anon_expand(key: AnonKey, m: int) -> Profile:
-    """One concrete profile realizing an anonymous key (ranks ascending)."""
-    orderings = enumerate_orderings(m)
-    return tuple(orderings[r] for r in key)
-
-
 def count_anonymous_profiles(m: int, n: int) -> int:
     """Number of size-n multisets over the m! orderings."""
     return math.comb(math.factorial(m) + n - 1, n)
@@ -226,6 +220,12 @@ def parse_ordering(text: str, names: tuple[str, ...]) -> Ordering:
 
 def format_ordering(ordering: Ordering, names: tuple[str, ...]) -> str:
     return ">".join(names[c] for c in ordering)
+
+
+def format_key(key: AnonKey, names: tuple[str, ...]) -> list[str]:
+    """The orderings whose ranks key lists, as "a>b>c" strings in key order."""
+    orderings = enumerate_orderings(len(names))
+    return [format_ordering(orderings[r], names) for r in key]
 
 
 def parse_profile(text: str, names: tuple[str, ...]) -> Profile:

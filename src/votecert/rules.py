@@ -33,7 +33,7 @@ from .prefs import (
     canonicalize,
     enumerate_orderings,
     enumerate_profiles,
-    format_ordering,
+    format_key,
     parse_ordering,
     upper_set,
 )
@@ -385,15 +385,9 @@ def upper_set_utility(ordering: Ordering, k: int, rho: Fraction) -> tuple[Fracti
 def rule_to_json_obj(v: RuleTable) -> dict:
     entries = []
     for key in sorted(v.keys()):
-        orderings = enumerate_orderings(v.m)
         lot = v.lottery_at(key)
         check_printable(*lot)
-        entries.append(
-            {
-                "profile": [format_ordering(orderings[r], v.names) for r in key],
-                "lottery": [str(p) for p in lot],
-            }
-        )
+        entries.append({"profile": format_key(key, v.names), "lottery": [str(p) for p in lot]})
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
 
 
@@ -422,6 +416,8 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
     names = tuple(names)
     if not isinstance(entries, list):
         raise ValidationError("malformed rule file: entries must be a list")
+    if m < 1 or n < 1:  # before any entry: no profile to canonicalize at n = 0
+        raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if len(names) != m:
         raise ValidationError(f"expected {m} candidate names, got {len(names)}")
     table: dict[AnonKey, Lottery] = {}
@@ -461,12 +457,26 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
     return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum
 
 
-def save_rule(v: RuleTable, path: str) -> None:
-    text = json.dumps(rule_to_json_obj(v), indent=2, sort_keys=True) + "\n"
+def write_json(path: str, obj) -> None:
+    """Write obj as indented, key-sorted JSON, replacing path in one step.
+
+    The text goes to path + ".tmp" first; a failed write or replace deletes
+    that file again and re-raises.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def save_rule(v: RuleTable, path: str) -> None:
+    write_json(path, rule_to_json_obj(v))
 
 
 def load_rule(path: str) -> RuleTable:

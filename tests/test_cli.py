@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, report round-trips."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from votecert.cli import main
+from votecert.beliefs import SPConfig
+from votecert.cli import main, sp_check
 from votecert.rules import load_rule, random_dictatorship
 
 
@@ -164,6 +167,68 @@ def test_reports_roundtrip_byte_identically(runner, tmp_path):
     assert result.exit_code == 0
     raw = report_path.read_text()
     assert json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n" == raw
+
+
+# sha256 of each generated rule file, and of json.dumps(report["results"],
+# sort_keys=True) for each report on them: the whole report is pinned, not
+# only its format, so a refactor that moves one witness or digit shows here.
+GOLDEN_RULES = {  # gen kind at (3, 3): (extra gen options, digest)
+    "perturbed": (("--delta", "1/7", "--seed", "3"),
+                  "ea4a54a86e0c033126d1e4fc6849d41f611d0fc996ecafcf91c926ec9dc32cda"),
+    "plurality-tiebreak": ((), "82adafb16b99cf6c60361ce2ecd7169d633d83b2c7c56a6c34ba59f783897146"),
+}
+GOLDEN_REPORTS = [
+    (("check", "--axiom", "all", "--rule", "perturbed"),
+     "697a0e7a586277a726872dab9a9b7141fd4335ad595bd30f24f8230a1e1188fe"),
+    (("sp-check", "--classic", "--rule", "perturbed"),
+     "383a3a80efd9a21e9a4ab515af51e53a85e7150ca7303342deb056d5a8dbc387"),
+    (("sp-check", "--rule", "plurality-tiebreak"),
+     "41740ee2a4801ac8d53ba348720f3175f32a040e719a338f873caf9be5feb87f"),
+    (("lp-max", "--m", "3", "--n", "3", "--eps", "1/10"),
+     "2db924501d0a9923a2f2a45de1c98a813272ca815d3e2c1fdbb1bb2a0b05f38c"),
+    (("lp-max", "--m", "3", "--n", "3", "--eps", "1/10", "--parts", "responsive,unanimity"),
+     "349b160dbb7364480cd440c7ba8e10e32f4a44c2ddbc91f3ba54f936d22cd1d8"),
+    (("verify-theorem", "3", "4", "0"),
+     "8e0c8d598b60621af294e419d83d05c3ae34e2ed35e9af09304e1d2c2d916eb1"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_rule_files_are_pinned(runner, tmp_path):
+    for kind, (extra, digest) in GOLDEN_RULES.items():
+        assert _sha256(_gen(runner, tmp_path, kind, 3, 3, *extra).read_bytes()) == digest, kind
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_REPORTS, ids=lambda a: " ".join(a)[:40])
+def test_golden_reports_are_pinned(runner, tmp_path, args, digest):
+    if "--rule" in args:  # the rule is named by its key in GOLDEN_RULES
+        kind = args[-1]
+        args = (*args[:-1], str(_gen(runner, tmp_path, kind, 3, 3, *GOLDEN_RULES[kind][0])))
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    results = json.loads(out.read_text())["results"]
+    assert _sha256(json.dumps(results, sort_keys=True).encode()) == digest
+
+
+def test_sp_check_defaults_are_the_config_defaults():
+    defaults = {p.name: p.default for p in sp_check.params}
+    for field in dataclasses.fields(SPConfig):
+        assert defaults[field.name] == field.default, field.name
+
+
+@pytest.mark.parametrize("args", [["lp-max", "--m", "3", "--n", "2", "--eps", "1/10"],
+                                  ["gen", "uniform", "3", "2"]])
+def test_failed_write_exits_2_and_leaves_no_temp_file(runner, tmp_path, args):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    result = runner.invoke(main, [*args, "--out", str(target)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_bad_rational_argument(runner):

@@ -145,6 +145,7 @@ RAW_MALFORMED = {
     "not-utf-8": b'{"m": 3, "n": 2, "candidates": ["\xff\xfe"]}',
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
     "m-past-int-digit-limit": b'{"m": ' + b"9" * 5000 + b', "n": 2, "candidates": [], "entries": []}',
+    "zero-voters": b'{"m": 1, "n": 0, "candidates": ["a"], "entries": [{"profile": [], "lottery": ["1"]}]}',
 }
 
 
