@@ -8,8 +8,11 @@ pairwise isolated, tops-only, ...) holds.
 The meters read each lottery as integers over a common denominator (the
 table's `_scaled` view), so every difference is an integer pair and every
 comparison a cross-multiplication; a Fraction is built only for the
-reported value.  `replay_report` stays on the Fractions of the table, so it
-checks the integer meters independently.
+reported value.  The swap meters and the top-count meters take that view as
+a list in enumeration order and index it through `prefs.profile_walk`, so a
+swapped or completed profile is a table lookup, not a sorted tuple.
+`replay_report` stays on the Fractions of the table and sorts its own
+profiles, so it checks the integer meters independently.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .prefs import (
     canonicalize,
     enumerate_orderings,
     enumerate_profiles,
+    profile_walk,
 )
 from .rules import RuleTable, _scaled_lottery, _tops
 
@@ -63,13 +67,6 @@ class DistanceReport:
 
 
 # -- Helpers -------------------------------------------------------------------
-
-
-def _replace_rank(key: AnonKey, old: int, new: int) -> AnonKey:
-    lst = list(key)
-    lst.remove(old)
-    lst.append(new)
-    return tuple(sorted(lst))
 
 
 def _worst(axiom: str, fields: tuple[str, ...], scored) -> AxiomReport:
@@ -115,23 +112,58 @@ def unanimous_profiles(m: int, n: int, x: int):
     return itertools.combinations_with_replacement(ranks, n)
 
 
+def _swap_pairs(m: int, n: int, keys):
+    """Yields (i, i2, r, p) in responsive_pairs order: a voter with ordering rank
+    r in keys[i] swaps positions p and p+1, giving keys[i2], and i < i2.
+
+    keys are the anonymous profiles in enumeration order, so an index order is
+    the key order, and keys[i2] is read from the profile walk, not sorted.
+    """
+    contexts, at, _ = profile_walk(m, n)
+    context_index = {others: c for c, others in enumerate(contexts)}
+    swaps = adjacent_swaps(m)
+    for i, key in enumerate(keys):
+        for r in set(key):
+            j = key.index(r)
+            row = at[context_index[key[:j] + key[j + 1:]]]
+            for p, r2 in enumerate(swaps[r]):
+                if row[r2] > i:  # else the mirror swap already yielded it from keys[row[r2]]
+                    yield i, row[r2], r, p
+
+
 def responsive_pairs(m: int, n: int):
     """Yields (key, key2, r, p, z): a voter with ordering rank r in key swaps
     positions p and p+1, giving key2; bystander z keeps v(key, z) = v(key2, z).
     Each triple comes once, from the side with key < key2.
     """
     orderings = enumerate_orderings(m)
-    swaps = adjacent_swaps(m)
-    for key in enumerate_profiles(m, n, anonymous=True):
-        for r in set(key):
-            o = orderings[r]
-            for p, r2 in enumerate(swaps[r]):
-                key2 = _replace_rank(key, r, r2)
-                if key2 < key:  # the mirror swap already yielded it from key2
-                    continue
-                for z in range(m):
-                    if z != o[p] and z != o[p + 1]:
-                        yield key, key2, r, p, z
+    keys = list(enumerate_profiles(m, n, anonymous=True))
+    for i, i2, r, p in _swap_pairs(m, n, keys):
+        o = orderings[r]
+        for z in range(m):
+            if z != o[p] and z != o[p + 1]:
+                yield keys[i], keys[i2], r, p, z
+
+
+def _isolation_classes(m: int, n: int):
+    """Yields (r, p, groups) in isolation_groups order: groups maps each count c
+    to the indices of its contexts in the contexts of profile_walk(m, n).
+
+    The groups depend on the swap only through its pair (x, y), so the
+    contexts are counted once per pair, not once per swap.
+    """
+    orderings = enumerate_orderings(m)
+    contexts, _, _ = profile_walk(m, n)
+    classes: dict[tuple[int, int], dict[int, list[int]]] = {}
+    for r, o in enumerate(orderings):
+        for p in range(m - 1):
+            pair = o[p], o[p + 1]
+            if pair not in classes:
+                x_above_y = [q.index(pair[0]) < q.index(pair[1]) for q in orderings].__getitem__
+                groups = classes[pair] = defaultdict(list)
+                for i, others in enumerate(contexts):
+                    groups[sum(map(x_above_y, others))].append(i)
+            yield r, p, classes[pair]
 
 
 def isolation_groups(m: int, n: int):
@@ -140,22 +172,13 @@ def isolation_groups(m: int, n: int):
     how many of them rank x above y; v(after, y) - v(before, y) is constant
     within a group.
     """
-    orderings = enumerate_orderings(m)
     swaps = adjacent_swaps(m)
-    contexts = list(itertools.combinations_with_replacement(range(len(orderings)), n - 1))
-    # above[x, y][s]: whether ordering s ranks x above y
-    above = {(x, y): [q.index(x) < q.index(y) for q in orderings]
-             for x in range(m) for y in range(m) if x != y}
-    for r, o in enumerate(orderings):
-        befores = [tuple(sorted(others + (r,))) for others in contexts]
-        for p, r2 in enumerate(swaps[r]):
-            x_above_y = above[o[p], o[p + 1]].__getitem__
-            groups: dict[int, list] = defaultdict(list)
-            for others, before in zip(contexts, befores):
-                after = tuple(sorted(others + (r2,)))
-                groups[sum(map(x_above_y, others))].append((others, before, after))
-            for c, members in groups.items():
-                yield r, p, c, members
+    contexts, at, _ = profile_walk(m, n)
+    keys = list(enumerate_profiles(m, n, anonymous=True))
+    for r, p, groups in _isolation_classes(m, n):
+        r2 = swaps[r][p]
+        for c, members in groups.items():
+            yield r, p, c, [(contexts[i], keys[at[i][r]], keys[at[i][r2]]) for i in members]
 
 
 # -- Efficiency and unanimity ---------------------------------------------------
@@ -216,13 +239,24 @@ def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
 
 def responsiveness_deviation(v: RuleTable) -> AxiomReport:
     """How much an adjacent swap can move a bystander candidate's probability."""
+    bystanders = [[tuple(z for z in range(v.m) if z != o[p] and z != o[p + 1])
+                   for p in range(v.m - 1)] for o in enumerate_orderings(v.m)]
     view = v._scaled()
+    keys, lots = list(view), list(view.values())
 
     def gaps():
-        for key, key2, r, p, z in responsive_pairs(v.m, v.n):
-            a, da = view[key]
-            b, db = view[key2]
-            yield abs(b[z] * da - a[z] * db), da * db, key, key2, r, p, z
+        # One item per swap, its first largest bystander gap: the same first
+        # strictly largest item as one item per bystander, with fewer items.
+        for i, i2, r, p in _swap_pairs(v.m, v.n, keys):
+            a, da = lots[i]
+            b, db = lots[i2]
+            gap = 0
+            for z in bystanders[r][p]:
+                diff = abs(b[z] * da - a[z] * db)
+                if diff > gap:
+                    gap, worst = diff, z
+            if gap:
+                yield gap, da * db, keys[i], keys[i2], r, p, worst
 
     fields = ("profile", "swapped_profile", "acting_rank", "pos", "z")
     return _worst("responsiveness", fields, gaps())
@@ -231,18 +265,20 @@ def responsiveness_deviation(v: RuleTable) -> AxiomReport:
 def isolation_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the raised candidate's probability change across matched contexts."""
     orderings = enumerate_orderings(v.m)
-    view = v._scaled()
-
-    def deltas(group, y):
-        for others, before, after in group:
-            a, da = view[after]
-            b, db = view[before]
-            yield a[y] * db - b[y] * da, da * db, others
+    swaps = adjacent_swaps(v.m)
+    contexts, at, _ = profile_walk(v.m, v.n)
+    lots = list(v._scaled().values())
+    # column[r][i]: the lottery of context i completed by a voter of rank r
+    column = [[lots[row[r]] for row in at] for r in range(len(orderings))]
 
     def spreads():
-        for r, p, c, group in isolation_groups(v.m, v.n):
-            lo, hi = _extremes(deltas(group, orderings[r][p + 1]))
-            yield *_spread(lo, hi), r, p, c, hi[2], lo[2]
+        for r, p, groups in _isolation_classes(v.m, v.n):
+            y = orderings[r][p + 1]
+            deltas = [(a[y] * db - b[y] * da, da * db)
+                      for (a, da), (b, db) in zip(column[swaps[r][p]], column[r])]
+            for c, members in groups.items():
+                lo, hi = _extremes((*deltas[i], i) for i in members)
+                yield *_spread(lo, hi), r, p, c, contexts[hi[2]], contexts[lo[2]]
 
     fields = ("acting_rank", "pos", "pair_count", "others", "others_2")
     return _worst("isolation", fields, spreads())
@@ -262,7 +298,7 @@ def tops_only_deviation(v: RuleTable) -> AxiomReport:
     """Spread of any candidate's probability across profiles with equal tops."""
     groups: dict[tuple, list] = defaultdict(list)
     for key, _nums, _den, counts in _top_counts(v):
-        groups[tuple(counts)].append(key)
+        groups[counts].append(key)
     pairs = ((members, x) for members in groups.values() for x in range(v.m))
     return _worst("tops-only", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
 
@@ -363,13 +399,11 @@ def vprime_sweep(v: RuleTable) -> tuple[Fraction, dict | None]:
 
 
 def _top_counts(v: RuleTable):
-    """(key, nums, den, counts) per profile, counts[x] the voters with x on top."""
-    tops = _tops(v.m)
-    for key, (nums, den) in v._scaled().items():
-        counts = [0] * v.m
-        for r in key:
-            counts[tops[r]] += 1
-        yield key, nums, den, counts
+    """(key, nums, den, counts) per profile, counts[x] the voters with x on top,
+    read from the profile walk."""
+    _, _, counts = profile_walk(v.m, v.n)
+    for (key, (nums, den)), row in zip(v._scaled().items(), counts):
+        yield key, nums, den, row
 
 
 def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:

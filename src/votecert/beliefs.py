@@ -23,7 +23,9 @@ others) is the degree-0 certificate on every instance.  Both checks read
 the gaps from one opponent walk, `_opponent_gaps`, which works on the rule
 table's integer-scaled lotteries: the gaps at a fixed profile are integers
 over one denominator, and a Fraction is built only for a polynomial
-coefficient or a refuting witness.  `replay_gain` stays on Fractions.
+coefficient or a refuting witness.  The walk finds both reports' profiles
+through `prefs.profile_walk`, by index.  `replay_gain` stays on Fractions
+and sorts its own profiles.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank
+from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank, profile_walk
 from .rules import RuleTable, upper_set_utility
 
 ZERO = Fraction(0)
@@ -170,19 +172,20 @@ def _opponent_gaps(v: RuleTable, truthful: Ordering, misreport: Ordering):
     truthful-minus-misreport lottery: the two reports' difference in top-k
     upper-set mass.  The gaps are ints and den > 0.
     """
-    view = v._scaled()
+    contexts, at, _ = profile_walk(v.m, v.n)
+    lots = list(v._scaled().values())
     head = truthful[:-1]
     r_true = ordering_rank(truthful)
     r_lie = ordering_rank(misreport)
-    for others in itertools.combinations_with_replacement(range(math.factorial(v.m)), v.n - 1):
-        a, da = view[tuple(sorted(others + (r_true,)))]
-        b, db = view[tuple(sorted(others + (r_lie,)))]
+    for others, row in zip(contexts, at):
+        a, da = lots[row[r_true]]
+        b, db = lots[row[r_lie]]
         if da == db:
             if a == b:  # equal lotteries (the view is canonical): every gap is 0
                 continue
-            den, diffs = da, (a[x] - b[x] for x in head)
+            den, diffs = da, [a[x] - b[x] for x in head]
         else:
-            den, diffs = da * db, (a[x] * db - b[x] * da for x in head)
+            den, diffs = da * db, [a[x] * db - b[x] * da for x in head]
         yield others, tuple(itertools.accumulate(diffs)), den
 
 
@@ -370,7 +373,8 @@ def check_classic_sp(v: RuleTable) -> SPVerdict:
     pairs = _misreport_pairs(v.m)
     total = len(pairs) * (v.m - 1)
     for truthful, misreport in pairs:
-        walk = list(_opponent_gaps(v, truthful, misreport))
+        # only a multiset with a negative gap can refute
+        walk = [item for item in _opponent_gaps(v, truthful, misreport) if min(item[1]) < 0]
         for k in range(1, v.m):
             for others, gaps, den in walk:
                 if gaps[k - 1] < 0:

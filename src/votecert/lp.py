@@ -13,9 +13,9 @@ a free t and pivots in t-space, on one integer edge direction per nonbasic
 quantity, yet takes exactly the Bland pivots of the tableau over t = u - w
 (`solve_lp`'s tableau is its oracle in the tests).  Each solve leaves its
 optimal dual in `.dual`, and `dual_certifies` checks such a dual
-independently, over Fractions.  `reduce_equalities` folds equality
-constraints away before optimizing, by Gauss-Jordan elimination on the
-tableau's integer rows.
+independently, in integers on its own scaled copy of the rows.
+`reduce_equalities` folds equality constraints away before optimizing, by
+Gauss-Jordan elimination on the tableau's integer rows.
 """
 
 from __future__ import annotations
@@ -419,24 +419,50 @@ def _pivot(core: SlackBasisSimplex, delta, rates, value: int, rate: int, leave: 
         core.signs[enter % d] = 1 if enter < d else -1
 
 
-def dual_certifies(G, h, objective, value, y) -> bool:
+def scaled_system(G, h) -> list[tuple[dict[int, int], int, int]]:
+    """(row, rhs, scale) for each row of G t <= h: the row's coefficients and
+    its right-hand side times scale, the lcm of their denominators, as ints."""
+    out = []
+    for coeffs, b in zip(G, h):
+        scale = math.lcm(b.denominator, *(a.denominator for a in coeffs.values()))
+        row = {j: a.numerator * (scale // a.denominator) for j, a in coeffs.items()}
+        out.append((row, b.numerator * (scale // b.denominator), scale))
+    return out
+
+
+def dual_certifies(G, h, objective, value, y, scaled=None) -> bool:
     """Whether y proves max objective . t over {G t <= h}, t free, is at most value.
 
     G's rows are sparse dicts {column: coefficient}.  For such t,
     objective . t = y^T G t <= y^T h when y >= 0 and y^T G = objective, so
     y >= 0, y^T G = objective and y^T h = value make value an upper bound; a
     feasible point attaining value makes it the max.
+
+    The identities are checked in integers: y^T G and y^T h are summed over
+    `scaled_system(G, h)` with y over one common denominator.  A caller that
+    checks many duals against one system passes that scaled copy as `scaled`.
     """
-    if len(y) != len(G) or any(yi < 0 for yi in y):
+    if len(y) != len(G):
         return False
-    lhs = dict.fromkeys(range(len(objective)), ZERO)
-    rhs = ZERO
-    for yi, row, b in zip(y, G, h):
-        if yi:
-            for j, a in row.items():
-                lhs[j] = lhs.get(j, ZERO) + yi * a
-            rhs += yi * b
-    return lhs == dict(enumerate(objective)) and rhs == value
+    system = scaled_system(G, h) if scaled is None else scaled
+    # (i, num, d) with y_i / scale_i = num / d, over the nonzero entries of y
+    support = [(i, q.numerator, q.denominator * system[i][2]) for i, q in enumerate(y) if q]
+    if any(num < 0 for _, num, _ in support):
+        return False
+    den = math.lcm(*(d for *_, d in support))
+    lhs = dict.fromkeys(range(len(objective)), 0)  # den * y^T G
+    rhs = 0  # den * y^T h
+    for i, num, d in support:
+        row, b, _ = system[i]
+        yi = num * (den // d)
+        for j, a in row.items():
+            lhs[j] = lhs.get(j, 0) + yi * a
+        rhs += yi * b
+    return (
+        len(lhs) == len(objective)
+        and all(lhs[j] * c.denominator == den * c.numerator for j, c in enumerate(objective))
+        and rhs * value.denominator == den * value.numerator
+    )
 
 
 # -- Equality elimination on the tableau's integer rows --------------------------

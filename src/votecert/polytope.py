@@ -34,9 +34,10 @@ from .lp import (
     SlackBasisSimplex,
     dual_certifies,
     reduce_equalities,
+    scaled_system,
 )
-from .prefs import AnonKey, enumerate_orderings, enumerate_profiles
-from .rules import RuleTable, _tops, checked_unit
+from .prefs import AnonKey, enumerate_orderings, enumerate_profiles, profile_walk
+from .rules import RuleTable, checked_unit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -168,13 +169,10 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     key_index = {k: i for i, k in enumerate(keys)}
     nvars = lp.n_vars
 
-    # Random dictatorship elects x with probability (voters with x on top) / n.
-    tops = _tops(m)
-    counts = [0] * nvars
-    for k, key in enumerate(keys):
-        for r in key:
-            counts[_var(k, tops[r], m)] += 1
-    x0 = [Fraction(c, n) for c in counts]
+    # Random dictatorship elects x with probability (voters with x on top) / n;
+    # variable _var(k, x, m) = k*m + x, so x0 lists the top counts in order.
+    _, _, top_counts = profile_walk(m, n)
+    x0 = [Fraction(c, n) for counts in top_counts for c in counts]
 
     eqs = [(dict(c.terms), c.rhs) for c in lp.constraints if c.rel == REL_EQ]
     ineqs = [c for c in lp.constraints if c.rel != REL_EQ]
@@ -223,6 +221,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     G = [dict(key) for key in gmap]
     h = list(gmap.values())
     simplex = SlackBasisSimplex(G, h, d)
+    scaled = scaled_system(G, h)  # the dual check's own integer copy of G and h
 
     # An orbit is met first at its minimum, its representative, so reps is
     # built in ascending order, which fixes the solve order and the witness.
@@ -241,7 +240,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
         for sign in (1, -1):
             obj = [sign * N[_var(k, x, m)].get(i, ZERO) for i in range(d)]
             value, t = simplex.solve(obj)
-            if not dual_certifies(G, h, obj, value, simplex.dual):
+            if not dual_certifies(G, h, obj, value, simplex.dual, scaled):
                 raise InternalError(f"the simplex dual does not certify the optimum {value}")
             solved.append((value, rep, sign, t))
     rep_values = {(rep, sign): value for value, rep, sign, _t in solved}

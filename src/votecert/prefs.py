@@ -5,9 +5,17 @@ its lexicographic rank among all m! orderings.  An anonymous profile is the
 sorted tuple of its voters' ordering ranks, which makes it a canonical
 multiset key: voter permutations map to the same tuple.
 
+`profile_walk(m, n)` indexes the anonymous profiles in enumeration order:
+the profile that an (n-1)-voter context makes with one more voter of a given
+rank, and each profile's top counts.  The swap meters, the polytope rows and
+the SP opponent walk read these indices instead of sorting a tuple and
+hashing it for every (profile, swap) pair.  The table is built once per
+(m, n) and cached.
+
 Size caps come from VOTECERT_MAX_M and VOTECERT_MAX_PROFILES; successful
 enumerations are cached per m, so overrides should be set before first use
-(i.e. at process start).
+(i.e. at process start).  The profile cap is still checked on every
+`profile_walk` call, cached or not.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .errors import CapExceededError, DomainError, ValidationError
 Ordering = tuple[int, ...]
 Profile = tuple[Ordering, ...]
 AnonKey = tuple[int, ...]
+ProfileWalk = tuple[tuple[AnonKey, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 DEFAULT_MAX_M = 5
 DEFAULT_MAX_PROFILES = 10_000_000
@@ -152,6 +161,41 @@ def enumerate_profiles(m: int, n: int, anonymous: bool = False):
             f"{total} ordered profiles at (m={m}, n={n}) exceed the profile cap {cap}"
         )
     return itertools.product(orderings, repeat=n)
+
+
+def profile_walk(m: int, n: int) -> ProfileWalk:
+    """(contexts, at, top_counts): index tables over the anonymous profiles of
+    (m, n) in enumeration order, built once; the profile cap is checked on
+    every call.
+
+    contexts[c] is the c-th (n-1)-voter multiset in combinations_with_replacement
+    order; at[c][r] is the enumeration index of sorted(contexts[c] + (r,)), the
+    profile the context makes with one more voter of ordering rank r; and
+    top_counts[i][x] is the number of voters with x on top in profile i.
+    """
+    enumerate_profiles(m, n, anonymous=True)  # the cap and the domain checks
+    return _profile_walk(m, n)
+
+
+@lru_cache(maxsize=None)
+def _profile_walk(m: int, n: int) -> ProfileWalk:
+    tops = [o[0] for o in enumerate_orderings(m)]
+    ranks = range(len(tops))
+    contexts = tuple(itertools.combinations_with_replacement(ranks, n - 1))
+    context_index = {others: c for c, others in enumerate(contexts)}
+    at = [[0] * len(tops) for _ in contexts]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct count vector
+    top_counts = []
+    # A sorted key less its first r is the sorted context that r completes to key.
+    for i, key in enumerate(itertools.combinations_with_replacement(ranks, n)):
+        counts = [0] * m
+        for j, r in enumerate(key):
+            counts[tops[r]] += 1
+            if j == 0 or key[j - 1] != r:
+                at[context_index[key[:j] + key[j + 1:]]][r] = i
+        counts = tuple(counts)
+        top_counts.append(shared.setdefault(counts, counts))
+    return contexts, tuple(map(tuple, at)), tuple(top_counts)
 
 
 def kendall_tau(a: Ordering, b: Ordering) -> int:
