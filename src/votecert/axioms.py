@@ -6,13 +6,14 @@ with a witness that replays to exactly that value.  Deviation meters return
 pairwise isolated, tops-only, ...) holds.
 
 The meters read each lottery as integers over a common denominator (the
-table's `_scaled` view), so every difference is an integer pair and every
-comparison a cross-multiplication; a Fraction is built only for the
-reported value.  The swap meters and the top-count meters take that view as
-a list in enumeration order and index it through `prefs.profile_walk`, so a
-swapped or completed profile is a table lookup, not a sorted tuple.
-`replay_report` stays on the Fractions of the table and sorts its own
-profiles, so it checks the integer meters independently.
+table's `_scaled` view, the only form a table stores), so every difference
+is an integer pair and every comparison a cross-multiplication; a Fraction
+is built only for the reported value.  The swap meters and the top-count
+meters take that view as a list in enumeration order and index it through
+`prefs.profile_walk`, so a swapped or completed profile is a table lookup,
+not a sorted tuple.  `replay_report` reads Fractions built from the same
+view, sorts its own profiles and computes in Fractions, so it checks the
+meters' integer arithmetic and indexing, not the view itself.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ the gaps from one opponent walk, `_opponent_gaps`, which works on the rule
 table's integer-scaled lotteries: the gaps at a fixed profile are integers
 over one denominator, and a Fraction is built only for a polynomial
 coefficient or a refuting witness.  The walk finds both reports' profiles
-through `prefs.profile_walk`, by index.  `replay_gain` stays on Fractions
-and sorts its own profiles.
+through `prefs.profile_walk`, by index.  `replay_gain` computes in
+Fractions read from the same view and sorts its own profiles.
 """
 
 from __future__ import annotations

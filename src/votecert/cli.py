@@ -198,7 +198,7 @@ def gen(kind, m, n, delta, seed, out):
     else:
         rule = perturb(random_dictatorship(m, n), _fraction_arg(delta, "delta"), seed)
     save_rule(rule, out)
-    click.echo(f"wrote {kind} rule for m={m}, n={n} with {len(rule.table)} profiles to {out}")
+    click.echo(f"wrote {kind} rule for m={m}, n={n} with {len(rule.keys())} profiles to {out}")
 
 
 @main.command()

@@ -1,20 +1,22 @@
 """Anonymous randomized voting rules as exact-rational lottery tables.
 
 A rule table maps every anonymous profile for a fixed (m, n) to a lottery
-over candidates.  All probabilities are Fractions; lotteries must sum to
-exactly 1 and the table must be total, both checked at construction.
+over candidates.  Lotteries must sum to exactly 1 and the table must be
+total, both checked at construction.
 
-The meters read an integer-scaled view of each lottery instead: (nums, den)
-with den the lcm of the entries' denominators, so p[x] = nums[x] / den.
-Entries are reduced Fractions, so the pair is canonical (equal lotteries
-have equal pairs) and comparisons become cross-multiplications.  The view
-is built on first use by `RuleTable._scaled`, never for a table that is
-only built, saved or replayed.
+A table stores each lottery once, as integers (nums, den) with den the lcm
+of the entries' reduced denominators, so p[x] = nums[x] / den.  The pair is
+canonical (equal lotteries have equal pairs), so comparisons become
+cross-multiplications.  The view is built in enumeration order as the table
+is validated; rule files are parsed into it and written from it, and
+`perturb` mixes on it.  Fractions are built on demand, by `lottery_at`,
+`prob_at`, `lottery`, `prob` and `.table`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -49,7 +51,7 @@ def _power_of_ten(k: int) -> int:
     return 10**k
 
 
-def within_digit_limit(*qs: Fraction) -> bool:
+def within_digit_limit(*qs: Fraction | int) -> bool:
     """Whether str() works on each q: no numerator or denominator has more digits
     than sys.get_int_max_str_digits(), where 0 or no such function means no limit."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -61,7 +63,7 @@ def within_digit_limit(*qs: Fraction) -> bool:
     return True
 
 
-def check_printable(*qs: Fraction) -> None:
+def check_printable(*qs: Fraction | int) -> None:
     """Raise CapExceededError, naming the digit limit, unless str() works on each q."""
     if not within_digit_limit(*qs):
         raise CapExceededError("a result has more digits than Python will print: "
@@ -77,34 +79,53 @@ def checked_unit(q, name: str) -> Fraction:
     return q
 
 
-def _scaled_lottery(lot: Lottery) -> tuple[tuple[int, ...], int]:
-    """(nums, den) with lot[x] == nums[x] / den and den the lcm of the denominators."""
-    den = math.lcm(*(p.denominator for p in lot))
-    return tuple(p.numerator * (den // p.denominator) for p in lot), den
+def _canonical(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den) divided by their gcd, which makes den the lcm of the reduced denominators."""
+    g = math.gcd(den, *nums)
+    return tuple(num // g for num in nums), den // g
 
 
-def validate_lottery(m: int, probs) -> Lottery:
-    """Check length, range, and exact normalization; return as a tuple."""
-    lot = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
-    if len(lot) != m:
-        raise ValidationError(f"lottery has {len(lot)} entries, expected {m}")
-    nums, den = _scaled_lottery(lot)
+def _scaled_pairs(pairs) -> tuple[tuple[int, ...], int]:
+    """Canonical (nums, den) with nums[x] / den == p / q for the x-th pair (p, q)."""
+    den = math.lcm(*(q for _, q in pairs))
+    return _canonical([p * (den // q) for p, q in pairs], den)
+
+
+def _scaled_lottery(probs) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with Fraction(probs[x]) == nums[x] / den and den the lcm of the denominators."""
+    lot = [p if isinstance(p, Fraction) else Fraction(p) for p in probs]
+    return _scaled_pairs([(p.numerator, p.denominator) for p in lot])
+
+
+def _checked(m: int, scaled: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
+    """scaled = (nums, den), returned once its length, range and sum are checked."""
+    nums, den = scaled
+    if len(nums) != m:
+        raise ValidationError(f"lottery has {len(nums)} entries, expected {m}")
     for i, num in enumerate(nums):
         if num < 0 or num > den:
             raise ValidationError(f"lottery entry {i} lies outside [0, 1]")
     if sum(nums) != den:
         raise ValidationError("lottery does not sum to 1")
+    return scaled
+
+
+def validate_lottery(m: int, probs) -> Lottery:
+    """Check length, range, and exact normalization; return as a tuple."""
+    lot = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
+    _checked(m, _scaled_lottery(lot))
     return lot
 
 
+class _Scaled(dict):
+    """A table of unchecked (nums, den) pairs, as the loader and `perturb` give it to RuleTable."""
+
+
 class RuleTable:
-    """Total map from anonymous profiles to exact lotteries.
+    """Total map from anonymous profiles to exact lotteries, stored only as the
+    integer view that `_scaled` returns; never mutated after construction."""
 
-    Tables are never mutated after construction, so the integer-scaled view
-    that `_scaled` caches stays valid.
-    """
-
-    __slots__ = ("m", "n", "names", "table", "_view")
+    __slots__ = ("m", "n", "names", "_view")
 
     def __init__(self, m: int, n: int, table: dict[AnonKey, Lottery], names=None):
         if m < 1 or n < 1:
@@ -114,46 +135,47 @@ class RuleTable:
         self.names = tuple(names) if names is not None else candidate_names(m)
         if len(self.names) != m or len(set(self.names)) != m:
             raise ValidationError(f"need {m} distinct candidate names, got {self.names!r}")
-        checked: dict[AnonKey, Lottery] = {}
+        scaled = type(table) is _Scaled
+        view: dict[AnonKey, tuple[tuple[int, ...], int]] = {}
         for key in enumerate_profiles(m, n, anonymous=True):
             if key not in table:
                 raise ValidationError(f"rule table is missing profile {key}")
-            checked[key] = validate_lottery(m, table[key])
-        if len(table) != len(checked):
-            extra = sorted(set(table) - set(checked))[0]
+            view[key] = _checked(m, table[key] if scaled else _scaled_lottery(table[key]))
+        if len(table) != len(view):
+            extra = sorted(set(table) - set(view))[0]
             raise ValidationError(f"rule table lists unknown profile {extra}")
-        self.table = checked
-        self._view = None
+        self._view = view
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RuleTable)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.table == other.table
-        )
+    def __eq__(self, other):  # the views are canonical
+        return isinstance(other, RuleTable) and (self.m, self.n, self._view) == (
+            other.m, other.n, other._view)
 
     def __repr__(self):
-        return f"RuleTable(m={self.m}, n={self.n}, profiles={len(self.table)})"
+        return f"RuleTable(m={self.m}, n={self.n}, profiles={len(self._view)})"
 
     def keys(self):
-        return self.table.keys()
+        return self._view.keys()
+
+    @property
+    def table(self) -> dict[AnonKey, Lottery]:
+        """The lotteries as Fractions, built afresh on each read; the table keeps none."""
+        return {key: self.lottery_at(key) for key in self._view}
 
     def _scaled(self) -> dict[AnonKey, tuple[tuple[int, ...], int]]:
-        """{key: (nums, den)}, the lottery at key as integers over a common
-        denominator; built on the first call and cached."""
-        if self._view is None:
-            self._view = {key: _scaled_lottery(lot) for key, lot in self.table.items()}
+        """{key: (nums, den)} in enumeration order: the lottery at key is nums / den."""
         return self._view
 
     def lottery_at(self, key: AnonKey) -> Lottery:
-        return self.table[key]
+        nums, den = self._view[key]
+        return tuple(Fraction(num, den) for num in nums)
 
     def prob_at(self, key: AnonKey, x: int) -> Fraction:
-        return self.table[key][x]
+        nums, den = self._view[key]
+        return Fraction(nums[x], den)
 
     def lottery(self, profile: Profile) -> Lottery:
         self._check_profile(profile)
-        return self.table[canonicalize(profile)]
+        return self.lottery_at(canonicalize(profile))
 
     def prob(self, profile: Profile, x: int) -> Fraction:
         """Selection probability of candidate x on a (possibly ordered) profile."""
@@ -163,9 +185,7 @@ class RuleTable:
 
     def _check_profile(self, profile: Profile):
         if len(profile) != self.n or any(len(o) != self.m for o in profile):
-            raise DomainError(
-                f"profile shape does not match rule dimensions (m={self.m}, n={self.n})"
-            )
+            raise DomainError(f"profile shape does not match rule dimensions (m={self.m}, n={self.n})")
 
 
 # -- Built-in rules ----------------------------------------------------------
@@ -262,11 +282,8 @@ def mixture(rules: list[RuleTable], weights) -> RuleTable:
     for v in rules[1:]:
         if (v.m, v.n) != (m, n):
             raise DomainError("mixture requires rules with identical dimensions")
-    table = {}
-    for key in rules[0].keys():
-        table[key] = tuple(
-            sum((q * v.prob_at(key, x) for q, v in zip(w, rules)), ZERO) for x in range(m)
-        )
+    table = {key: tuple(sum((q * v.prob_at(key, x) for q, v in zip(w, rules)), ZERO)
+                        for x in range(m)) for key in rules[0].keys()}
     return RuleTable(m, n, table, rules[0].names)
 
 
@@ -279,16 +296,18 @@ def closeness(v: RuleTable, w: RuleTable) -> Fraction:
 
 
 def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
-    """Move each lottery toward a seeded pseudo-random lottery by factor delta."""
+    """Move each lottery toward a seeded pseudo-random lottery w / total by factor
+    delta = a/b: entry x is ((b-a)·nums[x]·total + a·w[x]·den) / (b·den·total), reduced
+    by one gcd over the lottery, so the view stays canonical."""
     delta = checked_unit(delta, "delta")
+    a, b = delta.numerator, delta.denominator
     rng = random.Random(seed)
-    table = {}
-    for key in sorted(v.keys()):
+    table = _Scaled()
+    for key, (nums, den) in sorted(v._scaled().items()):
         weights = [rng.randrange(1, 1001) for _ in range(v.m)]
         total = sum(weights)
-        noise = [Fraction(wt, total) for wt in weights]
-        lot = v.lottery_at(key)
-        table[key] = tuple((1 - delta) * lot[x] + delta * noise[x] for x in range(v.m))
+        mixed = [(b - a) * num * total + a * wt * den for num, wt in zip(nums, weights)]
+        table[key] = _canonical(mixed, b * den * total)
     return RuleTable(v.m, v.n, table, v.names)
 
 
@@ -303,11 +322,7 @@ class StructureVerdict:
 
 
 def is_deterministic(v: RuleTable) -> bool:
-    return all(max(lot) == 1 for lot in v.table.values())
-
-
-def _winner(lot: Lottery) -> int:
-    return lot.index(ONE)
+    return all(den in nums for nums, den in v._scaled().values())
 
 
 def is_dictatorial_deterministic(v: RuleTable) -> StructureVerdict:
@@ -321,34 +336,27 @@ def is_dictatorial_deterministic(v: RuleTable) -> StructureVerdict:
     counterexamples: dict[int, Profile] = {}
     for i in range(v.n):
         for profile in enumerate_profiles(v.m, v.n):
-            if _winner(v.lottery(profile)) != profile[i][0]:
+            if v.lottery(profile).index(ONE) != profile[i][0]:
                 counterexamples[i] = profile
                 break
         else:
             return StructureVerdict(True, f"voter {i} always gets her top choice", {"voter": i})
-    return StructureVerdict(
-        False,
-        "every voter index has a profile where the winner is not her top choice",
-        {"counterexamples": counterexamples},
-    )
+    return StructureVerdict(False, "every voter index has a profile where the winner is not "
+                            "her top choice", {"counterexamples": counterexamples})
 
 
 def is_duple(v: RuleTable) -> StructureVerdict:
     """Is all probability mass confined to one fixed pair of candidates?"""
     seen: dict[int, AnonKey] = {}
-    for key in v.keys():
-        lot = v.lottery_at(key)
+    for key, (nums, _) in v._scaled().items():
         for x in range(v.m):
-            if lot[x] > 0 and x not in seen:
+            if nums[x] > 0 and x not in seen:
                 seen[x] = key
     support = sorted(seen)
     if len(support) <= 2:
         return StructureVerdict(True, f"support is {support}", {"pair": tuple(support)})
-    return StructureVerdict(
-        False,
-        f"support {support} has more than two candidates",
-        {"support": support, "examples": seen},
-    )
+    return StructureVerdict(False, f"support {support} has more than two candidates",
+                            {"support": support, "examples": seen})
 
 
 # -- Utility functions --------------------------------------------------------
@@ -384,24 +392,31 @@ def upper_set_utility(ordering: Ordering, k: int, rho: Fraction) -> tuple[Fracti
 
 def rule_to_json_obj(v: RuleTable) -> dict:
     entries = []
-    for key in sorted(v.keys()):
-        lot = v.lottery_at(key)
-        check_printable(*lot)
-        entries.append({"profile": format_key(key, v.names), "lottery": [str(p) for p in lot]})
+    for key, (nums, den) in sorted(v._scaled().items()):
+        pairs = [(num // g, den // g) for num in nums for g in (math.gcd(num, den),)]
+        check_printable(*itertools.chain.from_iterable(pairs))
+        entries.append({"profile": format_key(key, v.names),
+                        "lottery": [f"{p}/{q}" if q != 1 else str(p) for p, q in pairs]})
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
 
 
-def _parse_rational(text: str | int) -> Fraction:
-    """Fraction(text), reading plain ASCII [-]digits[/digits] without its regex.
-
-    Everything else goes to Fraction(text), so each accepted value and each
-    error (zero denominators and the int digit limit included) is the same.
-    """
+def _parse_pair(text: str | int) -> tuple[int, int] | None:
+    """(p, q), not reduced, with p / q == Fraction(text) for plain ASCII [-]digits[/digits]
+    and q != 0; None for every other text.  int() raises Fraction's error past the digit
+    limit, so a pair it returns always prints."""
     if type(text) is str and text.isascii():
         num, slash, den = text.partition("/")
         if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-            return Fraction(int(num), int(den) if slash else 1)
-    return Fraction(text)
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+    return None
+
+
+def _parse_rational(text: str | int) -> Fraction:
+    """Fraction(text), with the same value or error, read as the loader reads it."""
+    pair = _parse_pair(text)
+    return Fraction(text) if pair is None else Fraction(*pair)
 
 
 def rule_from_json_obj(obj: dict) -> RuleTable:
@@ -420,18 +435,13 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if len(names) != m:
         raise ValidationError(f"expected {m} candidate names, got {len(names)}")
-    table: dict[AnonKey, Lottery] = {}
+    table = _Scaled()
     parsed: dict[str, Ordering] = {}  # each distinct ordering string, parsed once
     for entry in entries:
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("profile"), list)
-            and isinstance(entry.get("lottery"), list)
-        ):
-            raise ValidationError(
-                f"malformed rule entry {entry!r}: need an object with list-valued "
-                "'profile' and 'lottery'"
-            )
+        if not (isinstance(entry, dict) and isinstance(entry.get("profile"), list)
+                and isinstance(entry.get("lottery"), list)):
+            raise ValidationError(f"malformed rule entry {entry!r}: need an object with "
+                                  "list-valued 'profile' and 'lottery'")
         for item in entry["profile"]:
             if type(item) is not str:
                 raise ValidationError(f"profile item {item!r} is not an ordering string")
@@ -447,13 +457,19 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         key = canonicalize(profile)
         if key in table:
             raise ValidationError(f"duplicate entry for profile {entry['profile']}")
+        pairs, others = [], []  # others: the entries only Fraction(text) reads
         try:
-            lot = tuple(map(_parse_rational, entry["lottery"]))
+            for text in entry["lottery"]:
+                pair = _parse_pair(text)
+                if pair is None:
+                    others.append(Fraction(text))
+                    pair = others[-1].as_integer_ratio()
+                pairs.append(pair)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational in lottery: {exc}") from None
-        if not within_digit_limit(*lot):
+        if not within_digit_limit(*others):
             raise ValidationError("lottery entry has more digits than Python will print")
-        table[key] = lot
+        table[key] = _scaled_pairs(pairs)
     return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum
 
 
@@ -463,12 +479,12 @@ def write_json(path: str, obj) -> None:
     The text goes to path + ".tmp" first; a failed write or replace deletes
     that file again and re-raises.
     """
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     tmp = f"{path}.tmp"
     fh = open(tmp, "w")
     try:
         with fh:
-            fh.write(text)
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -367,22 +367,28 @@ def test_validate_lottery_matches_fraction_reference(m, probs):
         assert got == want and all(type(p) is F for p in got)
 
 
-# -- The lazy view ---------------------------------------------------------------------------
+# -- One view per table -----------------------------------------------------------------
 
 
-def test_view_is_built_only_when_a_meter_asks(tmp_path):
+def test_tables_hold_one_view_in_enumeration_order(tmp_path):
     path = str(tmp_path / "rd.json")
-    v = random_dictatorship(3, 3)
-    save_rule(v, path)
+    keys = list(itertools.combinations_with_replacement(range(6), 2))  # enumeration order
+    shares = {key: F(sum(r % 2 for r in key), 2) for key in keys}
+    lotteries = {key: (share, 1 - share, ZERO) for key, share in shares.items()}
+    built = RuleTable(3, 2, lotteries)
+    save_rule(built, path)
     loaded = load_rule(path)
-    perturbed = perturb(v, F(1, 10), seed=1)
-    for table in (v, loaded, perturbed):
-        assert table._view is None
-    min_eps_pareto(loaded)
-    assert loaded._view is not None
-    assert v._view is None and perturbed._view is None
-    check_classic_sp(perturbed)
-    assert perturbed._view is not None
+    perturbed = perturb(built, F(1, 10), seed=1)
+    # the view is the only thing a table stores: ints only, no Fraction dict
+    assert set(RuleTable.__slots__) == {"m", "n", "names", "_view"}
+    for table in (built, loaded, perturbed):
+        assert list(table._scaled()) == keys
+        assert table._scaled() is table._view is table._scaled()
+        assert all(type(a) is int for nums, den in table._view.values() for a in (*nums, den))
+        # .table builds Fractions when read, and keeps none
+        assert table.table is not table.table
+        assert all(type(p) is F for lot in table.table.values() for p in lot)
+    assert built.table == lotteries == loaded.table
 
 
 def test_view_is_exact_and_canonical(tmp_path):
