@@ -8,17 +8,18 @@ pairwise isolated, tops-only, ...) holds.
 The meters read each lottery as integers over a common denominator (the
 table's `_scaled` view, the only form a table stores), so every difference
 is an integer pair and every comparison a cross-multiplication; a Fraction
-is built only for the reported value.  The swap meters and the top-count
-meters take that view as a list in enumeration order and index it through
-`prefs.profile_walk`, so a swapped or completed profile is a table lookup,
-not a sorted tuple.  `replay_report` reads Fractions built from the same
-view, sorts its own profiles and computes in Fractions, so it checks the
-meters' integer arithmetic and indexing, not the view itself.
+is built only for the reported value.  Each linear axiom has one generator
+(`responsive_pairs`, `isolation_groups`, `unanimous_profiles`) yielding
+profile indices in enumeration order, as `prefs.profile_walk` numbers them:
+its meter reads lottery i of the view, and `polytope.build_polytope` names
+variable (i, x), from the same items.  The top-count meters index the same
+walk.  `replay_report` checks every witness field it reads, sorts its own
+profiles and computes in Fractions, so it checks the meters' integer
+arithmetic and indexing, not the view itself.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,79 +108,57 @@ def _spread(lo, hi) -> tuple[int, int]:
 # -- Linear axioms: one generator each, shared with polytope.build_polytope ------
 
 
-def unanimous_profiles(m: int, n: int, x: int):
-    """Anonymous profiles in which every voter ranks x first (v(key, x) >= 1 - eps)."""
-    ranks = [r for r, o in enumerate(enumerate_orderings(m)) if o[0] == x]
-    return itertools.combinations_with_replacement(ranks, n)
+def unanimous_profiles(m: int, n: int, x: int) -> list[int]:
+    """Ascending indices of the profiles in which every voter ranks x first
+    (v(i, x) >= 1 - eps)."""
+    _, _, top_counts = profile_walk(m, n)
+    return [i for i, counts in enumerate(top_counts) if counts[x] == n]
 
 
-def _swap_pairs(m: int, n: int, keys):
-    """Yields (i, i2, r, p) in responsive_pairs order: a voter with ordering rank
-    r in keys[i] swaps positions p and p+1, giving keys[i2], and i < i2.
-
-    keys are the anonymous profiles in enumeration order, so an index order is
-    the key order, and keys[i2] is read from the profile walk, not sorted.
+def responsive_pairs(m: int, n: int):
+    """Yields (i, i2, r, p, zs): a voter with ordering rank r in profile i swaps
+    positions p and p+1, giving profile i2; each bystander z in zs (ascending)
+    keeps v(i, z) = v(i2, z).  Each swap comes once, from the side with i < i2,
+    and i2 is read from the profile walk, not sorted.
     """
+    orderings = enumerate_orderings(m)
+    swaps = adjacent_swaps(m)
     contexts, at, _ = profile_walk(m, n)
     context_index = {others: c for c, others in enumerate(contexts)}
-    swaps = adjacent_swaps(m)
-    for i, key in enumerate(keys):
+    bystanders = [[tuple(z for z in range(m) if z != o[p] and z != o[p + 1])
+                   for p in range(m - 1)] for o in orderings]
+    for i, key in enumerate(enumerate_profiles(m, n, anonymous=True)):
         for r in set(key):
             j = key.index(r)
             row = at[context_index[key[:j] + key[j + 1:]]]
             for p, r2 in enumerate(swaps[r]):
-                if row[r2] > i:  # else the mirror swap already yielded it from keys[row[r2]]
-                    yield i, row[r2], r, p
+                if row[r2] > i:  # else the mirror swap already yielded it from profile row[r2]
+                    yield i, row[r2], r, p, bystanders[r][p]
 
 
-def responsive_pairs(m: int, n: int):
-    """Yields (key, key2, r, p, z): a voter with ordering rank r in key swaps
-    positions p and p+1, giving key2; bystander z keeps v(key, z) = v(key2, z).
-    Each triple comes once, from the side with key < key2.
-    """
-    orderings = enumerate_orderings(m)
-    keys = list(enumerate_profiles(m, n, anonymous=True))
-    for i, i2, r, p in _swap_pairs(m, n, keys):
-        o = orderings[r]
-        for z in range(m):
-            if z != o[p] and z != o[p + 1]:
-                yield keys[i], keys[i2], r, p, z
-
-
-def _isolation_classes(m: int, n: int):
-    """Yields (r, p, groups) in isolation_groups order: groups maps each count c
-    to the indices of its contexts in the contexts of profile_walk(m, n).
+def isolation_groups(m: int, n: int):
+    """Yields (r, p, r2, y, groups): the voter with ordering rank r raises
+    y = o[p+1] above x = o[p], becoming rank r2.  groups maps each count c, how
+    many of the other voters rank x above y, to the indices of those contexts
+    in profile_walk(m, n); context k takes profile at[k][r] to at[k][r2], and
+    v(at[k][r2], y) - v(at[k][r], y) is constant within a group.
 
     The groups depend on the swap only through its pair (x, y), so the
     contexts are counted once per pair, not once per swap.
     """
     orderings = enumerate_orderings(m)
+    swaps = adjacent_swaps(m)
     contexts, _, _ = profile_walk(m, n)
     classes: dict[tuple[int, int], dict[int, list[int]]] = {}
     for r, o in enumerate(orderings):
-        for p in range(m - 1):
+        for p, r2 in enumerate(swaps[r]):
             pair = o[p], o[p + 1]
             if pair not in classes:
                 x_above_y = [q.index(pair[0]) < q.index(pair[1]) for q in orderings].__getitem__
                 groups = classes[pair] = defaultdict(list)
-                for i, others in enumerate(contexts):
-                    groups[sum(map(x_above_y, others))].append(i)
-            yield r, p, classes[pair]
-
-
-def isolation_groups(m: int, n: int):
-    """Yields (r, p, c, [(others, before, after), ...]): the voter with ordering
-    rank r raises y = o[p+1] above x = o[p]; the other voters are grouped by c,
-    how many of them rank x above y; v(after, y) - v(before, y) is constant
-    within a group.
-    """
-    swaps = adjacent_swaps(m)
-    contexts, at, _ = profile_walk(m, n)
-    keys = list(enumerate_profiles(m, n, anonymous=True))
-    for r, p, groups in _isolation_classes(m, n):
-        r2 = swaps[r][p]
-        for c, members in groups.items():
-            yield r, p, c, [(contexts[i], keys[at[i][r]], keys[at[i][r2]]) for i in members]
+                for k, others in enumerate(contexts):
+                    groups[sum(map(x_above_y, others))].append(k)
+            yield r, p, r2, pair[1], classes[pair]
 
 
 # -- Efficiency and unanimity ---------------------------------------------------
@@ -206,32 +185,34 @@ def min_eps_pareto(v: RuleTable) -> AxiomReport:
     return _worst("pareto", ("profile", "dominator", "dominated"), dominated())
 
 
-def _unanimity_gaps(v: RuleTable, x: int):
-    """(num, den, key) with num/den = 1 - v(key, x), over unanimous_profiles(x)."""
+def _unanimity_gaps(v: RuleTable) -> list[list[tuple[int, int, AnonKey]]]:
+    """Per candidate x, [(num, den, key)] with num/den = 1 - v(key, x), over
+    unanimous_profiles(x) in ascending order."""
     view = v._scaled()
-    for key in unanimous_profiles(v.m, v.n, x):
-        nums, den = view[key]
-        yield den - nums[x], den, key
+    keys, lots = list(view), list(view.values())
+    return [[(lots[i][1] - lots[i][0][x], lots[i][1], keys[i])
+             for i in unanimous_profiles(v.m, v.n, x)] for x in range(v.m)]
 
 
 def min_eps_strong_unanimity(v: RuleTable) -> AxiomReport:
     return _worst("strong-unanimity", ("profile", "x"), (
-        (*gap, x) for x in range(v.m) for gap in _unanimity_gaps(v, x)
+        (*gap, x) for x, gaps in enumerate(_unanimity_gaps(v)) for gap in gaps
     ))
 
 
 def min_eps_weak_unanimity(v: RuleTable) -> AxiomReport:
     """Strong unanimity on the profiles whose voters all cast one ordering."""
     return _worst("weak-unanimity", ("profile", "x"), (
-        (*gap, x) for x in range(v.m) for gap in _unanimity_gaps(v, x) if len(set(gap[2])) == 1
+        (*gap, x) for x, gaps in enumerate(_unanimity_gaps(v))
+        for gap in gaps if len(set(gap[2])) == 1
     ))
 
 
 def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
-    # unanimous_profiles yields keys in ascending order, so the first minimum
-    # is the minimum by (value, key)
+    # the gaps come in ascending key order, so the first minimum is the
+    # minimum by (value, key)
     return _worst("super-weak-unanimity", ("profile", "x"), (
-        (*_extremes(_unanimity_gaps(v, x))[0], x) for x in range(v.m)
+        (*_extremes(gaps)[0], x) for x, gaps in enumerate(_unanimity_gaps(v))
     ))
 
 
@@ -240,19 +221,17 @@ def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
 
 def responsiveness_deviation(v: RuleTable) -> AxiomReport:
     """How much an adjacent swap can move a bystander candidate's probability."""
-    bystanders = [[tuple(z for z in range(v.m) if z != o[p] and z != o[p + 1])
-                   for p in range(v.m - 1)] for o in enumerate_orderings(v.m)]
     view = v._scaled()
     keys, lots = list(view), list(view.values())
 
     def gaps():
         # One item per swap, its first largest bystander gap: the same first
         # strictly largest item as one item per bystander, with fewer items.
-        for i, i2, r, p in _swap_pairs(v.m, v.n, keys):
+        for i, i2, r, p, zs in responsive_pairs(v.m, v.n):
             a, da = lots[i]
             b, db = lots[i2]
             gap = 0
-            for z in bystanders[r][p]:
+            for z in zs:
                 diff = abs(b[z] * da - a[z] * db)
                 if diff > gap:
                     gap, worst = diff, z
@@ -265,20 +244,17 @@ def responsiveness_deviation(v: RuleTable) -> AxiomReport:
 
 def isolation_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the raised candidate's probability change across matched contexts."""
-    orderings = enumerate_orderings(v.m)
-    swaps = adjacent_swaps(v.m)
     contexts, at, _ = profile_walk(v.m, v.n)
     lots = list(v._scaled().values())
-    # column[r][i]: the lottery of context i completed by a voter of rank r
-    column = [[lots[row[r]] for row in at] for r in range(len(orderings))]
+    # column[r][k]: the lottery of context k completed by a voter of rank r
+    column = [[lots[row[r]] for row in at] for r in range(len(at[0]))]
 
     def spreads():
-        for r, p, groups in _isolation_classes(v.m, v.n):
-            y = orderings[r][p + 1]
+        for r, p, r2, y, groups in isolation_groups(v.m, v.n):
             deltas = [(a[y] * db - b[y] * da, da * db)
-                      for (a, da), (b, db) in zip(column[swaps[r][p]], column[r])]
+                      for (a, da), (b, db) in zip(column[r2], column[r])]
             for c, members in groups.items():
-                lo, hi = _extremes((*deltas[i], i) for i in members)
+                lo, hi = _extremes((*deltas[k], k) for k in members)
                 yield *_spread(lo, hi), r, p, c, contexts[hi[2]], contexts[lo[2]]
 
     fields = ("acting_rank", "pos", "pair_count", "others", "others_2")
@@ -439,46 +415,76 @@ def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
 
 
 def replay_report(v: RuleTable, report: AxiomReport) -> Fraction:
-    """Recompute a report's value from its witness alone."""
+    """Recompute a report's value from its witness alone.  Each field it reads
+    is checked first, so a missing or out-of-range one raises DomainError."""
     w = report.witness
     if w is None:
         return ZERO
-    name = report.axiom
+    name, m, n = report.axiom, v.m, v.n
     if name == "pareto":
-        return v.prob_at(w["profile"], w["dominated"])
+        return v.prob_at(_profile(v, w, "profile"), _field(w, "dominated", m))
     if name in ("strong-unanimity", "weak-unanimity", "super-weak-unanimity"):
-        return 1 - v.prob_at(w["profile"], w["x"])
+        return 1 - v.prob_at(_profile(v, w, "profile"), _field(w, "x", m))
     if name == "responsiveness":
-        return abs(v.prob_at(w["swapped_profile"], w["z"]) - v.prob_at(w["profile"], w["z"]))
+        z = _field(w, "z", m)
+        return abs(v.prob_at(_profile(v, w, "swapped_profile"), z)
+                   - v.prob_at(_profile(v, w, "profile"), z))
     if name == "isolation":
-        return abs(_raise_delta(v, w["acting_rank"], w["pos"], w["others"])
-                   - _raise_delta(v, w["acting_rank"], w["pos"], w["others_2"]))
+        return abs(_raise_delta(v, w, "others") - _raise_delta(v, w, "others_2"))
     if name in ("tops-only", "times-at-top"):
-        return abs(v.prob_at(w["profile"], w["x"]) - v.prob_at(w["profile_2"], w["x"]))
+        x = _field(w, "x", m)
+        return abs(v.prob_at(_profile(v, w, "profile"), x)
+                   - v.prob_at(_profile(v, w, "profile_2"), x))
     if name == "candidate-anonymity":
+        x, y, j = _field(w, "x", m), _field(w, "y", m), _field(w, "j", n + 1)
         vp = vprime_table(v)
-        return abs(vp[(w["x"], w["j"])] - vp[(w["y"], w["j"])])
+        return abs(vp[(x, j)] - vp[(y, j)])
     if name == "sliding-window":
+        x, length = _field(w, "x", m), _field(w, "l", n + 1)
+        j, jp = _field(w, "j", n - length + 1), _field(w, "jp", n - length + 1)
         vp = vprime_table(v)
-        x, j, jp, length = w["x"], w["j"], w["jp"], w["l"]
         return abs((vp[(x, j + length)] - vp[(x, j)]) - (vp[(x, jp + length)] - vp[(x, jp)]))
     if name == "distance":  # random dictatorship: the share of voters with x on top
-        tops = _tops(v.m)
-        share = Fraction(sum(1 for r in w["profile"] if tops[r] == w["x"]), v.n)
-        return abs(v.prob_at(w["profile"], w["x"]) - share)
+        key, x = _profile(v, w, "profile"), _field(w, "x", m)
+        tops = _tops(m)
+        return abs(v.prob_at(key, x) - Fraction(sum(1 for r in key if tops[r] == x), n))
     if name == "table-vs-canonical":
-        vp = vprime_table(v)
-        return abs(v.prob_at(w["profile"], w["x"]) - vp[(w["x"], w["j"])])
+        key, x, j = _profile(v, w, "profile"), _field(w, "x", m), _field(w, "j", n + 1)
+        return abs(v.prob_at(key, x) - vprime_table(v)[(x, j)])
     if name == "canonical-vs-linear":
-        vp = vprime_table(v)
-        return abs(vp[(w["x"], w["j"])] - Fraction(w["j"], v.n))
+        x, j = _field(w, "x", m), _field(w, "j", n + 1)
+        return abs(vprime_table(v)[(x, j)] - Fraction(j, n))
     raise DomainError(f"unknown axiom report {name!r}")
 
 
-def _raise_delta(v: RuleTable, r: int, p: int, others: AnonKey) -> Fraction:
+def _field(w: dict, field: str, bound: int | None = None):
+    """w[field]; given a bound, checked to be an int in range(bound)."""
+    if field not in w:
+        raise DomainError(f"witness has no field {field!r}")
+    value = w[field]
+    if bound is not None and not (type(value) is int and 0 <= value < bound):
+        raise DomainError(f"witness field {field!r} = {value!r} is outside range({bound})")
+    return value
+
+
+def _profile(v: RuleTable, w: dict, field: str, voter: tuple[int, ...] = ()) -> AnonKey:
+    """w[field], checked to be a profile of v; given a voter, the profile that
+    the context w[field] makes with that voter added."""
+    key = _field(w, field)
+    if type(key) is tuple and all(type(r) is int for r in key):
+        key = tuple(sorted(key + voter)) if voter else key
+        if key in v._scaled():
+            return key
+    raise DomainError(f"witness field {field!r} = {w[field]!r} does not name a profile "
+                      f"of the table{' with one more voter' if voter else ''}")
+
+
+def _raise_delta(v: RuleTable, w: dict, others: str) -> Fraction:
+    r = _field(w, "acting_rank", len(enumerate_orderings(v.m)))
+    p = _field(w, "pos", v.m - 1)
     y = enumerate_orderings(v.m)[r][p + 1]
-    before = tuple(sorted(others + (r,)))
-    after = tuple(sorted(others + (adjacent_swaps(v.m)[r][p],)))
+    before = _profile(v, w, others, (r,))
+    after = _profile(v, w, others, (adjacent_swaps(v.m)[r][p],))
     return v.prob_at(after, y) - v.prob_at(before, y)
 
 

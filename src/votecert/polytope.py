@@ -6,7 +6,7 @@ Variables are the lottery entries of an anonymous rule table, indexed by
 isolation are equality constraints; eps-strong unanimity gives inequality
 constraints; lottery normalization and nonnegativity are always present.
 The rows are emitted from the same generators in `axioms` that drive the
-deviation meters, so each axiom is enumerated in one place.
+deviation meters, as profile indices, so each axiom is enumerated in one place.
 
 `max_distance` maximizes +/-(v(x, P) - j/n) over the polytope, one linear
 objective per (profile, candidate, sign).  Equalities are folded away by
@@ -71,9 +71,8 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
         raise DomainError(f"polytope construction needs m >= 2, got m={m}")
     eps = checked_unit(eps, "eps")
     parts = normalize_parts(parts)
-    keys = list(enumerate_profiles(m, n, anonymous=True))
-    key_index = {k: i for i, k in enumerate(keys)}
-    nvars = len(keys) * m
+    _, at, top_counts = profile_walk(m, n)
+    nvars = len(top_counts) * m
 
     rows: list[Constraint] = []
     seen: set[Constraint] = set()
@@ -85,37 +84,34 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
             seen.add(row)
             rows.append(row)
 
-    def var(key: AnonKey, x: int) -> int:
-        return _var(key_index[key], x, m)
-
-    for k in range(len(keys)):
+    for k in range(len(top_counts)):
         add({_var(k, x, m): ONE for x in range(m)}, REL_EQ, ONE)
 
     if "responsive" in parts:
-        for key, key2, _r, _p, z in responsive_pairs(m, n):
-            lo, hi = sorted((var(key, z), var(key2, z)))
-            add({lo: ONE, hi: -ONE}, REL_EQ, ZERO)
+        for i, i2, _r, _p, zs in responsive_pairs(m, n):
+            for z in zs:
+                add({_var(i, z, m): ONE, _var(i2, z, m): -ONE}, REL_EQ, ZERO)
 
     if "isolated" in parts:
-        orderings = enumerate_orderings(m)
-        for r, p, _c, members in isolation_groups(m, n):
-            y = orderings[r][p + 1]
-            for (_, b1, a1), (_, b2, a2) in zip(members, members[1:]):
-                coeffs: dict[int, Fraction] = defaultdict(lambda: ZERO)
-                for key, a in ((a1, ONE), (b1, -ONE), (a2, -ONE), (b2, ONE)):
-                    coeffs[var(key, y)] += a
-                add(coeffs, REL_EQ, ZERO)
+        for r, _p, r2, y, groups in isolation_groups(m, n):
+            for members in groups.values():
+                for k1, k2 in zip(members, members[1:]):
+                    coeffs: dict[int, Fraction] = defaultdict(lambda: ZERO)
+                    for k, a in ((k1, ONE), (k2, -ONE)):  # a * (v(after, y) - v(before, y))
+                        coeffs[_var(at[k][r2], y, m)] += a
+                        coeffs[_var(at[k][r], y, m)] -= a
+                    add(coeffs, REL_EQ, ZERO)
 
     if "unanimity" in parts:
         for x in range(m):
-            for key in unanimous_profiles(m, n, x):
+            for i in unanimous_profiles(m, n, x):
                 if eps == 0:
-                    add({var(key, x): ONE}, REL_EQ, ONE)
+                    add({_var(i, x, m): ONE}, REL_EQ, ONE)
                     for y in range(m):
                         if y != x:
-                            add({var(key, y): ONE}, REL_EQ, ZERO)
+                            add({_var(i, y, m): ONE}, REL_EQ, ZERO)
                 else:
-                    add({var(key, x): ONE}, REL_GE, 1 - eps)
+                    add({_var(i, x, m): ONE}, REL_GE, 1 - eps)
 
     return LinearProgram(n_vars=nvars, objective=tuple([ZERO] * nvars), constraints=tuple(rows))
 
@@ -235,7 +231,8 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
                 seen_pairs |= reps[k, x]
 
     solved = []  # (value, rep, sign, t) in solve order
-    for rep in reps:
+    per_objective = []  # one value per orbit member, sorted below by its unique key
+    for rep, orbit in reps.items():
         k, x = rep
         for sign in (1, -1):
             obj = [sign * N[_var(k, x, m)].get(i, ZERO) for i in range(d)]
@@ -243,19 +240,12 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
             if not dual_certifies(G, h, obj, value, simplex.dual, scaled):
                 raise InternalError(f"the simplex dual does not certify the optimum {value}")
             solved.append((value, rep, sign, t))
-    rep_values = {(rep, sign): value for value, rep, sign, _t in solved}
+            per_objective += [ObjectiveValue(keys[ok], ox, sign, value) for ok, ox in orbit]
+    per_objective.sort(key=lambda o: (o.profile, o.candidate, -o.sign))
 
     # max keeps the first of equal optima, so the witness follows solve order.
     d_star, (bk, bx), bsign, bt = max(solved, key=lambda s: s[0])
     witness = _table_from_t(m, n, keys, x0, N, bt)
-
-    per_objective = []
-    for rep, orbit in reps.items():
-        for sign in (1, -1):
-            value = rep_values[(rep, sign)]
-            for k, x in orbit:
-                per_objective.append(ObjectiveValue(keys[k], x, sign, value))
-    per_objective.sort(key=lambda o: (o.profile, o.candidate, -o.sign))
 
     uniq = []
     if keep_witnesses:

@@ -303,7 +303,7 @@ def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
     a, b = delta.numerator, delta.denominator
     rng = random.Random(seed)
     table = _Scaled()
-    for key, (nums, den) in sorted(v._scaled().items()):
+    for key, (nums, den) in v._scaled().items():
         weights = [rng.randrange(1, 1001) for _ in range(v.m)]
         total = sum(weights)
         mixed = [(b - a) * num * total + a * wt * den for num, wt in zip(nums, weights)]
@@ -392,7 +392,7 @@ def upper_set_utility(ordering: Ordering, k: int, rho: Fraction) -> tuple[Fracti
 
 def rule_to_json_obj(v: RuleTable) -> dict:
     entries = []
-    for key, (nums, den) in sorted(v._scaled().items()):
+    for key, (nums, den) in v._scaled().items():
         pairs = [(num // g, den // g) for num in nums for g in (math.gcd(num, den),)]
         check_printable(*itertools.chain.from_iterable(pairs))
         entries.append({"profile": format_key(key, v.names),
@@ -411,12 +411,6 @@ def _parse_pair(text: str | int) -> tuple[int, int] | None:
             if q:
                 return int(num), q
     return None
-
-
-def _parse_rational(text: str | int) -> Fraction:
-    """Fraction(text), with the same value or error, read as the loader reads it."""
-    pair = _parse_pair(text)
-    return Fraction(text) if pair is None else Fraction(*pair)
 
 
 def rule_from_json_obj(obj: dict) -> RuleTable:

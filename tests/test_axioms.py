@@ -14,6 +14,7 @@ import pytest
 
 from votecert.axioms import (
     AXIOM_NAMES,
+    AxiomReport,
     candidate_anonymity_deviation,
     canonical_profile,
     distance_to_random_dictatorship,
@@ -33,7 +34,13 @@ from votecert.axioms import (
     vprime_table,
 )
 from votecert.errors import DomainError
-from votecert.prefs import adjacent_swaps, canonicalize, enumerate_orderings, enumerate_profiles
+from votecert.prefs import (
+    adjacent_swaps,
+    canonicalize,
+    enumerate_orderings,
+    enumerate_profiles,
+    profile_walk,
+)
 from votecert.rules import (
     RuleTable,
     mixture,
@@ -375,9 +382,75 @@ def _isolation_groups_per_swap(m, n):
                 after = tuple(sorted(others + (r2,)))
                 groups[c].append((others, before, after))
             for c, members in groups.items():
-                yield r, p, c, members
+                yield r, p, r2, y, c, members
 
 
 @pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (4, 2)])
 def test_isolation_groups_match_the_per_swap_generator(m, n):
-    assert list(isolation_groups(m, n)) == list(_isolation_groups_per_swap(m, n))
+    # the generator yields context indices; read them back as the tuples above
+    keys = list(enumerate_profiles(m, n, anonymous=True))
+    contexts, at, _ = profile_walk(m, n)
+    got = [(r, p, r2, y, c, [(contexts[k], keys[at[k][r]], keys[at[k][r2]]) for k in members])
+           for r, p, r2, y, groups in isolation_groups(m, n) for c, members in groups.items()]
+    assert got == list(_isolation_groups_per_swap(m, n))
+
+
+# -- the replay reads no field from a wrong place ------------------------------------
+#
+# On this rule every report has a witness.  Each case sets one witness field to
+# a value the replay must refuse; before the check, a negative index read
+# another candidate, position or canonical entry and returned its value.
+
+REPLAY_RULE = perturb(random_dictatorship(3, 2), F(1, 5), 1)
+
+BAD_FIELDS = {
+    "candidate x below range": ("strong-unanimity", "x", -1),
+    "candidate dominated below range": ("pareto", "dominated", -3),
+    "candidate z past m": ("responsiveness", "z", 3),
+    "candidate y past m": ("candidate-anonymity", "y", 3),
+    "candidate as bool": ("distance", "x", True),
+    "acting rank past m!": ("isolation", "acting_rank", 6),
+    "acting rank below range": ("isolation", "acting_rank", -1),
+    "pos below range": ("isolation", "pos", -1),
+    "pos past m - 2": ("isolation", "pos", 2),
+    "j below 0": ("canonical-vs-linear", "j", -1),
+    "j past n": ("table-vs-canonical", "j", 3),
+    "l past n": ("sliding-window", "l", 3),
+    "jp window past n": ("sliding-window", "jp", 2),
+    "j window past n": ("sliding-window", "j", 2),
+    "profile not sorted": ("tops-only", "profile_2", (4, 2)),
+    "profile too short": ("weak-unanimity", "profile", (1,)),
+    "profile as list": ("responsiveness", "swapped_profile", [3, 4]),
+    "profile rank past m!": ("super-weak-unanimity", "profile", (4, 6)),
+    "context too long": ("isolation", "others_2", (4, 4)),
+    "context rank below range": ("isolation", "others", (-1,)),
+}
+
+
+@pytest.mark.parametrize("axiom, field, value", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
+def test_replay_refuses_a_field_out_of_range(axiom, field, value):
+    report = _all_reports(REPLAY_RULE)[axiom]
+    assert field in report.witness and replay_report(REPLAY_RULE, report) == report.eps
+    if axiom == "sliding-window" and field in ("j", "jp"):  # in 0..n, but the window runs past n
+        assert report.witness["l"] == 1 and value + 1 > REPLAY_RULE.n
+    bad = AxiomReport(axiom, report.eps, {**report.witness, field: value})
+    with pytest.raises(DomainError, match=f"'{field}'"):
+        replay_report(REPLAY_RULE, bad)
+
+
+# Witness fields that label the witness but do not enter its value.
+UNREAD_FIELDS = {
+    "pareto": {"dominator"},
+    "responsiveness": {"acting_rank", "pos"},
+    "isolation": {"pair_count"},
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(_all_reports(REPLAY_RULE)))
+def test_replay_refuses_a_witness_with_a_missing_field(axiom):
+    report = _all_reports(REPLAY_RULE)[axiom]
+    assert replay_report(REPLAY_RULE, report) == report.eps
+    for field in set(report.witness) - UNREAD_FIELDS.get(axiom, set()):
+        witness = {k: val for k, val in report.witness.items() if k != field}
+        with pytest.raises(DomainError, match=f"no field '{field}'"):
+            replay_report(REPLAY_RULE, AxiomReport(axiom, report.eps, witness))

@@ -7,6 +7,7 @@ random dictatorship.
 """
 
 import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -248,6 +249,31 @@ def _digest(obj) -> str:
 
 def _table_repr(v: RuleTable):
     return sorted((key, tuple(str(p) for p in lot)) for key, lot in v.table.items())
+
+
+# sha256(json.dumps(rows))[:16] of build_polytope's rows, each as its
+# [[var, str(coeff)], ...] terms, relation and str(rhs), as the key-level
+# generators built them: the order, the coefficients and the dedupe.
+PINNED_ROWS = {
+    (3, 2, F(0), ALL_PARTS): "6a303f36e656ea47",
+    (3, 2, F(1, 10), ALL_PARTS): "b6f4bb7c3b8ea1bc",
+    (3, 3, F(0), ALL_PARTS): "efd491f002929e27",
+    (3, 3, F(1, 10), ALL_PARTS): "fe6725d6274f95b6",
+    (3, 4, F(0), ALL_PARTS): "4d70747326d802fe",
+    (3, 4, F(1, 10), ALL_PARTS): "812780b01154ffb6",
+    (4, 2, F(0), ALL_PARTS): "badbf6ae72440258",
+    (4, 2, F(1, 10), ALL_PARTS): "90adc707da908572",
+    (3, 3, F(1, 10), frozenset({"responsive"})): "e890872da0758696",
+    (3, 3, F(1, 10), frozenset({"isolated"})): "2a83c3722379ab67",
+    (3, 3, F(1, 10), frozenset({"unanimity"})): "4e991cc1f8411fcf",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ROWS), ids=lambda c: f"{c[:3]}-{'+'.join(sorted(c[3]))}")
+def test_polytope_rows_are_pinned(case):
+    lp = build_polytope(*case)
+    rows = [[[[j, str(a)] for j, a in c.terms], c.rel, str(c.rhs)] for c in lp.constraints]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == PINNED_ROWS[case]
 
 
 @pytest.mark.parametrize("m, n, eps, pivots", [(3, 2, F(1, 10), 153), (3, 3, F(1, 10), 678), (3, 4, F(0), 0)])

@@ -78,6 +78,15 @@ def test_profile_counts():
     assert len(list(enumerate_profiles(3, 3, anonymous=True))) == 56
 
 
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 1), (3, 3), (4, 2), (4, 4)])
+def test_anonymous_profiles_come_in_ascending_order(m, n):
+    # rule tables store their view in this order, and the rule file writer
+    # and perturb iterate it as ascending key order without sorting
+    keys = list(enumerate_profiles(m, n, anonymous=True))
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(key == tuple(sorted(key)) for key in keys)
+
+
 def test_profile_cap_names_limit():
     with pytest.raises(CapExceededError, match="10000000"):
         enumerate_profiles(5, 4)

@@ -118,7 +118,26 @@ def _isolation_groups_sorted(m, n):
                 after = tuple(sorted(others + (r2,)))
                 groups[sum(x_above_y[s] for s in others)].append((others, before, after))
             for c, members in groups.items():
-                yield r, p, c, members
+                yield r, p, o[p + 1], c, members
+
+
+# The generators yield profile and context indices; these read them back as
+# the sorted tuples the references build.
+
+
+def _responsive_pairs_as_keys(m, n):
+    keys = list(enumerate_profiles(m, n, anonymous=True))
+    for i, i2, r, p, zs in responsive_pairs(m, n):
+        for z in zs:
+            yield keys[i], keys[i2], r, p, z
+
+
+def _isolation_groups_as_keys(m, n):
+    keys = list(enumerate_profiles(m, n, anonymous=True))
+    contexts, at, _ = profile_walk(m, n)
+    for r, p, r2, y, groups in isolation_groups(m, n):
+        for c, members in groups.items():
+            yield r, p, y, c, [(contexts[k], keys[at[k][r]], keys[at[k][r2]]) for k in members]
 
 
 def _opponent_gaps_sorted(v, truthful, misreport):
@@ -144,12 +163,14 @@ def test_set_order_differs_from_sorted_order_at_m4():
 
 @pytest.mark.parametrize("m, n", SIZES)
 def test_responsive_pairs_match_the_sorted_tuple_generator(m, n):
-    assert list(responsive_pairs(m, n)) == list(_responsive_pairs_sorted(m, n))
+    assert list(_responsive_pairs_as_keys(m, n)) == list(_responsive_pairs_sorted(m, n))
+    for i, i2, _r, _p, zs in responsive_pairs(m, n):
+        assert i < i2 and list(zs) == sorted(set(zs))
 
 
 @pytest.mark.parametrize("m, n", SIZES)
 def test_isolation_groups_match_the_sorted_tuple_generator(m, n):
-    assert list(isolation_groups(m, n)) == list(_isolation_groups_sorted(m, n))
+    assert list(_isolation_groups_as_keys(m, n)) == list(_isolation_groups_sorted(m, n))
 
 
 @pytest.mark.parametrize("m, n", SIZES)
@@ -172,7 +193,8 @@ def test_responsiveness_witness_is_the_first_tied_bystander():
     table[(0, 0)] = (F(1, 2), F(1, 2), F(0), F(0))
     v = RuleTable(4, 2, table)
     first = max(((abs(v.prob_at(key2, z) - v.prob_at(key, z)), key, key2, r, p, z)
-                 for key, key2, r, p, z in responsive_pairs(4, 2)), key=lambda item: item[0])
+                 for key, key2, r, p, z in _responsive_pairs_as_keys(4, 2)),
+                key=lambda item: item[0])
     report = responsiveness_deviation(v)
     assert report.eps == first[0] == F(1, 4)
     assert report.witness == dict(zip(("profile", "swapped_profile", "acting_rank", "pos", "z"),

@@ -15,7 +15,7 @@ from votecert.errors import DomainError, ValidationError
 from votecert.prefs import enumerate_profiles
 from votecert.rules import (
     RuleTable,
-    _parse_rational,
+    _parse_pair,
     closeness,
     constant_rule,
     is_consistent_utility,
@@ -268,7 +268,11 @@ def _outcome(parse, text):
 
 @pytest.mark.parametrize("text", RATIONAL_TEXTS)
 def test_lottery_entries_parse_exactly_as_fraction_does(text):
-    assert _outcome(_parse_rational, text) == _outcome(F, text)
+    def loader_read(text):  # as rule_from_json_obj reads an entry
+        pair = _parse_pair(text)
+        return F(text) if pair is None else F(*pair)
+
+    assert _outcome(loader_read, text) == _outcome(F, text)
 
 
 def test_lottery_entry_errors_are_unchanged():

@@ -43,7 +43,14 @@ from votecert.beliefs import (
     enumerate_instances,
 )
 from votecert.errors import ValidationError
-from votecert.prefs import canonicalize, enumerate_orderings, ordering_rank
+from votecert.prefs import (
+    adjacent_swaps,
+    canonicalize,
+    enumerate_orderings,
+    enumerate_profiles,
+    ordering_rank,
+    profile_walk,
+)
 from votecert.rules import (
     RuleTable,
     load_rule,
@@ -96,11 +103,17 @@ def ref_pareto(v):
     ))
 
 
+def ref_keys(v):
+    """The anonymous profiles in enumeration order: what a generator's index names."""
+    return list(enumerate_profiles(v.m, v.n, anonymous=True))
+
+
 def ref_strong(v):
+    keys = ref_keys(v)
     return ref_worst("strong-unanimity", ("profile", "x"), (
-        (1 - v.prob_at(key, x), key, x)
+        (1 - v.prob_at(keys[i], x), keys[i], x)
         for x in range(v.m)
-        for key in unanimous_profiles(v.m, v.n, x)
+        for i in unanimous_profiles(v.m, v.n, x)
     ))
 
 
@@ -112,31 +125,39 @@ def ref_weak(v):
 
 
 def ref_super_weak(v):
+    keys = ref_keys(v)
     return ref_worst("super-weak-unanimity", ("profile", "x"), (
-        (*min((1 - v.prob_at(key, x), key) for key in unanimous_profiles(v.m, v.n, x)), x)
+        (*min((1 - v.prob_at(keys[i], x), keys[i]) for i in unanimous_profiles(v.m, v.n, x)), x)
         for x in range(v.m)
     ))
 
 
 def ref_responsiveness(v):
+    keys = ref_keys(v)
     fields = ("profile", "swapped_profile", "acting_rank", "pos", "z")
     return ref_worst("responsiveness", fields, (
-        (abs(v.prob_at(key2, z) - v.prob_at(key, z)), key, key2, r, p, z)
-        for key, key2, r, p, z in responsive_pairs(v.m, v.n)
+        (abs(v.prob_at(keys[i2], z) - v.prob_at(keys[i], z)), keys[i], keys[i2], r, p, z)
+        for i, i2, r, p, zs in responsive_pairs(v.m, v.n)
+        for z in zs
     ))
 
 
 def ref_isolation(v):
+    """y and the swapped rank from the ordering, the profiles by sorting a context."""
     orderings = enumerate_orderings(v.m)
+    swaps = adjacent_swaps(v.m)
+    contexts, _, _ = profile_walk(v.m, v.n)
 
     def spreads():
-        for r, p, c, group in isolation_groups(v.m, v.n):
+        for r, p, _r2, _y, groups in isolation_groups(v.m, v.n):
             y = orderings[r][p + 1]
-            members = [(v.prob_at(after, y) - v.prob_at(before, y), others)
-                       for others, before, after in group]
-            lo = min(members, key=itemgetter(0))
-            hi = max(members, key=itemgetter(0))
-            yield hi[0] - lo[0], r, p, c, hi[1], lo[1]
+            for c, group in groups.items():
+                members = [(v.prob_at(tuple(sorted(contexts[k] + (swaps[r][p],))), y)
+                            - v.prob_at(tuple(sorted(contexts[k] + (r,))), y), contexts[k])
+                           for k in group]
+                lo = min(members, key=itemgetter(0))
+                hi = max(members, key=itemgetter(0))
+                yield hi[0] - lo[0], r, p, c, hi[1], lo[1]
 
     return ref_worst("isolation", ("acting_rank", "pos", "pair_count", "others", "others_2"),
                      spreads())
