@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .axioms import (
     AxiomReport,
     DistanceReport,
-    VPrimeTable,
     candidate_anonymity_deviation,
     distance_to_random_dictatorship,
     isolation_deviation,
@@ -19,7 +18,6 @@ from .axioms import (
     sliding_window_deviation,
     times_at_top_deviation,
     tops_only_deviation,
-    vprime_sweep,
     vprime_table,
 )
 from .beliefs import (
@@ -49,7 +47,6 @@ from .prefs import (
     canonicalize,
     enumerate_orderings,
     enumerate_profiles,
-    raise_candidate,
     swap_path,
     top,
     upper_set,

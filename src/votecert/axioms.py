@@ -13,28 +13,31 @@ is built only for the reported value.  Each linear axiom has one generator
 profile indices in enumeration order, as `prefs.profile_walk` numbers them:
 its meter reads lottery i of the view, and `polytope.build_polytope` names
 variable (i, x), from the same items.  The top-count meters index the same
-walk.  `replay_report` checks every witness field it reads, sorts its own
-profiles and computes in Fractions, so it checks the meters' integer
-arithmetic and indexing, not the view itself.
+walk.  The canonical-profile table v'(x, j) reads one base ordering,
+0 > 1 > ... > m-1.
+
+`replay_report` checks every witness field it reads, then that the witness
+names a violation of its axiom.  It reads orderings, not the profile walk,
+sorts its own profiles and computes in Fractions, so it checks the meters'
+integer arithmetic and indexing, not the view itself.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 from .prefs import (
     AnonKey,
-    Ordering,
     adjacent_swaps,
     canonicalize,
     enumerate_orderings,
     enumerate_profiles,
     profile_walk,
 )
-from .rules import RuleTable, _scaled_lottery, _tops
+from .rules import RuleTable, _scaled_lottery
 
 ZERO = Fraction(0)
 
@@ -44,19 +47,6 @@ class AxiomReport:
     axiom: str
     eps: Fraction
     witness: dict | None
-
-
-@dataclass(frozen=True)
-class VPrimeTable:
-    """Canonical-profile selection probabilities, indexed by (candidate, top count)."""
-
-    m: int
-    n: int
-    base: Ordering
-    values: dict[tuple[int, int], Fraction]
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.values[key]
 
 
 @dataclass(frozen=True)
@@ -108,11 +98,15 @@ def _spread(lo, hi) -> tuple[int, int]:
 # -- Linear axioms: one generator each, shared with polytope.build_polytope ------
 
 
-def unanimous_profiles(m: int, n: int, x: int) -> list[int]:
-    """Ascending indices of the profiles in which every voter ranks x first
-    (v(i, x) >= 1 - eps)."""
+def unanimous_profiles(m: int, n: int) -> list[list[int]]:
+    """Per candidate x, the ascending indices of the profiles in which every
+    voter ranks x first (v(i, x) >= 1 - eps), from one scan of the walk."""
     _, _, top_counts = profile_walk(m, n)
-    return [i for i, counts in enumerate(top_counts) if counts[x] == n]
+    found: list[list[int]] = [[] for _ in range(m)]
+    for i, counts in enumerate(top_counts):
+        if n in counts:
+            found[counts.index(n)].append(i)
+    return found
 
 
 def responsive_pairs(m: int, n: int):
@@ -187,11 +181,11 @@ def min_eps_pareto(v: RuleTable) -> AxiomReport:
 
 def _unanimity_gaps(v: RuleTable) -> list[list[tuple[int, int, AnonKey]]]:
     """Per candidate x, [(num, den, key)] with num/den = 1 - v(key, x), over
-    unanimous_profiles(x) in ascending order."""
+    x's unanimous profiles in ascending order."""
     view = v._scaled()
     keys, lots = list(view), list(view.values())
-    return [[(lots[i][1] - lots[i][0][x], lots[i][1], keys[i])
-             for i in unanimous_profiles(v.m, v.n, x)] for x in range(v.m)]
+    return [[(lots[i][1] - lots[i][0][x], lots[i][1], keys[i]) for i in members]
+            for x, members in enumerate(unanimous_profiles(v.m, v.n))]
 
 
 def min_eps_strong_unanimity(v: RuleTable) -> AxiomReport:
@@ -294,34 +288,24 @@ def times_at_top_deviation(v: RuleTable) -> AxiomReport:
 # -- Canonical-profile table -----------------------------------------------------
 
 
-def canonical_profile(m: int, n: int, x: int, j: int, base: Ordering) -> AnonKey:
-    """j voters with x on top of `base`, the rest with x moved to its bottom."""
-    rest = tuple(c for c in base if c != x)
-    top_x = (x,) + rest
-    bottom_x = rest + (x,)
-    return canonicalize((top_x,) * j + (bottom_x,) * (n - j))
+def canonical_profile(m: int, n: int, x: int, j: int) -> AnonKey:
+    """j voters with x on top of 0 > 1 > ... > m-1, the rest with x moved to its bottom."""
+    rest = tuple(c for c in range(m) if c != x)
+    return canonicalize(((x,) + rest,) * j + (rest + (x,),) * (n - j))
 
 
-def vprime_table(v: RuleTable, base: Ordering | None = None) -> VPrimeTable:
-    """Probability of x on the canonical profile with j top-x voters, for all (x, j)."""
+def vprime_table(v: RuleTable) -> dict[tuple[int, int], Fraction]:
+    """{(x, j): probability of x on the canonical profile with j top-x voters}."""
     if v.m < 2:
         raise DomainError("canonical-profile table needs m >= 2 (no bottom to move to)")
-    if base is None:
-        base = tuple(range(v.m))
-    if sorted(base) != list(range(v.m)):
-        raise DomainError(f"base {base!r} is not an ordering of 0..{v.m - 1}")
-    values = {}
-    for x in range(v.m):
-        for j in range(v.n + 1):
-            key = canonical_profile(v.m, v.n, x, j, base)
-            values[(x, j)] = v.prob_at(key, x)
-    return VPrimeTable(v.m, v.n, tuple(base), values)
+    return {(x, j): v.prob_at(canonical_profile(v.m, v.n, x, j), x)
+            for x in range(v.m) for j in range(v.n + 1)}
 
 
 def _vprime_scaled(v: RuleTable) -> tuple[dict[tuple[int, int], int], int]:
     """The canonical-profile table as integers over one denominator:
     ({(x, j): num}, den) with vprime_table(v)[(x, j)] == num / den."""
-    values = vprime_table(v).values
+    values = vprime_table(v)
     nums, den = _scaled_lottery(tuple(values.values()))
     return dict(zip(values, nums)), den
 
@@ -352,24 +336,6 @@ def sliding_window_deviation(v: RuleTable) -> AxiomReport:
         for j in range(v.n - width + 1)
         for jp in range(v.n - width + 1)
     ))
-
-
-def vprime_sweep(v: RuleTable) -> tuple[Fraction, dict | None]:
-    """Spread of the canonical-profile table over all m! base orderings (m <= 4)."""
-    if v.m > 4:
-        raise DomainError("base-ordering sweep is capped at m <= 4")
-    tables = {base: vprime_table(v, base) for base in enumerate_orderings(v.m)}
-
-    def spreads():
-        for x in range(v.m):
-            for j in range(v.n + 1):
-                vals = [(vp[(x, j)], base) for base, vp in tables.items()]
-                lo, hi = min(vals), max(vals)
-                gap = hi[0] - lo[0]
-                yield gap.numerator, gap.denominator, x, j, hi[1], lo[1]
-
-    report = _worst("vprime-sweep", ("x", "j", "base", "base_2"), spreads())
-    return report.eps, report.witness
 
 
 # -- Distance to random dictatorship ----------------------------------------------
@@ -415,26 +381,49 @@ def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
 
 
 def replay_report(v: RuleTable, report: AxiomReport) -> Fraction:
-    """Recompute a report's value from its witness alone.  Each field it reads
-    is checked first, so a missing or out-of-range one raises DomainError."""
+    """Recompute a report's value from its witness alone.  A missing or
+    out-of-range field raises DomainError, and so does a witness that names
+    no violation: no dominated candidate, no unanimous profile, no one-voter
+    adjacent swap, no equal top counts, and so on."""
     w = report.witness
     if w is None:
         return ZERO
     name, m, n = report.axiom, v.m, v.n
+    orderings = enumerate_orderings(m)
+
+    def tops(key: AnonKey) -> Counter:  # tops(key)[x]: the voters in key with x on top
+        return Counter(orderings[r][0] for r in key)
+
     if name == "pareto":
-        return v.prob_at(_profile(v, w, "profile"), _field(w, "dominated", m))
+        key, x = _profile(v, w, "profile"), _field(w, "dominator", m)
+        y = _field(w, "dominated", m)
+        _require(all(orderings[r].index(x) < orderings[r].index(y) for r in key),
+                 "some voter does not rank 'dominator' above 'dominated'")
+        return v.prob_at(key, y)
     if name in ("strong-unanimity", "weak-unanimity", "super-weak-unanimity"):
-        return 1 - v.prob_at(_profile(v, w, "profile"), _field(w, "x", m))
+        key, x = _profile(v, w, "profile"), _field(w, "x", m)
+        _require(all(orderings[r][0] == x for r in key), "'profile' is not unanimous for 'x'")
+        _require(name != "weak-unanimity" or len(set(key)) == 1,
+                 "'profile' is not one repeated ordering")
+        return 1 - v.prob_at(key, x)
     if name == "responsiveness":
+        key, swapped = _profile(v, w, "profile"), _profile(v, w, "swapped_profile")
+        r, p = _field(w, "acting_rank", len(orderings)), _field(w, "pos", m - 1)
         z = _field(w, "z", m)
-        return abs(v.prob_at(_profile(v, w, "swapped_profile"), z)
-                   - v.prob_at(_profile(v, w, "profile"), z))
+        # the multisets key + {r2} and swapped + {r} agree, with r != r2, exactly
+        # when r is in key and swapped is key with one r recast as r2
+        _require(sorted(key + (adjacent_swaps(m)[r][p],)) == sorted(swapped + (r,)),
+                 "'swapped_profile' is not 'profile' with one 'acting_rank' voter swapped at 'pos'")
+        _require(z not in orderings[r][p:p + 2], "'z' lies in the swapped pair")
+        return abs(v.prob_at(swapped, z) - v.prob_at(key, z))
     if name == "isolation":
         return abs(_raise_delta(v, w, "others") - _raise_delta(v, w, "others_2"))
     if name in ("tops-only", "times-at-top"):
-        x = _field(w, "x", m)
-        return abs(v.prob_at(_profile(v, w, "profile"), x)
-                   - v.prob_at(_profile(v, w, "profile_2"), x))
+        key, key2, x = _profile(v, w, "profile"), _profile(v, w, "profile_2"), _field(w, "x", m)
+        a, b = tops(key), tops(key2)
+        _require(a == b if name == "tops-only" else a[x] == b[x],
+                 "'profile' and 'profile_2' differ in top counts")
+        return abs(v.prob_at(key, x) - v.prob_at(key2, x))
     if name == "candidate-anonymity":
         x, y, j = _field(w, "x", m), _field(w, "y", m), _field(w, "j", n + 1)
         vp = vprime_table(v)
@@ -446,15 +435,20 @@ def replay_report(v: RuleTable, report: AxiomReport) -> Fraction:
         return abs((vp[(x, j + length)] - vp[(x, j)]) - (vp[(x, jp + length)] - vp[(x, jp)]))
     if name == "distance":  # random dictatorship: the share of voters with x on top
         key, x = _profile(v, w, "profile"), _field(w, "x", m)
-        tops = _tops(m)
-        return abs(v.prob_at(key, x) - Fraction(sum(1 for r in key if tops[r] == x), n))
+        return abs(v.prob_at(key, x) - Fraction(tops(key)[x], n))
     if name == "table-vs-canonical":
         key, x, j = _profile(v, w, "profile"), _field(w, "x", m), _field(w, "j", n + 1)
+        _require(j == tops(key)[x], "'j' is not the number of voters with 'x' on top")
         return abs(v.prob_at(key, x) - vprime_table(v)[(x, j)])
     if name == "canonical-vs-linear":
         x, j = _field(w, "x", m), _field(w, "j", n + 1)
         return abs(vprime_table(v)[(x, j)] - Fraction(j, n))
     raise DomainError(f"unknown axiom report {name!r}")
+
+
+def _require(holds: bool, problem: str) -> None:
+    if not holds:
+        raise DomainError(f"witness names no violation: {problem}")
 
 
 def _field(w: dict, field: str, bound: int | None = None):
@@ -480,11 +474,17 @@ def _profile(v: RuleTable, w: dict, field: str, voter: tuple[int, ...] = ()) -> 
 
 
 def _raise_delta(v: RuleTable, w: dict, others: str) -> Fraction:
-    r = _field(w, "acting_rank", len(enumerate_orderings(v.m)))
+    """v(after, y) - v(before, y) as the acting voter raises y = o[pos + 1] above
+    x = o[pos], in a context w[others] with w["pair_count"] voters ranking x above y."""
+    orderings = enumerate_orderings(v.m)
+    r = _field(w, "acting_rank", len(orderings))
     p = _field(w, "pos", v.m - 1)
-    y = enumerate_orderings(v.m)[r][p + 1]
+    x, y = orderings[r][p:p + 2]
     before = _profile(v, w, others, (r,))
     after = _profile(v, w, others, (adjacent_swaps(v.m)[r][p],))
+    count = sum(1 for s in w[others] if orderings[s].index(x) < orderings[s].index(y))
+    _require(count == _field(w, "pair_count", v.n),
+             f"{others!r} does not have 'pair_count' voters ranking x above y")
     return v.prob_at(after, y) - v.prob_at(before, y)
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank, profile_walk
-from .rules import RuleTable, upper_set_utility
+from .rules import RuleTable, is_consistent_utility, upper_set_utility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -395,8 +395,8 @@ def replay_gain(v: RuleTable, witness: SPWitness) -> Fraction:
         raise DomainError("a witness carries exactly one of a belief and fixed opponents")
     if len(witness.instance.truthful) != v.m:
         raise DomainError(f"the witness orders {len(witness.instance.truthful)} candidates, expected {v.m}")
-    if len(witness.utility) != v.m:
-        raise DomainError(f"the witness utility has {len(witness.utility)} entries, expected {v.m}")
+    if not is_consistent_utility(witness.utility, witness.instance.truthful):
+        raise DomainError("the witness utility is not strictly consistent with its ordering, in [0, 1]")
     if witness.others is not None and (
         len(witness.others) != v.n - 1 or any(s not in range(fact) for s in witness.others)
     ):

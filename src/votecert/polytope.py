@@ -103,8 +103,8 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
                     add(coeffs, REL_EQ, ZERO)
 
     if "unanimity" in parts:
-        for x in range(m):
-            for i in unanimous_profiles(m, n, x):
+        for x, members in enumerate(unanimous_profiles(m, n)):
+            for i in members:
                 if eps == 0:
                     add({_var(i, x, m): ONE}, REL_EQ, ONE)
                     for y in range(m):

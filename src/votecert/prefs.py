@@ -107,18 +107,6 @@ def top(ordering: Ordering) -> int:
     return ordering[0]
 
 
-def raise_candidate(ordering: Ordering, y: int) -> Ordering:
-    """Swap y with the candidate directly above it; the top is a fixed point."""
-    if y not in ordering:
-        raise DomainError(f"candidate {y} does not appear in {ordering!r}")
-    i = ordering.index(y)
-    if i == 0:
-        return ordering
-    ranks = list(ordering)
-    ranks[i - 1], ranks[i] = ranks[i], ranks[i - 1]
-    return tuple(ranks)
-
-
 def upper_set(ordering: Ordering, k: int) -> frozenset[int]:
     """The k highest-ranked candidates."""
     if not 1 <= k <= len(ordering):
@@ -271,7 +259,3 @@ def format_key(key: AnonKey, names: tuple[str, ...]) -> list[str]:
     orderings = enumerate_orderings(len(names))
     return [format_ordering(orderings[r], names) for r in key]
 
-
-def parse_profile(text: str, names: tuple[str, ...]) -> Profile:
-    """Parse "a>b>c;b>a>c" into a profile."""
-    return tuple(parse_ordering(part, names) for part in text.split(";"))

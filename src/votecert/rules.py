@@ -23,7 +23,6 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, DomainError, ValidationError
@@ -309,54 +308,6 @@ def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
         mixed = [(b - a) * num * total + a * wt * den for num, wt in zip(nums, weights)]
         table[key] = _canonical(mixed, b * den * total)
     return RuleTable(v.m, v.n, table, v.names)
-
-
-# -- Structural predicates ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructureVerdict:
-    holds: bool
-    detail: str
-    witness: dict | None = None
-
-
-def is_deterministic(v: RuleTable) -> bool:
-    return all(den in nums for nums, den in v._scaled().values())
-
-
-def is_dictatorial_deterministic(v: RuleTable) -> StructureVerdict:
-    """Does some fixed voter index always get her top choice elected?
-
-    Anonymous tables with n >= 2 can only satisfy this degenerately, so for
-    those the verdict carries a per-voter counterexample profile instead.
-    """
-    if not is_deterministic(v):
-        raise DomainError("dictatorship predicate is defined for deterministic rules only")
-    counterexamples: dict[int, Profile] = {}
-    for i in range(v.n):
-        for profile in enumerate_profiles(v.m, v.n):
-            if v.lottery(profile).index(ONE) != profile[i][0]:
-                counterexamples[i] = profile
-                break
-        else:
-            return StructureVerdict(True, f"voter {i} always gets her top choice", {"voter": i})
-    return StructureVerdict(False, "every voter index has a profile where the winner is not "
-                            "her top choice", {"counterexamples": counterexamples})
-
-
-def is_duple(v: RuleTable) -> StructureVerdict:
-    """Is all probability mass confined to one fixed pair of candidates?"""
-    seen: dict[int, AnonKey] = {}
-    for key, (nums, _) in v._scaled().items():
-        for x in range(v.m):
-            if nums[x] > 0 and x not in seen:
-                seen[x] = key
-    support = sorted(seen)
-    if len(support) <= 2:
-        return StructureVerdict(True, f"support is {support}", {"pair": tuple(support)})
-    return StructureVerdict(False, f"support {support} has more than two candidates",
-                            {"support": support, "examples": seen})
 
 
 # -- Utility functions --------------------------------------------------------

@@ -30,7 +30,6 @@ from votecert.axioms import (
     sliding_window_deviation,
     times_at_top_deviation,
     tops_only_deviation,
-    vprime_sweep,
     vprime_table,
 )
 from votecert.errors import DomainError
@@ -185,7 +184,7 @@ def test_vprime_random_dictatorship_is_linear():
 
 def test_vprime_uniform_is_flat():
     vp = vprime_table(uniform_rule(3, 2))
-    assert all(val == F(1, 3) for val in vp.values.values())
+    assert all(val == F(1, 3) for val in vp.values())
 
 
 def test_vprime_respects_strong_unanimity_bounds():
@@ -203,7 +202,7 @@ def test_vprime_rejects_single_candidate():
 
 
 def test_canonical_profile_shape():
-    key = canonical_profile(3, 3, C, 2, (A, B, C))
+    key = canonical_profile(3, 3, C, 2)
     orderings = enumerate_orderings(3)
     tops = [orderings[r][0] for r in key]
     assert tops.count(C) == 2
@@ -227,13 +226,6 @@ def test_sliding_window_perturbation_bound():
     assert report.eps <= 4 * delta
     if report.witness is not None:
         assert replay_report(v, report) == report.eps
-
-
-def test_vprime_sweep_is_zero_for_symmetric_rules():
-    spread, _ = vprime_sweep(random_dictatorship(3, 2))
-    assert spread == 0
-    spread, _ = vprime_sweep(uniform_rule(3, 2))
-    assert spread == 0
 
 
 def test_distance_report_random_dictatorship():
@@ -311,7 +303,6 @@ PINNED_REPORTS = {
         "distance": (F(152, 1113), {"profile": (3, 3, 3), "x": 1}),
         "table-vs-canonical": (F(115799, 1335887), {"profile": (1, 4, 5), "x": 0, "j": 1}),
         "canonical-vs-linear": (F(12, 97), {"x": 2, "j": 3}),
-        "vprime-sweep": (F(50741, 982779), {"x": 1, "j": 3, "base": (1, 0, 2), "base_2": (1, 2, 0)}),
     },
     "plurality": {
         "pareto": (F(0), None),
@@ -329,7 +320,6 @@ PINNED_REPORTS = {
         "distance": (F(1, 3), {"profile": (0, 0, 2), "x": 0}),
         "table-vs-canonical": (F(1, 3), {"profile": (0, 2, 4), "x": 0, "j": 1}),
         "canonical-vs-linear": (F(1, 3), {"x": 0, "j": 1}),
-        "vprime-sweep": (F(0), None),
     },
 }
 
@@ -349,7 +339,6 @@ def test_reports_match_pinned_witnesses(label):
         "plurality": lambda: plurality_uniform_tiebreak(3, 3),
     }[label]()
     got = {name: (r.eps, r.witness) for name, r in _all_reports(v).items()}
-    got["vprime-sweep"] = vprime_sweep(v)
     expected = PINNED_REPORTS[label]
     assert list(got) == list(expected)
     for name, (eps, witness) in expected.items():
@@ -361,7 +350,6 @@ def test_reports_match_pinned_witnesses(label):
 @pytest.mark.parametrize("v", [random_dictatorship(3, 3), uniform_rule(3, 2)], ids=["rd33", "uniform32"])
 def test_witness_is_absent_exactly_when_eps_is_zero(v):
     reports = [(r.axiom, r.eps, r.witness) for r in _all_reports(v).values()]
-    reports.append(("vprime-sweep", *vprime_sweep(v)))
     for name, eps, witness in reports:
         assert (eps == 0) == (witness is None), name
 
@@ -438,19 +426,48 @@ def test_replay_refuses_a_field_out_of_range(axiom, field, value):
         replay_report(REPLAY_RULE, bad)
 
 
-# Witness fields that label the witness but do not enter its value.
-UNREAD_FIELDS = {
-    "pareto": {"dominator"},
-    "responsiveness": {"acting_rank", "pos"},
-    "isolation": {"pair_count"},
-}
-
-
 @pytest.mark.parametrize("axiom", sorted(_all_reports(REPLAY_RULE)))
 def test_replay_refuses_a_witness_with_a_missing_field(axiom):
     report = _all_reports(REPLAY_RULE)[axiom]
     assert replay_report(REPLAY_RULE, report) == report.eps
-    for field in set(report.witness) - UNREAD_FIELDS.get(axiom, set()):
+    for field in report.witness:
         witness = {k: val for k, val in report.witness.items() if k != field}
         with pytest.raises(DomainError, match=f"no field '{field}'"):
             replay_report(REPLAY_RULE, AxiomReport(axiom, report.eps, witness))
+
+
+# -- the replay refuses a witness that names no violation ----------------------------
+#
+# Each case sets witness fields of REPLAY_RULE to values in range that name
+# profiles of the table, so only the witness's shape is wrong; before the shape
+# checks, each replayed to a positive value.  Orderings: 0 abc, 1 acb, 2 bac,
+# 3 bca, 4 cab, 5 cba.
+
+WRONG_SHAPES = {
+    "pareto: no voter pair dominates": ("pareto", {"profile": (0, 5), "dominator": 0, "dominated": 1}),
+    "pareto: dominator is dominated": ("pareto", {"dominator": 0, "dominated": 1}),
+    "strong unanimity: not unanimous": ("strong-unanimity", {"profile": (0, 5), "x": 0}),
+    "strong unanimity: another top": ("strong-unanimity", {"x": 1}),
+    "weak unanimity: two orderings": ("weak-unanimity", {"profile": (0, 1), "x": 0}),
+    "super-weak unanimity: not unanimous": ("super-weak-unanimity", {"profile": (0, 5), "x": 0}),
+    "responsiveness: not a swap": ("responsiveness", {"swapped_profile": (5, 5)}),
+    "responsiveness: acting rank absent": ("responsiveness", {"acting_rank": 0}),
+    "responsiveness: another pos": ("responsiveness", {"pos": 0}),
+    "responsiveness: z in the pair": ("responsiveness", {"z": 0}),
+    "isolation: others miscounted": ("isolation", {"pair_count": 1}),
+    "isolation: others_2 miscounted": ("isolation", {"others_2": (0,)}),
+    "tops-only: tops differ": ("tops-only", {"profile_2": (0, 4)}),
+    "times-at-top: x's count differs": ("times-at-top", {"profile": (0, 5), "profile_2": (0, 0),
+                                                         "x": 0}),
+    "table-vs-canonical: j is not x's count": ("table-vs-canonical", {"profile": (0, 5), "x": 0,
+                                                                      "j": 0}),
+}
+
+
+@pytest.mark.parametrize("axiom, changes", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+def test_replay_refuses_a_witness_of_the_wrong_shape(axiom, changes):
+    report = _all_reports(REPLAY_RULE)[axiom]
+    assert replay_report(REPLAY_RULE, report) == report.eps
+    bad = AxiomReport(axiom, report.eps, {**report.witness, **changes})
+    with pytest.raises(DomainError, match="names no violation"):
+        replay_report(REPLAY_RULE, bad)

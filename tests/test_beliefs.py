@@ -587,6 +587,25 @@ def test_replay_gain_rejects_malformed_witness():
 
 
 
+def test_replay_gain_rejects_an_inconsistent_utility():
+    # random dictatorship is strategy-proof under every belief, yet a utility
+    # that increases along the truthful ordering makes lying pay
+    v = random_dictatorship(3, 2)
+    assert check_weak_sp(v).status == "certified"
+    abc_mass = (F(1),) + (F(0),) * 5  # the opponent reports abc
+    inst = ManipulationInstance((0, 1, 2), (2, 1, 0), 1)
+    honest = SPWitness(inst, (F(1), F(1, 2), F(0)), F(1), F(-1, 2), belief=abc_mass)
+    assert replay_gain(v, honest) == F(-1, 2)
+    for utility in [
+        (F(0), F(1, 2), F(1)),  # increasing along abc: would replay to a gain of 1/2
+        (F(1), F(1), F(0)),  # a tie
+        (F(2), F(1, 2), F(0)),  # above 1
+        (F(1), F(1, 2), F(-1)),  # below 0
+    ]:
+        with pytest.raises(DomainError, match="not strictly consistent"):
+            replay_gain(v, replace(honest, utility=utility, gain=F(1, 2)))
+
+
 _FOUR = ManipulationInstance((0, 1, 2, 3), (1, 0, 2, 3), 2)
 _TWO = ManipulationInstance((0, 1), (1, 0), 1)
 MISSHAPEN = {  # name -> (witness kind, alteration), on plurality_uniform_tiebreak(3, 3)

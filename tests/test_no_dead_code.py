@@ -1,6 +1,7 @@
 """Helpers that nothing needs are deleted, not kept: no module imports a name
-it does not use, and every private module-level function or class is used
-somewhere in the package other than its own body."""
+it does not use, and every module-level function or class is read somewhere
+in the package other than its own body, or, if public, is named in
+OUTSIDE_USERS with the user outside the package that it is kept for."""
 
 import ast
 from pathlib import Path
@@ -52,18 +53,61 @@ def test_no_module_has_an_unused_import():
     assert not unused, f"unused imports: {unused}"
 
 
-def test_every_private_function_and_class_is_used():
-    modules = _modules()
-    unused = []
+def _is_click_command(d) -> bool:
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr in ("command", "group") for dec in d.decorator_list)
+
+
+def _unread_definitions() -> list[tuple[str, str]]:
+    """(name, "module:line name") of each module-level function or class that
+    nothing in the package reads but its own definition.  __init__'s
+    re-exports are no reads, and click commands are read by click."""
+    modules = {name: tree for name, tree in _modules().items() if name != "__init__.py"}
+    reads = {name: [_used_names(stmt) for stmt in tree.body] for name, tree in modules.items()}
+    unread = []
     for name, tree in modules.items():
-        defs = [stmt for stmt in tree.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        for d in defs:
-            if not d.name.startswith("_") or d.name.startswith("__"):
+        for k, d in enumerate(tree.body):
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            used = any(d.name in _used_names(stmt) for stmt in tree.body if stmt is not d)
-            used = used or any(d.name in _used_names(other)
-                               for other_name, other in modules.items() if other_name != name)
-            if not used:
-                unused.append(f"{name}:{d.lineno} {d.name}")
+            if _is_click_command(d):
+                continue
+            read = any(d.name in names for j, names in enumerate(reads[name]) if j != k)
+            read = read or any(d.name in names for other, stmts in reads.items()
+                               if other != name for names in stmts)
+            if not read:
+                unread.append((d.name, f"{name}:{d.lineno} {d.name}"))
+    return unread
+
+
+def test_every_private_function_and_class_is_used():
+    unused = [where for name, where in _unread_definitions()
+              if name.startswith("_") and not name.startswith("__")]
     assert not unused, f"private helpers nothing in the package calls: {unused}"
+
+
+# Public functions and classes that no module of the package reads, each with
+# the user outside the package that it is kept for.
+OUTSIDE_USERS = {
+    "replay_report": "the replay API",
+    "replay_gain": "the replay API",
+    "enumerate_instances": "the acceptance suite",
+    "dominance_polynomial": "the acceptance suite",
+    "mixture": "the acceptance suite",
+    "kendall_tau": "the acceptance suite",
+    "swap_path": "the acceptance suite",
+    "pair_rule": "the acceptance suite",
+    "plurality_fixed_tiebreak": "perfbench",
+    "solve_lp": "the LP oracle of the sweep's tests",
+    "constraint": "the LP oracle of the sweep's tests",
+    "polynomial_from_terms": "the exponent-vector bridge of the dense reference tests",
+}
+
+
+def test_every_public_function_and_class_is_used():
+    unread = _unread_definitions()
+    unused = [where for name, where in unread
+              if not name.startswith("_") and name not in OUTSIDE_USERS]
+    assert not unused, ("public functions and classes that nothing in the package reads "
+                        f"and that no outside user is named for: {unused}")
+    stale = sorted(set(OUTSIDE_USERS) - {name for name, _ in unread})
+    assert not stale, f"named for an outside user, but read in the package or gone: {stale}"

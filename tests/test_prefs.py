@@ -2,7 +2,6 @@
 
 Claims covered:
     - enumeration counts and lexicographic conventions
-    - raise: fixed point at the top, bubbles the bottom up in m-1 steps
     - swap_path: replay reproduces the target, never moves the forbidden
       candidate, and has exactly Kendall-tau length
     - canonicalize is invariant under all voter permutations (exhaustive)
@@ -25,8 +24,6 @@ from votecert.prefs import (
     kendall_tau,
     ordering_rank,
     parse_ordering,
-    parse_profile,
-    raise_candidate,
     swap_path,
     top,
     upper_set,
@@ -92,40 +89,13 @@ def test_profile_cap_names_limit():
         enumerate_profiles(5, 4)
 
 
-# -- top / raise / upper_set ------------------------------------------------------
+# -- top / upper_set ------------------------------------------------------
 
 
 def test_top():
     assert top((A, B, C)) == A
     assert top((C, A, B)) == C
     assert top((A,)) == A
-
-
-def test_raise_candidate():
-    assert raise_candidate((A, B, C), C) == (A, C, B)
-    assert raise_candidate((A, B, C), A) == (A, B, C)
-    with pytest.raises(DomainError):
-        raise_candidate((A, B, C), 7)
-
-
-def test_raise_changes_exactly_two_adjacent_positions():
-    for o in enumerate_orderings(3):
-        for y in o:
-            lifted = raise_candidate(o, y)
-            if y == top(o):
-                assert lifted == o
-            else:
-                diffs = [i for i in range(3) if lifted[i] != o[i]]
-                assert len(diffs) == 2 and diffs[1] == diffs[0] + 1
-
-
-def test_raise_bubbles_bottom_to_top():
-    for o in enumerate_orderings(3):
-        bottom = o[-1]
-        cur = o
-        for _ in range(len(o) - 1):
-            cur = raise_candidate(cur, bottom)
-        assert top(cur) == bottom
 
 
 def test_upper_set():
@@ -211,7 +181,6 @@ def test_ordering_text_roundtrip():
     names = candidate_names(3)
     assert parse_ordering("a>b>c", names) == (A, B, C)
     assert format_ordering((C, A, B), names) == "c>a>b"
-    assert parse_profile("a>b>c;c>b>a", names) == ((A, B, C), (C, B, A))
     with pytest.raises(DomainError):
         parse_ordering("a>b", names)
     with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-"""Rule tables: builders, mixtures, closeness, perturbation, predicates, files.
+"""Rule tables: builders, mixtures, closeness, perturbation, utilities, files.
 
 Every stored lottery must sum to exactly 1; eval must be anonymous; the
 closeness meter must behave like a metric on tables.
@@ -19,8 +19,6 @@ from votecert.rules import (
     closeness,
     constant_rule,
     is_consistent_utility,
-    is_dictatorial_deterministic,
-    is_duple,
     load_rule,
     mixture,
     pair_rule,
@@ -155,28 +153,6 @@ def test_perturb_delta_one_is_pure_noise():
     v = random_dictatorship(3, 2)
     u = uniform_rule(3, 2)
     assert perturb(v, 1, seed=4) == perturb(u, 1, seed=4)
-
-
-def test_dictatorial_predicate():
-    one = random_dictatorship(3, 1)
-    verdict = is_dictatorial_deterministic(one)
-    assert verdict.holds
-    plu = plurality_fixed_tiebreak(3, 2)
-    verdict = is_dictatorial_deterministic(plu)
-    assert not verdict.holds
-    for _, profile in verdict.witness["counterexamples"].items():
-        assert len({o[0] for o in profile}) > 1
-    const = constant_rule(3, 2, [1, 0, 0])
-    assert not is_dictatorial_deterministic(const).holds
-    with pytest.raises(DomainError):
-        is_dictatorial_deterministic(uniform_rule(3, 2))
-
-
-def test_duple_predicate():
-    assert not is_duple(uniform_rule(3, 2)).holds
-    verdict = is_duple(pair_rule(3, 3, A, B))
-    assert verdict.holds and verdict.witness["pair"] == (A, B)
-    assert not is_duple(random_dictatorship(3, 2)).holds
 
 
 def test_utility_helpers():

@@ -112,8 +112,8 @@ def ref_strong(v):
     keys = ref_keys(v)
     return ref_worst("strong-unanimity", ("profile", "x"), (
         (1 - v.prob_at(keys[i], x), keys[i], x)
-        for x in range(v.m)
-        for i in unanimous_profiles(v.m, v.n, x)
+        for x, members in enumerate(unanimous_profiles(v.m, v.n))
+        for i in members
     ))
 
 
@@ -127,8 +127,8 @@ def ref_weak(v):
 def ref_super_weak(v):
     keys = ref_keys(v)
     return ref_worst("super-weak-unanimity", ("profile", "x"), (
-        (*min((1 - v.prob_at(keys[i], x), keys[i]) for i in unanimous_profiles(v.m, v.n, x)), x)
-        for x in range(v.m)
+        (*min((1 - v.prob_at(keys[i], x), keys[i]) for i in members), x)
+        for x, members in enumerate(unanimous_profiles(v.m, v.n))
     ))
 
 
