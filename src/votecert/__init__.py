@@ -48,7 +48,6 @@ from .prefs import (
     enumerate_orderings,
     enumerate_profiles,
     swap_path,
-    top,
     upper_set,
 )
 from .rules import (

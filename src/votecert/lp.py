@@ -295,8 +295,14 @@ class SlackBasisSimplex:
     quantity, keyed by column: t_j for j not in J and slack_i for i in K.
     The entering column is the smallest with a positive reduced cost: c .
     delta for u_j and slack_i, -c . delta for w_j (0 for the nonbasic part
-    of a basic t_j).  The leaving one has the smallest (value / rate, basic
-    column) among basic variables that fall along the entering direction.
+    of a basic t_j).  `red` caches c . delta per direction, in the scaled
+    integer cost; it is taken once per objective and each pivot updates it
+    with the same rank-one step as the directions.  The leaving column has
+    the smallest (value / rate, basic column) among basic variables that
+    fall along the entering direction.  A basic variable at 0 that falls
+    wins that tie-break at ratio 0, so these are tried first, in column
+    order, and only when none falls is every loose row's rate taken; such a
+    degenerate pivot moves no value.  Either way the pivots are Bland's.
 
     The basis is kept for the next objective.  `solve` returns the value
     and t; `dual` holds the last solve's optimal dual: one entry per row of
@@ -326,6 +332,7 @@ class SlackBasisSimplex:
         self.signs: dict[int, int] = {}  # J
         self.tight: set[int] = set()  # K
         self.dirs = {j: [int(i == j) for i in range(width)] for j in range(width)}
+        self.red: dict[int, int] = {}  # cost . dirs[key], for the objective being solved
         self.dual: list[Fraction] = []
 
     def solve(self, objective: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
@@ -334,39 +341,54 @@ class SlackBasisSimplex:
             raise DomainError(f"objective has {len(objective)} entries, expected {d}")
         cscale = math.lcm(*(c.denominator for c in objective))
         cost = [c.numerator * (cscale // c.denominator) for c in objective]
-        rows, tight = self.rows, self.tight
+        rows, tight, dirs = self.rows, self.tight, self.dirs
+        red = self.red = {key: sum(map(mul, cost, x)) for key, x in dirs.items()}
         while True:
             enter = -1
-            for key, delta in self.dirs.items():
-                red = sum(map(mul, cost, delta))
-                col = key if red > 0 else d + key if red < 0 and key < d else -1
+            for key, r in red.items():
+                col = key if r > 0 else d + key if r < 0 and key < d else -1
                 if col >= 0 and (enter < 0 or col < enter):
                     enter = col
             if enter < 0:
                 break
-            delta = [-x for x in self.dirs[enter - d]] if d <= enter < 2 * d else self.dirs[enter]
-            leave = -1
-            rates = [0] * self.nrows  # how fast each loose row's slack falls along delta
-            at, snum = delta.__getitem__, self.snum
-            for i, (cols, coeffs) in enumerate(rows):
-                if i not in tight:
-                    rate = rates[i] = sum(map(mul, coeffs, map(at, cols)))
-                    if rate > 0 and (leave < 0 or _before(snum[i], rate, 2 * d + i, value, fall, leave)):
-                        leave, value, fall = 2 * d + i, snum[i], rate
+            if d <= enter < 2 * d:
+                delta, red_delta = [-x for x in dirs[enter - d]], -red[enter - d]
+            else:
+                delta, red_delta = dirs[enter], red[enter]
+            # Bland's leaving column: the least (value / rate, column).  The basic
+            # t_j (columns below 2d) come first; a t_j or a loose row at 0 that
+            # falls leaves at ratio 0, the least there is, and the step moves
+            # nothing, so only when none does is every loose row's rate taken.
+            tnum, snum, rates, leave = self.tnum, self.snum, None, -1
             for j, sign in self.signs.items():
-                col, rate, tj = (j if sign > 0 else d + j), -sign * delta[j], sign * self.tnum[j]
+                col, rate, tj = (j if sign > 0 else d + j), -sign * delta[j], sign * tnum[j]
                 if rate > 0 and (leave < 0 or _before(tj, rate, col, value, fall, leave)):
                     leave, value, fall = col, tj, rate
+            if leave < 0 or value:
+                for i, s in enumerate(snum):
+                    if not s and i not in tight:
+                        rate = _dot(rows[i], delta)
+                        if rate > 0:
+                            leave, value, fall = 2 * d + i, 0, rate
+                            break
+                else:
+                    rates = [0] * self.nrows  # how fast each loose row's slack falls along delta
+                    at = delta.__getitem__
+                    for i, (cols, coeffs) in enumerate(rows):
+                        if i not in tight:
+                            rate = rates[i] = sum(map(mul, coeffs, map(at, cols)))
+                            col = 2 * d + i
+                            if rate > 0 and (leave < 0 or _before(snum[i], rate, col, value, fall, leave)):
+                                leave, value, fall = col, snum[i], rate
             if leave < 0:
                 raise DomainError("objective is unbounded over the polytope")
-            _pivot(self, delta, rates, value, fall, leave, enter)
+            _pivot(self, delta, red_delta, rates, value, fall, leave, enter)
         # y_i = -(c . delta_i) / (G_i . delta_i) on the tight rows, where G_i . delta_i < 0
         self.dual = [ZERO] * self.nrows
         for i in tight:
-            delta = self.dirs[2 * d + i]
-            red = sum(map(mul, cost, delta))
-            if red:
-                self.dual[i] = Fraction(red * self.scales[i], cscale * _dot(rows[i], delta))
+            r = red[2 * d + i]
+            if r:
+                self.dual[i] = Fraction(r * self.scales[i], cscale * _dot(rows[i], dirs[2 * d + i]))
         t = [Fraction(x, self.den) for x in self.tnum]
         return Fraction(sum(map(mul, cost, self.tnum)), cscale * self.den), t
 
@@ -376,12 +398,16 @@ def _dot(row: tuple[tuple[int, ...], tuple[int, ...]], delta: list[int]) -> int:
     return sum(map(mul, coeffs, map(delta.__getitem__, cols)))
 
 
-def _pivot(core: SlackBasisSimplex, delta, rates, value: int, rate: int, leave: int, enter: int) -> None:
-    """Step along delta, the entering direction, until the basic variable in
-    column leave (value / den, falling at rate) reaches 0, and swap the two.
+def _pivot(
+    core: SlackBasisSimplex, delta, red_delta: int, rates, value: int, rate: int, leave: int, enter: int
+) -> None:
+    """Step along delta, the entering direction (reduced cost red_delta),
+    until the basic variable in column leave (value / den, falling at rate)
+    reaches 0, and swap the two.
 
-    Every other direction gets the rank-one update that keeps the leaving
-    variable at 0, made primitive again.
+    Every other direction, and its cached reduced cost, gets the rank-one
+    update that keeps the leaving variable at 0, made primitive again.  A
+    step with value 0 moves nothing and reads no rates.
     """
     d = core.width
     if value:
@@ -394,8 +420,9 @@ def _pivot(core: SlackBasisSimplex, delta, rates, value: int, rate: int, leave: 
         core.den = den // g
         core.tnum = [x // g for x in tnum]
         core.snum = [x // g for x in snum]
-    dirs = core.dirs
-    del dirs[enter - d if d <= enter < 2 * d else enter]
+    dirs, red = core.dirs, core.red
+    gone = enter - d if d <= enter < 2 * d else enter
+    del dirs[gone], red[gone]
     if leave >= 2 * d:  # slack_l falls at G_l . x along x
         row = core.rows[leave - 2 * d]
         falls = [_dot(row, x) for x in dirs.values()]
@@ -407,12 +434,13 @@ def _pivot(core: SlackBasisSimplex, delta, rates, value: int, rate: int, leave: 
             other = [rate * x - f * y for x, y in zip(other, delta)]
             g = math.gcd(*other)
             dirs[key] = [x // g for x in other]
+            red[key] = (rate * red[key] - f * red_delta) // g  # exact: g divides cost . the new direction
     if leave >= 2 * d:
         core.tight.add(leave - 2 * d)  # its slack is now 0
-        dirs[leave] = [-x for x in delta]
+        dirs[leave], red[leave] = [-x for x in delta], -red_delta
     else:
         del core.signs[k]
-        dirs[k] = delta if leave >= d else [-x for x in delta]
+        dirs[k], red[k] = (delta, red_delta) if leave >= d else ([-x for x in delta], -red_delta)
     if enter >= 2 * d:
         core.tight.discard(enter - 2 * d)
     else:

@@ -102,11 +102,6 @@ def ordering_rank(ordering: Ordering) -> int:
         raise DomainError(f"{ordering!r} is not a permutation of 0..{len(ordering) - 1}") from None
 
 
-def top(ordering: Ordering) -> int:
-    """Highest-ranked candidate."""
-    return ordering[0]
-
-
 def upper_set(ordering: Ordering, k: int) -> frozenset[int]:
     """The k highest-ranked candidates."""
     if not 1 <= k <= len(ordering):

@@ -290,8 +290,14 @@ def closeness(v: RuleTable, w: RuleTable) -> Fraction:
     """Smallest eps such that the two tables differ by at most eps everywhere."""
     if (v.m, v.n) != (w.m, w.n):
         raise DomainError("closeness requires rules with identical dimensions")
-    return max((abs(p - q) for key, lot in v.table.items() for p, q in zip(lot, w.lottery_at(key))),
-               default=ZERO)
+    other = w._scaled()
+    best, best_den = 0, 1  # the largest gap so far, best / best_den
+    for key, (nums, den) in v._scaled().items():
+        wnums, wden = other[key]
+        gap = max(abs(p * wden - q * den) for p, q in zip(nums, wnums))
+        if gap * best_den > best * den * wden:
+            best, best_den = gap, den * wden
+    return Fraction(best, best_den)
 
 
 def perturb(v: RuleTable, delta, seed: int) -> RuleTable:

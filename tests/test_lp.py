@@ -8,8 +8,10 @@ and has an optimal vertex; unboundedness cannot occur.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -371,6 +373,38 @@ def test_random_free_polytopes_take_the_split_tableau_pivot_path(monkeypatch):
         assert t_path == split_path
         pivots += len(t_path)
     assert pivots >= 100
+
+
+def test_cached_reduced_costs_and_degenerate_steps(monkeypatch):
+    """After every pivot each cached reduced cost is cost . direction, taken
+    from scratch, and a step of value 0 leaves the vertex and slacks as they were."""
+    rng = random.Random(7)
+    pivot = lp._pivot
+    cost = []
+    steps = {"degenerate": 0, "moving": 0}
+
+    def checked(core, delta, red_delta, rates, value, rate, leave, enter):
+        assert red_delta == sum(map(mul, cost, delta))
+        before = (list(core.tnum), list(core.snum), core.den)
+        pivot(core, delta, red_delta, rates, value, rate, leave, enter)
+        assert core.red.keys() == core.dirs.keys()
+        assert all(core.red[key] == sum(map(mul, cost, x)) for key, x in core.dirs.items())
+        if value:
+            steps["moving"] += 1
+        else:
+            assert (core.tnum, core.snum, core.den) == before
+            steps["degenerate"] += 1
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    for _ in range(25):
+        G, h, n, _low = _random_free_polytope(rng)
+        core = SlackBasisSimplex(G, h, n)
+        for _ in range(rng.randrange(3, 7)):
+            c = [F(rng.randrange(-5, 6), rng.choice((1, 4))) for _ in range(n)]
+            scale = math.lcm(*(a.denominator for a in c))
+            cost[:] = [a.numerator * (scale // a.denominator) for a in c]
+            core.solve(c)
+    assert steps["degenerate"] >= 20 and steps["moving"] >= 150
 
 
 def test_dual_check_rejects_tampered_duals():

@@ -1,7 +1,9 @@
 """Helpers that nothing needs are deleted, not kept: no module imports a name
 it does not use, and every module-level function or class is read somewhere
 in the package other than its own body, or, if public, is named in
-OUTSIDE_USERS with the user outside the package that it is kept for."""
+OUTSIDE_USERS with the user outside the package that it is kept for.  A
+module reads another's definition only by importing it or as an attribute,
+so a local variable of the same name is no read."""
 
 import ast
 from pathlib import Path
@@ -17,15 +19,13 @@ def _modules():
 
 
 def _used_names(node) -> set[str]:
-    """Names and attributes read anywhere under node, plus names it imports from elsewhere."""
+    """Names and attributes read anywhere under node."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(alias.name for alias in sub.names)
     return names
 
 
@@ -58,12 +58,25 @@ def _is_click_command(d) -> bool:
                and dec.func.attr in ("command", "group") for dec in d.decorator_list)
 
 
+def _outside_reads(tree) -> tuple[dict[str, set[str]], set[str]]:
+    """What a module can read of its siblings: {module: names it imports from
+    that module}, and the attributes it reads."""
+    imported, attrs = {}, set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute):
+            attrs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and sub.module:
+            imported.setdefault(sub.module.rpartition(".")[2], set()).update(a.name for a in sub.names)
+    return imported, attrs
+
+
 def _unread_definitions() -> list[tuple[str, str]]:
     """(name, "module:line name") of each module-level function or class that
     nothing in the package reads but its own definition.  __init__'s
     re-exports are no reads, and click commands are read by click."""
     modules = {name: tree for name, tree in _modules().items() if name != "__init__.py"}
     reads = {name: [_used_names(stmt) for stmt in tree.body] for name, tree in modules.items()}
+    outside = {name: _outside_reads(tree) for name, tree in modules.items()}
     unread = []
     for name, tree in modules.items():
         for k, d in enumerate(tree.body):
@@ -72,8 +85,8 @@ def _unread_definitions() -> list[tuple[str, str]]:
             if _is_click_command(d):
                 continue
             read = any(d.name in names for j, names in enumerate(reads[name]) if j != k)
-            read = read or any(d.name in names for other, stmts in reads.items()
-                               if other != name for names in stmts)
+            read = read or any(d.name in imported.get(name.removesuffix(".py"), ()) or d.name in attrs
+                               for other, (imported, attrs) in outside.items() if other != name)
             if not read:
                 unread.append((d.name, f"{name}:{d.lineno} {d.name}"))
     return unread

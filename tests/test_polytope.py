@@ -276,7 +276,16 @@ def test_polytope_rows_are_pinned(case):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == PINNED_ROWS[case]
 
 
-@pytest.mark.parametrize("m, n, eps, pivots", [(3, 2, F(1, 10), 153), (3, 3, F(1, 10), 678), (3, 4, F(0), 0)])
+@pytest.mark.parametrize(
+    "m, n, eps, pivots",
+    [
+        (3, 2, F(1, 10), 153),
+        (3, 3, F(1, 10), 678),
+        (3, 4, F(0), 0),
+        (3, 4, F(1, 10), 2135),
+        pytest.param(4, 2, F(1, 10), 6217, marks=pytest.mark.slow),
+    ],
+)
 def test_pivot_count_is_pinned(monkeypatch, m, n, eps, pivots):
     """Bland's rule fixes the pivot path; these counts were taken from the
     Fraction tableau that the integer-scaled kernel replaced."""

@@ -25,7 +25,6 @@ from votecert.prefs import (
     ordering_rank,
     parse_ordering,
     swap_path,
-    top,
     upper_set,
 )
 
@@ -90,12 +89,6 @@ def test_profile_cap_names_limit():
 
 
 # -- top / upper_set ------------------------------------------------------
-
-
-def test_top():
-    assert top((A, B, C)) == A
-    assert top((C, A, B)) == C
-    assert top((A,)) == A
 
 
 def test_upper_set():

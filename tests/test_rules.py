@@ -125,6 +125,15 @@ def test_closeness():
     assert closeness(u, v) == closeness(v, u)
 
 
+def test_closeness_matches_the_fraction_formula():
+    v = random_dictatorship(3, 3)
+    for delta, seed in ((F(1, 7), 5), (F(2, 3), 8), (F(1), 1)):
+        w = perturb(v, delta, seed)
+        want = max(abs(p - q) for key, lot in w.table.items() for p, q in zip(lot, v.lottery_at(key)))
+        assert 0 < want <= delta
+        assert closeness(w, v) == closeness(v, w) == want
+
+
 def test_closeness_is_a_metric_on_seeded_triples():
     rng = random.Random(11)
     base = random_dictatorship(3, 2)
