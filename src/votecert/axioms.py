@@ -121,7 +121,7 @@ def responsive_pairs(m: int, n: int):
     context_index = {others: c for c, others in enumerate(contexts)}
     bystanders = [[tuple(z for z in range(m) if z != o[p] and z != o[p + 1])
                    for p in range(m - 1)] for o in orderings]
-    for i, key in enumerate(enumerate_profiles(m, n, anonymous=True)):
+    for i, key in enumerate(enumerate_profiles(m, n)):
         for r in set(key):
             j = key.index(r)
             row = at[context_index[key[:j] + key[j + 1:]]]

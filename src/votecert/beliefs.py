@@ -69,9 +69,6 @@ class SimplexPolynomial:
     degree: int
     terms: dict[tuple[int, ...], Fraction]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate(self, point: Belief) -> Fraction:
         if len(point) != self.nvars:
             raise DomainError(f"point has {len(point)} coordinates, expected {self.nvars}")

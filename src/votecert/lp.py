@@ -56,16 +56,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max/min of objective . x subject to constraints; x >= 0 unless freed."""
+    """max/min of objective . x subject to constraints and x >= 0."""
 
     n_vars: int
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
     maximize: bool = True
-    nonneg: tuple[bool, ...] | None = None  # None means every variable >= 0
-
-    def var_nonneg(self, j: int) -> bool:
-        return True if self.nonneg is None else self.nonneg[j]
 
 
 @dataclass(frozen=True)
@@ -178,11 +174,11 @@ def _optimize(rows, basis, cost: dict[int, int], blocked=frozenset()) -> tuple[s
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve an arbitrary LP exactly.
+    """Solve an LP over x >= 0 exactly.
 
-    Free variables are split into positive and negative parts; rows are
-    normalized to nonnegative right-hand sides; equality and >= rows get
-    artificial variables driven out in phase 1.
+    Column j is variable j, followed by the slacks and then the artificials.
+    Rows are normalized to nonnegative right-hand sides; equality and >= rows
+    get artificial variables driven out in phase 1.
     """
     for c in lp.constraints:
         if c.width != lp.n_vars:
@@ -190,26 +186,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if c.rel not in (REL_LE, REL_EQ, REL_GE):
             raise DomainError(f"unknown relation {c.rel!r}")
 
-    # Column map: nonneg var -> one column; free var -> (plus, minus) columns.
-    col_of: list[tuple[int, int | None]] = []
-    ncols = 0
-    for j in range(lp.n_vars):
-        if lp.var_nonneg(j):
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    def expand(terms) -> dict[int, Fraction]:
-        row: dict[int, Fraction] = {}
-        for j, c in terms:
-            plus, minus = col_of[j]
-            row[plus] = row.get(plus, ZERO) + c
-            if minus is not None:
-                row[minus] = row.get(minus, ZERO) - c
-        return row
-
+    ncols = lp.n_vars
     # Rows with b < 0 are negated so every right-hand side is >= 0.
     flip = {REL_LE: REL_GE, REL_GE: REL_LE, REL_EQ: REL_EQ}
     rels = [flip[c.rel] if c.rhs < 0 else c.rel for c in lp.constraints]
@@ -228,7 +205,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     basis: list[int] = []
     for i, c in enumerate(lp.constraints):
         sign = -1 if c.rhs < 0 else 1
-        row = {j: sign * a for j, a in expand(c.terms).items()}
+        row = {j: sign * a for j, a in c.terms}
         row[RHS] = sign * c.rhs
         if i in slack_cols:
             row[slack_cols[i]] = ONE if rels[i] == REL_LE else -ONE
@@ -249,20 +226,17 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         _drive_out_artificials(rows, basis, artificial)
 
     sign = 1 if lp.maximize else -1
-    cost = _integer_row({**expand(enumerate(sign * c for c in lp.objective)), Z: ONE})
+    cost = _integer_row(dict(enumerate(sign * c for c in lp.objective)) | {Z: ONE})
     status, _red = _optimize(rows, basis, cost, blocked=artificial)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED)
 
-    xcols = [ZERO] * ncols
+    x = [ZERO] * ncols
     for row, b in zip(rows, basis):
-        xcols[b] = Fraction(row.get(RHS, 0), row[b])
-    x = []
-    for j in range(lp.n_vars):
-        plus, minus = col_of[j]
-        x.append(xcols[plus] - (xcols[minus] if minus is not None else ZERO))
+        x[b] = Fraction(row.get(RHS, 0), row[b])
+    x = tuple(x[:lp.n_vars])
     value = sum((c * xj for c, xj in zip(lp.objective, x)), ZERO)
-    return LPSolution(OPTIMAL, value, tuple(x))
+    return LPSolution(OPTIMAL, value, x)
 
 
 def _drive_out_artificials(rows, basis, artificial) -> None:

@@ -161,7 +161,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     """
     eps = Fraction(eps)
     lp = build_polytope(m, n, eps, parts)
-    keys = list(enumerate_profiles(m, n, anonymous=True))
+    keys = list(enumerate_profiles(m, n))
     key_index = {k: i for i, k in enumerate(keys)}
     nvars = lp.n_vars
 
@@ -332,17 +332,16 @@ def verify_theorem(m: int, n: int, eps) -> dict:
             "eps": eps,
         }
     constant = traced_constant(m)
-    result = max_distance(m, n, eps)
+    d_star = max_distance(m, n, eps).d_star
     bound = constant.value * eps
-    status = "PASS" if result.d_star <= bound else "FAIL"
+    status = "PASS" if d_star <= bound else "FAIL"
     return {
         "status": status,
         "m": m,
         "n": n,
         "eps": eps,
-        "d_star": result.d_star,
+        "d_star": d_star,
         "constant": constant.value,
         "bound": bound,
         "links": constant.links,
-        "result": result,
     }

@@ -3,7 +3,9 @@
 An ordering is a tuple of candidate ids (best first) and is identified by
 its lexicographic rank among all m! orderings.  An anonymous profile is the
 sorted tuple of its voters' ordering ranks, which makes it a canonical
-multiset key: voter permutations map to the same tuple.
+multiset key: voter permutations map to the same tuple.  Profiles are
+enumerated only in this form; an ordered profile (a tuple of orderings) is
+only an input, which `canonicalize` turns into its key.
 
 `profile_walk(m, n)` indexes the anonymous profiles in enumeration order:
 the profile that an (n-1)-voter context makes with one more voter of a given
@@ -121,29 +123,22 @@ def count_anonymous_profiles(m: int, n: int) -> int:
     return math.comb(math.factorial(m) + n - 1, n)
 
 
-def enumerate_profiles(m: int, n: int, anonymous: bool = False):
-    """Iterate all profiles for (m, n), deterministically and without duplicates.
-
-    Ordered mode yields Profile tuples; anonymous mode yields AnonKey tuples.
-    Raises CapExceededError when the enumeration would exceed the profile cap.
+def enumerate_profiles(m: int, n: int):
+    """Iterate the anonymous profiles (AnonKey tuples) of (m, n), in
+    combinations_with_replacement order, deterministically and without
+    duplicates.  Raises CapExceededError when their number exceeds the
+    profile cap.
     """
     if n < 1:
         raise DomainError(f"need at least one voter, got n={n}")
     orderings = enumerate_orderings(m)
     cap = max_profiles()
-    if anonymous:
-        total = count_anonymous_profiles(m, n)
-        if total > cap:
-            raise CapExceededError(
-                f"{total} anonymous profiles at (m={m}, n={n}) exceed the profile cap {cap}"
-            )
-        return itertools.combinations_with_replacement(range(len(orderings)), n)
-    total = len(orderings) ** n
+    total = count_anonymous_profiles(m, n)
     if total > cap:
         raise CapExceededError(
-            f"{total} ordered profiles at (m={m}, n={n}) exceed the profile cap {cap}"
+            f"{total} anonymous profiles at (m={m}, n={n}) exceed the profile cap {cap}"
         )
-    return itertools.product(orderings, repeat=n)
+    return itertools.combinations_with_replacement(range(len(orderings)), n)
 
 
 def profile_walk(m: int, n: int) -> ProfileWalk:
@@ -156,7 +151,7 @@ def profile_walk(m: int, n: int) -> ProfileWalk:
     profile the context makes with one more voter of ordering rank r; and
     top_counts[i][x] is the number of voters with x on top in profile i.
     """
-    enumerate_profiles(m, n, anonymous=True)  # the cap and the domain checks
+    enumerate_profiles(m, n)  # the cap and the domain checks
     return _profile_walk(m, n)
 
 

@@ -10,7 +10,8 @@ canonical (equal lotteries have equal pairs), so comparisons become
 cross-multiplications.  The view is built in enumeration order as the table
 is validated; rule files are parsed into it and written from it, and
 `perturb` mixes on it.  Fractions are built on demand, by `lottery_at`,
-`prob_at`, `lottery`, `prob` and `.table`.
+`prob_at` and `.table`, which all read a table by its anonymous profile
+key (`prefs.canonicalize` turns an ordered profile into one).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import CapExceededError, DomainError, ValidationError
 from .prefs import (
     AnonKey,
     Ordering,
-    Profile,
     candidate_names,
     canonicalize,
     enumerate_orderings,
@@ -136,7 +136,7 @@ class RuleTable:
             raise ValidationError(f"need {m} distinct candidate names, got {self.names!r}")
         scaled = type(table) is _Scaled
         view: dict[AnonKey, tuple[tuple[int, ...], int]] = {}
-        for key in enumerate_profiles(m, n, anonymous=True):
+        for key in enumerate_profiles(m, n):
             if key not in table:
                 raise ValidationError(f"rule table is missing profile {key}")
             view[key] = _checked(m, table[key] if scaled else _scaled_lottery(table[key]))
@@ -172,20 +172,6 @@ class RuleTable:
         nums, den = self._view[key]
         return Fraction(nums[x], den)
 
-    def lottery(self, profile: Profile) -> Lottery:
-        self._check_profile(profile)
-        return self.lottery_at(canonicalize(profile))
-
-    def prob(self, profile: Profile, x: int) -> Fraction:
-        """Selection probability of candidate x on a (possibly ordered) profile."""
-        if not 0 <= x < self.m:
-            raise DomainError(f"candidate {x} outside 0..{self.m - 1}")
-        return self.lottery(profile)[x]
-
-    def _check_profile(self, profile: Profile):
-        if len(profile) != self.n or any(len(o) != self.m for o in profile):
-            raise DomainError(f"profile shape does not match rule dimensions (m={self.m}, n={self.n})")
-
 
 # -- Built-in rules ----------------------------------------------------------
 
@@ -208,7 +194,7 @@ def plurality_uniform_tiebreak(m: int, n: int) -> RuleTable:
     """Most top votes wins; ties are broken uniformly among the tied."""
     tops = _tops(m)
     table = {}
-    for key in enumerate_profiles(m, n, anonymous=True):
+    for key in enumerate_profiles(m, n):
         cnt = Counter(tops[r] for r in key)
         best = max(cnt.values())
         winners = [x for x in range(m) if cnt.get(x, 0) == best]
@@ -221,7 +207,7 @@ def plurality_fixed_tiebreak(m: int, n: int) -> RuleTable:
     """Most top votes wins; ties go to the lowest candidate id (deterministic)."""
     tops = _tops(m)
     table = {}
-    for key in enumerate_profiles(m, n, anonymous=True):
+    for key in enumerate_profiles(m, n):
         cnt = Counter(tops[r] for r in key)
         best = max(cnt.values())
         winner = min(x for x in range(m) if cnt.get(x, 0) == best)
@@ -235,7 +221,7 @@ def rank_rule(m: int, n: int, r: int) -> RuleTable:
     if not 1 <= r <= m:
         raise DomainError(f"rank r={r} outside 1..{m}")
     table = {}
-    for key in enumerate_profiles(m, n, anonymous=True):
+    for key in enumerate_profiles(m, n):
         cnt = Counter(orderings[idx][r - 1] for idx in key)
         table[key] = tuple(Fraction(cnt.get(x, 0), n) for x in range(m))
     return RuleTable(m, n, table)
@@ -248,7 +234,7 @@ def pair_rule(m: int, n: int, x: int, y: int) -> RuleTable:
     orderings = enumerate_orderings(m)
     prefers_x = [o.index(x) < o.index(y) for o in orderings]
     table = {}
-    for key in enumerate_profiles(m, n, anonymous=True):
+    for key in enumerate_profiles(m, n):
         cx = sum(1 for idx in key if prefers_x[idx])
         lot = [ZERO] * m
         lot[x] = Fraction(cx, n)
@@ -259,7 +245,7 @@ def pair_rule(m: int, n: int, x: int, y: int) -> RuleTable:
 
 def constant_rule(m: int, n: int, lottery) -> RuleTable:
     """Ignore the votes; always play the given lottery."""
-    keys = list(enumerate_profiles(m, n, anonymous=True))  # rejects m < 1 or n < 1 first
+    keys = list(enumerate_profiles(m, n))  # rejects m < 1 or n < 1 first
     return RuleTable(m, n, dict.fromkeys(keys, validate_lottery(m, lottery)))
 
 

@@ -48,7 +48,6 @@ from votecert.polytope import max_distance, traced_constant
 from votecert.prefs import (
     canonicalize,
     enumerate_orderings,
-    enumerate_profiles,
     kendall_tau,
     swap_path,
 )
@@ -243,8 +242,8 @@ def test_criterion_7_upper_set_reduction_oracle():
                 if not weight:
                     continue
                 tp = tuple(orderings[s] for s in others)
-                lot_t = v.lottery(tp + (truthful,))
-                lot_l = v.lottery(tp + (misreport,))
+                lot_t = v.lottery_at(canonicalize(tp + (truthful,)))
+                lot_l = v.lottery_at(canonicalize(tp + (misreport,)))
                 direct += weight * sum(u[x] * (lot_t[x] - lot_l[x]) for x in range(3))
 
             assert direct == sum(gaps[k] * f_values[k] for k in (1, 2))
@@ -279,7 +278,7 @@ def test_criterion_9_machinery_properties():
             assert len(path) == sum(kendall_tau(x, y) for x, y in zip(pa, pb))
 
         for n in (2, 3, 4):
-            for profile in enumerate_profiles(3, n):
+            for profile in itertools.product(enumerate_orderings(3), repeat=n):
                 key = canonicalize(profile)
                 for perm in itertools.permutations(range(n)):
                     assert canonicalize(tuple(profile[i] for i in perm)) == key

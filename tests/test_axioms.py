@@ -58,11 +58,11 @@ ABC, ACB, BAC, BCA, CAB, CBA = (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0
 def brute_force_pareto(v):
     """Independent scan over ordered profiles and candidate pairs."""
     worst = F(0)
-    for profile in enumerate_profiles(v.m, v.n):
+    for profile in itertools.product(enumerate_orderings(v.m), repeat=v.n):
         for x in range(v.m):
             for y in range(v.m):
                 if x != y and all(o.index(x) < o.index(y) for o in profile):
-                    worst = max(worst, v.prob(profile, y))
+                    worst = max(worst, v.prob_at(canonicalize(profile), y))
     return worst
 
 
@@ -376,7 +376,7 @@ def _isolation_groups_per_swap(m, n):
 @pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (4, 2)])
 def test_isolation_groups_match_the_per_swap_generator(m, n):
     # the generator yields context indices; read them back as the tuples above
-    keys = list(enumerate_profiles(m, n, anonymous=True))
+    keys = list(enumerate_profiles(m, n))
     contexts, at, _ = profile_walk(m, n)
     got = [(r, p, r2, y, c, [(contexts[k], keys[at[k][r]], keys[at[k][r2]]) for k in members])
            for r, p, r2, y, groups in isolation_groups(m, n) for c, members in groups.items()]

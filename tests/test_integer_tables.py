@@ -49,7 +49,7 @@ def ref_rule_from_json_obj(obj):
         if not within_digit_limit(*lot):
             raise ValidationError("lottery entry has more digits than Python will print")
         table[key] = lot
-    for key in enumerate_profiles(m, n, anonymous=True):
+    for key in enumerate_profiles(m, n):
         lot = table[key]
         if len(lot) != m:
             raise ValidationError(f"lottery has {len(lot)} entries, expected {m}")

@@ -133,14 +133,6 @@ def test_unbounded_detected():
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_free_variable_goes_negative():
-    lp = LinearProgram(
-        1, (F(-1),), (constraint([1], ">=", -5),), maximize=True, nonneg=(False,)
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal" and sol.value == 5 and sol.x == (F(-5),)
-
-
 def test_minimization():
     lp = LinearProgram(
         2,

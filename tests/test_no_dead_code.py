@@ -2,10 +2,13 @@
 it does not use, and every module-level function or class is read somewhere
 in the package other than its own body, or, if public, is named in
 OUTSIDE_USERS with the user outside the package that it is kept for.  A
-module reads another's definition only by importing it or as an attribute,
-so a local variable of the same name is no read."""
+module reads another's definition only by importing it, so neither a local
+variable nor an attribute of the same name is a read.  Every method and
+property of a class is read as an attribute somewhere in the package
+outside its own body, or is named in OUTSIDE_MEMBER_USERS."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import votecert
@@ -58,16 +61,13 @@ def _is_click_command(d) -> bool:
                and dec.func.attr in ("command", "group") for dec in d.decorator_list)
 
 
-def _outside_reads(tree) -> tuple[dict[str, set[str]], set[str]]:
-    """What a module can read of its siblings: {module: names it imports from
-    that module}, and the attributes it reads."""
-    imported, attrs = {}, set()
+def _imports(tree) -> dict[str, set[str]]:
+    """What a module reads of its siblings: {module: names it imports from that module}."""
+    imported = {}
     for sub in ast.walk(tree):
-        if isinstance(sub, ast.Attribute):
-            attrs.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom) and sub.module:
+        if isinstance(sub, ast.ImportFrom) and sub.module:
             imported.setdefault(sub.module.rpartition(".")[2], set()).update(a.name for a in sub.names)
-    return imported, attrs
+    return imported
 
 
 def _unread_definitions() -> list[tuple[str, str]]:
@@ -76,7 +76,7 @@ def _unread_definitions() -> list[tuple[str, str]]:
     re-exports are no reads, and click commands are read by click."""
     modules = {name: tree for name, tree in _modules().items() if name != "__init__.py"}
     reads = {name: [_used_names(stmt) for stmt in tree.body] for name, tree in modules.items()}
-    outside = {name: _outside_reads(tree) for name, tree in modules.items()}
+    outside = {name: _imports(tree) for name, tree in modules.items()}
     unread = []
     for name, tree in modules.items():
         for k, d in enumerate(tree.body):
@@ -85,8 +85,8 @@ def _unread_definitions() -> list[tuple[str, str]]:
             if _is_click_command(d):
                 continue
             read = any(d.name in names for j, names in enumerate(reads[name]) if j != k)
-            read = read or any(d.name in imported.get(name.removesuffix(".py"), ()) or d.name in attrs
-                               for other, (imported, attrs) in outside.items() if other != name)
+            read = read or any(d.name in imported.get(name.removesuffix(".py"), ())
+                               for other, imported in outside.items() if other != name)
             if not read:
                 unread.append((d.name, f"{name}:{d.lineno} {d.name}"))
     return unread
@@ -113,6 +113,7 @@ OUTSIDE_USERS = {
     "solve_lp": "the LP oracle of the sweep's tests",
     "constraint": "the LP oracle of the sweep's tests",
     "polynomial_from_terms": "the exponent-vector bridge of the dense reference tests",
+    "closeness": "perfbench's lp-sweep gate",
 }
 
 
@@ -123,4 +124,45 @@ def test_every_public_function_and_class_is_used():
     assert not unused, ("public functions and classes that nothing in the package reads "
                         f"and that no outside user is named for: {unused}")
     stale = sorted(set(OUTSIDE_USERS) - {name for name, _ in unread})
+    assert not stale, f"named for an outside user, but read in the package or gone: {stale}"
+
+
+def _attribute_reads(node) -> list[str]:
+    return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
+
+
+def _unread_members() -> list[tuple[str, str]]:
+    """("Class.name", "module:line Class.name") of each non-dunder method or
+    property that nothing in the package reads as an attribute, its own body aside."""
+    modules = _modules()
+    reads = Counter(attr for tree in modules.values() for attr in _attribute_reads(tree))
+    unread = []
+    for name, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for d in cls.body:
+                if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if d.name.startswith("__") and d.name.endswith("__"):
+                    continue
+                if reads[d.name] == _attribute_reads(d).count(d.name):
+                    unread.append((f"{cls.name}.{d.name}", f"{name}:{d.lineno} {cls.name}.{d.name}"))
+    return unread
+
+
+# Methods and properties that nothing in the package reads, each with the
+# user outside the package that it is kept for.
+OUTSIDE_MEMBER_USERS = {
+    "RuleTable.table": "the rules.profiles_validated hook in perfbench/tracing.py",
+    "Constraint.coeffs": "the dense rows of the LP oracle tests",
+}
+
+
+def test_every_method_and_property_is_used():
+    unread = _unread_members()
+    unused = [where for member, where in unread if member not in OUTSIDE_MEMBER_USERS]
+    assert not unused, ("methods and properties that nothing in the package reads "
+                        f"and that no outside user is named for: {unused}")
+    stale = sorted(set(OUTSIDE_MEMBER_USERS) - {member for member, _ in unread})
     assert not stale, f"named for an outside user, but read in the package or gone: {stale}"

@@ -222,7 +222,7 @@ def test_reduced_sweep_agrees_with_full_size_simplex():
 
     m, n, eps = 3, 2, F(1, 10)
     lp = build_polytope(m, n, eps)
-    keys = list(enumerate_profiles(m, n, anonymous=True))
+    keys = list(enumerate_profiles(m, n))
     tops = [o[0] for o in enumerate_orderings(m)]
     res = max_distance(m, n, eps)
     by = {(o.profile, o.candidate, o.sign): o.value for o in res.per_objective}
@@ -316,10 +316,19 @@ PINNED_MAX_DISTANCE = {
     (3, 2, F(1, 10), frozenset({"responsive", "unanimity"})): (
         F(1, 5), (0, 5), 1, 1, "0a8c24df0dbdbbb8", "ed6b90d75004db8e", "a00a7b73fac376a7", 13, 9, 24,
     ),
+    (3, 4, F(1, 10), ALL_PARTS): (
+        F(1, 4), (0, 0, 0, 3), 0, -1, "ce8b27da9195b054", "bf9e22b1f949b51b", "87f8b65a87ca1790", 57, 15, 132,
+    ),
+    (4, 2, F(1, 10), ALL_PARTS): (
+        F(3, 20), (0, 14), 1, 1, "52bc5f2f5d7e5652", "c818cd828e2cdb2f", "d2bf90e4814f3e28", 52, 20, 112,
+    ),
 }
 
 
-@pytest.mark.parametrize("case", list(PINNED_MAX_DISTANCE))
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(c, marks=pytest.mark.slow) if c[0] == 4 else c for c in PINNED_MAX_DISTANCE],
+)
 def test_max_distance_results_are_pinned(case):
     res = max_distance(*case, keep_witnesses=True)
     per_objective = [(o.profile, o.candidate, o.sign, str(o.value)) for o in res.per_objective]

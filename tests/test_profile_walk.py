@@ -55,7 +55,7 @@ SIZES = [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
 
 def _check_walk(m, n):
     contexts, at, top_counts = profile_walk(m, n)
-    keys = list(enumerate_profiles(m, n, anonymous=True))
+    keys = list(enumerate_profiles(m, n))
     index = {key: i for i, key in enumerate(keys)}
     ranks = range(math.factorial(m))
     assert contexts == tuple(itertools.combinations_with_replacement(ranks, n - 1))
@@ -93,7 +93,7 @@ def _replace_rank(key, old, new):
 def _responsive_pairs_sorted(m, n):
     orderings = enumerate_orderings(m)
     swaps = adjacent_swaps(m)
-    for key in enumerate_profiles(m, n, anonymous=True):
+    for key in enumerate_profiles(m, n):
         for r in set(key):
             o = orderings[r]
             for p, r2 in enumerate(swaps[r]):
@@ -126,14 +126,14 @@ def _isolation_groups_sorted(m, n):
 
 
 def _responsive_pairs_as_keys(m, n):
-    keys = list(enumerate_profiles(m, n, anonymous=True))
+    keys = list(enumerate_profiles(m, n))
     for i, i2, r, p, zs in responsive_pairs(m, n):
         for z in zs:
             yield keys[i], keys[i2], r, p, z
 
 
 def _isolation_groups_as_keys(m, n):
-    keys = list(enumerate_profiles(m, n, anonymous=True))
+    keys = list(enumerate_profiles(m, n))
     contexts, at, _ = profile_walk(m, n)
     for r, p, r2, y, groups in isolation_groups(m, n):
         for c, members in groups.items():
@@ -158,7 +158,7 @@ def _opponent_gaps_sorted(v, truthful, misreport):
 def test_set_order_differs_from_sorted_order_at_m4():
     # the case the m = 4 comparisons below guard
     assert list(set((3, 9))) == [9, 3]
-    assert any(list(set(key)) != sorted(set(key)) for key in enumerate_profiles(4, 2, anonymous=True))
+    assert any(list(set(key)) != sorted(set(key)) for key in enumerate_profiles(4, 2))
 
 
 @pytest.mark.parametrize("m, n", SIZES)

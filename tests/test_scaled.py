@@ -105,7 +105,7 @@ def ref_pareto(v):
 
 def ref_keys(v):
     """The anonymous profiles in enumeration order: what a generator's index names."""
-    return list(enumerate_profiles(v.m, v.n, anonymous=True))
+    return list(enumerate_profiles(v.m, v.n))
 
 
 def ref_strong(v):
