@@ -117,7 +117,6 @@ class RefutationPoint:
     belief: Belief
     value: Fraction
     stage: str  # "point-mass" | "midpoint" | "random"
-    index: int
 
 
 @dataclass(frozen=True)
@@ -238,15 +237,14 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
     for i, val in enumerate(pure):
         if val < 0:
             phi = tuple(ONE if t == i else ZERO for t in range(nv))
-            return RefutationPoint(phi, val, "point-mass", i)
+            return RefutationPoint(phi, val, "point-mass")
     half = Fraction(1, 2)
     scale = half**f.degree
     for i, j in sorted(mixed):
         val = scale * (pure[i] + pure[j] + mixed[i, j])
         if val < 0:
             phi = tuple(half if t in (i, j) else ZERO for t in range(nv))
-            index = i * nv - i * (i + 1) // 2 + (j - i - 1)  # position in combinations order
-            return RefutationPoint(phi, val, "midpoint", index)
+            return RefutationPoint(phi, val, "midpoint")
     return None
 
 
@@ -257,7 +255,7 @@ def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoi
         return hit
     nv = f.nvars
     rng = random.Random(seed)
-    for t in range(trials):
+    for _ in range(trials):
         weights = [rng.randrange(0, 101) for _ in range(nv)]
         total = sum(weights)
         if not total:
@@ -265,7 +263,7 @@ def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoi
         phi = tuple(Fraction(w, total) for w in weights)
         val = f.evaluate(phi)
         if val < 0:
-            return RefutationPoint(phi, val, "random", t)
+            return RefutationPoint(phi, val, "random")
     return None
 
 

@@ -13,7 +13,8 @@ a free t and pivots in t-space, on one integer edge direction per nonbasic
 quantity, yet takes exactly the Bland pivots of the tableau over t = u - w
 (`solve_lp`'s tableau is its oracle in the tests).  Each solve leaves its
 optimal dual in `.dual`, and `dual_certifies` checks such a dual
-independently, in integers on its own scaled copy of the rows.
+independently, in integers against `scaled_system(G, h)`, a copy of the
+rows built apart from the solver's.
 `reduce_equalities` folds equality constraints away before optimizing, by
 Gauss-Jordan elimination on the tableau's integer rows.
 """
@@ -432,21 +433,21 @@ def scaled_system(G, h) -> list[tuple[dict[int, int], int, int]]:
     return out
 
 
-def dual_certifies(G, h, objective, value, y, scaled=None) -> bool:
+def dual_certifies(system, objective, value, y) -> bool:
     """Whether y proves max objective . t over {G t <= h}, t free, is at most value.
 
-    G's rows are sparse dicts {column: coefficient}.  For such t,
-    objective . t = y^T G t <= y^T h when y >= 0 and y^T G = objective, so
-    y >= 0, y^T G = objective and y^T h = value make value an upper bound; a
-    feasible point attaining value makes it the max.
+    system is `scaled_system(G, h)`.  For such t, objective . t = y^T G t <=
+    y^T h when y >= 0 and y^T G = objective, so y >= 0, y^T G = objective
+    and y^T h = value make value an upper bound; a feasible point attaining
+    value makes it the max.
 
     The identities are checked in integers: y^T G and y^T h are summed over
-    `scaled_system(G, h)` with y over one common denominator.  A caller that
-    checks many duals against one system passes that scaled copy as `scaled`.
+    the scaled rows, with y over one common denominator.  The system is built
+    from G and h, not from a solver's rows, and one copy serves every dual
+    checked against it.
     """
-    if len(y) != len(G):
+    if len(y) != len(system):
         return False
-    system = scaled_system(G, h) if scaled is None else scaled
     # (i, num, d) with y_i / scale_i = num / d, over the nonzero entries of y
     support = [(i, q.numerator, q.denominator * system[i][2]) for i, q in enumerate(y) if q]
     if any(num < 0 for _, num, _ in support):

@@ -3,18 +3,20 @@ exact worst-case distance from that polytope to random dictatorship.
 
 Variables are the lottery entries of an anonymous rule table, indexed by
 (anonymous profile, candidate).  Pairwise responsiveness and pairwise
-isolation are equality constraints; eps-strong unanimity gives inequality
-constraints; lottery normalization and nonnegativity are always present.
-The rows are emitted from the same generators in `axioms` that drive the
-deviation meters, as profile indices, so each axiom is enumerated in one place.
+isolation are equality constraints; eps-strong unanimity gives a lower
+bound on one variable per unanimous profile (equalities at eps = 0);
+lottery normalization and nonnegativity are always present.  The rows are
+emitted from the same generators in `axioms` that drive the deviation
+meters, as profile indices, so each axiom is enumerated in one place.
 
 `max_distance` maximizes +/-(v(x, P) - j/n) over the polytope, one linear
 objective per (profile, candidate, sign).  Equalities are folded away by
-exact elimination first, the parametrization is shifted so that random
-dictatorship sits at the origin (making the all-slack basis feasible), and
-objectives equivalent under candidate relabeling are solved once.  The
-t-space rows stay sparse from the elimination's pivot rows to the simplex,
-which solves over a free t.  Every optimum is checked against its dual.
+exact elimination, and the parametrization is centered on random
+dictatorship x0, so the polytope reads x = x0 - R t >= lb over a free t:
+one row R_v t <= x0_v - lb_v per variable (repeats merged), whose
+all-slack basis at t = 0 is feasible.  The rows of R are the
+elimination's sparse pivot rows.  Objectives equivalent under candidate
+relabeling are solved once, and every optimum is checked against its dual.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def build_polytope(m: int, n: int, eps, parts=ALL_PARTS) -> LinearProgram:
 # -- Candidate-relabeling symmetry ----------------------------------------------
 
 
-def _relabel_maps(m: int, n: int, keys, key_index):
+def _relabel_maps(m: int, keys, key_index):
     """For each candidate permutation, the induced map on (profile, candidate)."""
     orderings = enumerate_orderings(m)
     rank = {o: i for i, o in enumerate(orderings)}
@@ -170,8 +172,18 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     _, _, top_counts = profile_walk(m, n)
     x0 = [Fraction(c, n) for counts in top_counts for c in counts]
 
-    eqs = [(dict(c.terms), c.rhs) for c in lp.constraints if c.rel == REL_EQ]
-    ineqs = [c for c in lp.constraints if c.rel != REL_EQ]
+    # Every inequality of the polytope is a lower bound on one variable, and
+    # LinearProgram means x >= 0, so they read into one vector of bounds.
+    eqs = []
+    lower = [ZERO] * nvars
+    for c in lp.constraints:
+        if c.rel == REL_EQ:
+            eqs.append((dict(c.terms), c.rhs))
+        elif c.rel == REL_GE and len(c.terms) == 1 and c.terms[0][1] == 1:
+            j = c.terms[0][0]
+            lower[j] = max(lower[j], c.rhs)
+        else:
+            raise InternalError(f"not a lower bound on one variable: {c.terms} {c.rel} {c.rhs}")
 
     for row, rhs in eqs:  # random dictatorship must satisfy every equality
         got = sum((a * x0[j] for j, a in row.items()), ZERO)
@@ -185,44 +197,34 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     d = len(free)
     free_pos = {f: i for i, f in enumerate(free)}
 
-    # Affine parametrization x = x0 + N t with t free; N[v] is row v of N, sparse.
-    N = [
-        {free_pos[v]: ONE} if v in free_pos else {free_pos[f]: -a for f, a in pivots[v][0].items()}
+    # Affine parametrization x = x0 - R t with t free; R[v] is row v of R, sparse,
+    # read straight from the pivot row x_p = rhs - sum(a * x_f).
+    R = [
+        {free_pos[v]: -ONE} if v in free_pos else {free_pos[f]: a for f, a in pivots[v][0].items()}
         for v in range(nvars)
     ]
 
-    # Inequalities in t-space as G t <= h with h >= 0 (t = 0 is the dictatorship),
-    # each row keyed by its sorted nonzero (position, coefficient) terms.
+    # x_v >= lower_v reads R_v . t <= x0_v - lower_v, whose slack is >= 0 as
+    # t = 0 is the dictatorship.  Rows are keyed by their sorted terms; a
+    # repeated row keeps its first position and its smallest slack.
     gmap: dict[tuple[tuple[int, Fraction], ...], Fraction] = {}
-
-    def add_row(coeffs: dict[int, Fraction], slack: Fraction):
+    for v in range(nvars):
+        slack = x0[v] - lower[v]
         if slack < 0:
-            raise InternalError("random dictatorship violates an inequality row")
-        key = tuple(sorted((i, a) for i, a in coeffs.items() if a))
+            raise InternalError(f"random dictatorship violates the lower bound on variable {v}")
+        key = tuple(sorted(R[v].items()))
         if key and (key not in gmap or slack < gmap[key]):
             gmap[key] = slack
-
-    for var in range(nvars):  # x_var >= 0  ->  -N_var . t <= x0_var
-        add_row({i: -a for i, a in N[var].items()}, x0[var])
-    for c in ineqs:
-        coeffs: dict[int, Fraction] = defaultdict(Fraction)
-        const = ZERO
-        for j, a in c.terms:
-            const += a * x0[j]
-            for i, b in N[j].items():
-                coeffs[i] += a * b
-        sign = -1 if c.rel == REL_GE else 1  # a.x >= rhs  ->  -(a.N) t <= a.x0 - rhs
-        add_row({i: sign * a for i, a in coeffs.items()}, sign * (c.rhs - const))
 
     G = [dict(key) for key in gmap]
     h = list(gmap.values())
     simplex = SlackBasisSimplex(G, h, d)
-    scaled = scaled_system(G, h)  # the dual check's own integer copy of G and h
+    system = scaled_system(G, h)  # the dual check's own integer copy of G and h
 
     # An orbit is met first at its minimum, its representative, so reps is
     # built in ascending order, which fixes the solve order and the witness.
     reps: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    maps = _relabel_maps(m, n, keys, key_index)
+    maps = _relabel_maps(m, keys, key_index)
     seen_pairs = set()
     for k in range(len(keys)):
         for x in range(m):
@@ -235,9 +237,9 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     for rep, orbit in reps.items():
         k, x = rep
         for sign in (1, -1):
-            obj = [sign * N[_var(k, x, m)].get(i, ZERO) for i in range(d)]
+            obj = [-sign * R[_var(k, x, m)].get(i, ZERO) for i in range(d)]
             value, t = simplex.solve(obj)
-            if not dual_certifies(G, h, obj, value, simplex.dual, scaled):
+            if not dual_certifies(system, obj, value, simplex.dual):
                 raise InternalError(f"the simplex dual does not certify the optimum {value}")
             solved.append((value, rep, sign, t))
             per_objective += [ObjectiveValue(keys[ok], ox, sign, value) for ok, ox in orbit]
@@ -245,13 +247,13 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
 
     # max keeps the first of equal optima, so the witness follows solve order.
     d_star, (bk, bx), bsign, bt = max(solved, key=lambda s: s[0])
-    witness = _table_from_t(m, n, keys, x0, N, bt)
+    witness = _table_from_t(m, n, keys, x0, R, bt)
 
     uniq = []
     if keep_witnesses:
-        # t fixes the table and back, as N has a unit row for each free column.
+        # t fixes the table and back, as R's row for free column i is -e_i.
         distinct = dict.fromkeys(tuple(t) for *_, t in solved)
-        uniq = [_table_from_t(m, n, keys, x0, N, t) for t in distinct]
+        uniq = [_table_from_t(m, n, keys, x0, R, t) for t in distinct]
 
     return MaxDistanceResult(
         d_star=d_star,
@@ -266,15 +268,9 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     )
 
 
-def _table_from_t(m, n, keys, x0, N, t) -> RuleTable:
-    table = {}
-    for k, key in enumerate(keys):
-        lot = []
-        for x in range(m):
-            var = _var(k, x, m)
-            lot.append(x0[var] + sum((a * t[i] for i, a in N[var].items()), ZERO))
-        table[key] = tuple(lot)
-    return RuleTable(m, n, table)
+def _table_from_t(m, n, keys, x0, R, t) -> RuleTable:
+    x = [x0[v] - sum((a * t[i] for i, a in row.items()), ZERO) for v, row in enumerate(R)]
+    return RuleTable(m, n, {key: tuple(x[k * m:(k + 1) * m]) for k, key in enumerate(keys)})
 
 
 # -- The traced distance constant ------------------------------------------------
@@ -323,6 +319,10 @@ def traced_constant(m: int) -> TracedConstant:
 def verify_theorem(m: int, n: int, eps) -> dict:
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
     eps = checked_unit(eps, "eps")
+    if m < 1:
+        raise DomainError(f"need at least one candidate, got m={m}")
+    if n < 1:
+        raise DomainError(f"need at least one voter, got n={n}")
     if m < 3:
         return {
             "status": "SKIPPED",

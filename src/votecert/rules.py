@@ -36,6 +36,7 @@ from .prefs import (
     enumerate_profiles,
     format_key,
     parse_ordering,
+    profile_walk,
     upper_set,
 )
 
@@ -176,10 +177,6 @@ class RuleTable:
 # -- Built-in rules ----------------------------------------------------------
 
 
-def _tops(m: int) -> list[int]:
-    return [o[0] for o in enumerate_orderings(m)]
-
-
 def random_dictatorship(m: int, n: int) -> RuleTable:
     """Pick a voter uniformly at random and elect her top choice."""
     return rank_rule(m, n, 1)
@@ -192,25 +189,21 @@ def uniform_rule(m: int, n: int) -> RuleTable:
 
 def plurality_uniform_tiebreak(m: int, n: int) -> RuleTable:
     """Most top votes wins; ties are broken uniformly among the tied."""
-    tops = _tops(m)
+    _, _, top_counts = profile_walk(m, n)
     table = {}
-    for key in enumerate_profiles(m, n):
-        cnt = Counter(tops[r] for r in key)
-        best = max(cnt.values())
-        winners = [x for x in range(m) if cnt.get(x, 0) == best]
-        share = Fraction(1, len(winners))
-        table[key] = tuple(share if x in winners else ZERO for x in range(m))
+    for key, counts in zip(enumerate_profiles(m, n), top_counts):
+        best = max(counts)
+        share = Fraction(1, counts.count(best))
+        table[key] = tuple(share if c == best else ZERO for c in counts)
     return RuleTable(m, n, table)
 
 
 def plurality_fixed_tiebreak(m: int, n: int) -> RuleTable:
     """Most top votes wins; ties go to the lowest candidate id (deterministic)."""
-    tops = _tops(m)
+    _, _, top_counts = profile_walk(m, n)
     table = {}
-    for key in enumerate_profiles(m, n):
-        cnt = Counter(tops[r] for r in key)
-        best = max(cnt.values())
-        winner = min(x for x in range(m) if cnt.get(x, 0) == best)
+    for key, counts in zip(enumerate_profiles(m, n), top_counts):
+        winner = counts.index(max(counts))
         table[key] = tuple(ONE if x == winner else ZERO for x in range(m))
     return RuleTable(m, n, table)
 

@@ -194,12 +194,12 @@ def dense_scan(f):
         phi = tuple(F(1) if t == i else F(0) for t in range(nv))
         val = f.evaluate(phi)
         if val < 0:
-            return RefutationPoint(phi, val, "point-mass", i)
-    for idx, (i, j) in enumerate(itertools.combinations(range(nv), 2)):
+            return RefutationPoint(phi, val, "point-mass")
+    for i, j in itertools.combinations(range(nv), 2):
         phi = tuple(F(1, 2) if t in (i, j) else F(0) for t in range(nv))
         val = f.evaluate(phi)
         if val < 0:
-            return RefutationPoint(phi, val, "midpoint", idx)
+            return RefutationPoint(phi, val, "midpoint")
     return None
 
 

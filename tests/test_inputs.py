@@ -210,6 +210,25 @@ def test_eps_outside_unit_interval_exits_2(runner, args):
     assert "eps must lie in [0, 1]" in result.output
 
 
+# -- sizes below one candidate or one voter ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify-theorem", "0", "2", "1/10"], "need at least one candidate, got m=0"),
+        (["verify-theorem", "2", "0", "1/10"], "need at least one voter, got n=0"),
+        (["verify-theorem", "--", "-1", "2", "1/10"], "need at least one candidate, got m=-1"),
+        (["verify-theorem", "--", "2", "-3", "1/10"], "need at least one voter, got n=-3"),
+    ],
+)
+def test_sizes_below_one_exit_2_before_any_skip(runner, args, message):
+    result = runner.invoke(main, args)
+    _assert_input_error(result)
+    assert message in result.output
+    assert "SKIPPED" not in result.output
+
+
 # -- rationals past Python's integer digit limit ---------------------------------
 
 

@@ -24,6 +24,7 @@ from votecert.lp import (
     constraint,
     dual_certifies,
     reduce_equalities,
+    scaled_system,
     solve_lp,
 )
 from votecert.polytope import build_polytope
@@ -188,7 +189,7 @@ def test_slack_basis_optimum_with_negative_component():
     for c, want_value, want_t in (([ZERO, ONE], F(2), [F(-1), F(2)]), ([-ONE, -ONE], ONE, [F(-1), ZERO])):
         value, t = core.solve(c)
         assert value == want_value and t == want_t
-        assert dual_certifies(G, h, c, value, core.dual)
+        assert dual_certifies(scaled_system(G, h), c, value, core.dual)
 
 
 def test_slack_basis_rejects_negative_rhs():
@@ -264,7 +265,7 @@ def test_warm_started_core_matches_oracle_with_dual_certificates():
             assert status == "optimal" and value == want - sum(a * lj for a, lj in zip(c, low))
             assert sum(a * tj for a, tj in zip(c, t)) == value
             assert all(sum(a * t[j] for j, a in row.items()) <= b for row, b in zip(G, h))
-            assert dual_certifies(G, h, c, value, core.dual)
+            assert dual_certifies(scaled_system(G, h), c, value, core.dual)
             solves += 1
             negative += any(tj < 0 for tj in t)
     assert solves >= 75 and negative >= 10
@@ -408,13 +409,14 @@ def test_dual_check_rejects_tampered_duals():
     value, _ = core.solve(c)
     y = core.dual
     assert value == F(14, 5) and y == [F(2, 5), F(1, 5), ZERO, ZERO]
-    assert dual_certifies(G, h, c, value, y)
-    assert not dual_certifies(G, h, c, value, [y[0] + F(1, 10)] + y[1:])  # one entry shifted
-    assert not dual_certifies(G, h, c, value, y[:2] + [F(-1), ZERO])  # one entry negative
+    system = scaled_system(G, h)
+    assert dual_certifies(system, c, value, y)
+    assert not dual_certifies(system, c, value, [y[0] + F(1, 10)] + y[1:])  # one entry shifted
+    assert not dual_certifies(system, c, value, y[:2] + [F(-1), ZERO])  # one entry negative
     # y^T G = c and y^T h = 0, a false bound of 0 that only the sign check catches
-    assert not dual_certifies(G, h, c, ZERO, [ZERO, ZERO, F(-1), F(-1)])
-    assert not dual_certifies(G, h, c, value + 1, y)  # y^T h no longer the value
-    assert not dual_certifies(G, h, c, value, y[:3])  # one entry short
+    assert not dual_certifies(system, c, ZERO, [ZERO, ZERO, F(-1), F(-1)])
+    assert not dual_certifies(system, c, value + 1, y)  # y^T h no longer the value
+    assert not dual_certifies(system, c, value, y[:3])  # one entry short
 
 
 # -- elimination on rational systems and on the polytope's equalities ------------

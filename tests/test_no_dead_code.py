@@ -166,3 +166,28 @@ def test_every_method_and_property_is_used():
                         f"and that no outside user is named for: {unused}")
     stale = sorted(set(OUTSIDE_MEMBER_USERS) - {member for member, _ in unread})
     assert not stale, f"named for an outside user, but read in the package or gone: {stale}"
+
+
+def _unread_parameters() -> list[str]:
+    """"module:line function(param)" for each parameter of a function or
+    lambda that its body never reads; self, cls and _-prefixed names aside."""
+    unread = []
+    for name, tree in _modules().items():
+        for d in ast.walk(tree):
+            if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = d.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            body = d.body if isinstance(d.body, list) else [d.body]
+            loads = {sub.id for stmt in body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            label = getattr(d, "name", "lambda")
+            unread += [f"{name}:{d.lineno} {label}({p.arg})" for p in params
+                       if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                       and p.arg not in loads]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert not unread, f"parameters that their function never reads: {unread}"

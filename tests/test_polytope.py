@@ -203,6 +203,11 @@ def test_verify_theorem_outcomes():
     out = verify_theorem(2, 3, F(1, 10))
     assert out["status"] == "SKIPPED"
     assert "three candidates" in out["reason"]
+    for m, n, what in ((0, 2, "candidate"), (2, 0, "voter"), (-1, 2, "candidate"), (2, -3, "voter")):
+        with pytest.raises(DomainError, match=f"need at least one {what}"):
+            verify_theorem(m, n, F(1, 10))
+    with pytest.raises(DomainError, match="eps"):  # eps is checked first
+        verify_theorem(0, 0, F(2))
 
 
 def test_parts_subsets_relax_the_polytope():
@@ -238,6 +243,27 @@ def test_reduced_sweep_agrees_with_full_size_simplex():
         sol = solve_lp(LinearProgram(lp.n_vars, tuple(obj), lp.constraints))
         assert sol.status == "optimal"
         assert sol.value - F(sign) * F(j, n) == by[(key, x, sign)]
+
+
+@pytest.mark.parametrize(
+    "terms, rel",
+    [
+        (((0, F(1)), (1, F(1))), ">="),  # two terms
+        (((0, F(1)),), "<="),  # an upper bound
+        (((0, F(2)),), ">="),  # a scaled bound
+    ],
+)
+def test_inequality_that_is_no_variable_bound_stops_max_distance(monkeypatch, terms, rel):
+    build = polytope.build_polytope
+
+    def with_row(m, n, eps, parts):
+        lp = build(m, n, eps, parts)
+        row = lp_module.Constraint(terms, lp.n_vars, rel, F(0))
+        return lp_module.LinearProgram(lp.n_vars, lp.objective, lp.constraints + (row,))
+
+    monkeypatch.setattr(polytope, "build_polytope", with_row)
+    with pytest.raises(InternalError, match="not a lower bound on one variable"):
+        max_distance(3, 2, F(1, 10))
 
 
 # -- the pivot path and every reported number, pinned --------------------------------

@@ -236,16 +236,23 @@ def _dual_certifies_fractions(G, h, objective, value, y):
 
 
 def test_integer_dual_check_agrees_with_fractions(monkeypatch):
-    calls = []
+    systems, calls = [], []
+
+    def scaled(G, h):
+        systems.append((G, h, lp_module.scaled_system(G, h)))
+        return systems[-1][2]
 
     def recorded(*args):
         calls.append(args)
         return lp_module.dual_certifies(*args)
 
+    monkeypatch.setattr(polytope, "scaled_system", scaled)
     monkeypatch.setattr(polytope, "dual_certifies", recorded)
     max_distance(3, 3, F(1, 10))
-    assert calls
-    for G, h, obj, value, y, scaled in calls[::4]:
+    assert calls and len(systems) == 1
+    G, h, built = systems[0]
+    assert all(args[0] is built for args in calls)  # one system, built from G and h
+    for system, obj, value, y in calls[::4]:
         support = [i for i, yi in enumerate(y) if yi]
         variants = [
             (value, y),
@@ -256,9 +263,8 @@ def test_integer_dual_check_agrees_with_fractions(monkeypatch):
         ]
         for val, dual in variants:
             want = _dual_certifies_fractions(G, h, obj, val, dual)
-            assert lp_module.dual_certifies(G, h, obj, val, dual, scaled) == want
-            assert lp_module.dual_certifies(G, h, obj, val, dual) == want
-        assert lp_module.dual_certifies(G, h, obj, value, y, scaled)
+            assert lp_module.dual_certifies(system, obj, val, dual) == want
+        assert lp_module.dual_certifies(system, obj, value, y)
 
 
 # -- golden reports at m = 4 --------------------------------------------------------
