@@ -214,6 +214,18 @@ def test_golden_reports_are_pinned(runner, tmp_path, args, digest):
     assert _sha256(json.dumps(results, sort_keys=True).encode()) == digest
 
 
+def test_golden_check_report_at_four_candidates_is_pinned(runner, tmp_path):
+    rule = _gen(runner, tmp_path, "perturbed", 4, 3, "--delta", "1/20")
+    assert _sha256(rule.read_bytes()) == (
+        "9388e4f30fc26d96176149fe5368ab082b80e8a88e9b339acbc2139b67ee14ff")
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["check", "--axiom", "all", "--rule", str(rule), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    results = json.loads(out.read_text())["results"]
+    assert _sha256(json.dumps(results, sort_keys=True).encode()) == (
+        "b2c681bc4bd2a46e0f7a618759a563fa42e3c8040001b60163b80f90b366d055")
+
+
 def test_sp_check_defaults_are_the_config_defaults():
     defaults = {p.name: p.default for p in sp_check.params}
     for field in dataclasses.fields(SPConfig):

@@ -286,6 +286,10 @@ def corpus():
         rules[f"pair-{m}{n}"] = pair_rule(m, n, m - 1, 0)
         rules[f"uniform-{m}{n}"] = uniform_rule(m, n)
         rules[f"rank-last-{m}{n}"] = rank_rule(m, n, m)
+    # m = 4 at n = 3: plurality ties within and across profiles
+    rules["perturbed-43-0-1/20"] = perturb(random_dictatorship(4, 3), F(1, 20), 0)
+    rules["rank-second-43"] = rank_rule(4, 3, 2)
+    rules["plurality-uniform-43"] = plurality_uniform_tiebreak(4, 3)
     rd33 = random_dictatorship(3, 3)
     rules["mixture-33"] = mixture(
         [rd33, plurality_uniform_tiebreak(3, 3), uniform_rule(3, 3)], [F(1, 2), F(1, 3), F(1, 6)]
