@@ -8,13 +8,20 @@ pairwise isolated, tops-only, ...) holds.
 The meters read each lottery as integers over a common denominator (the
 table's `_scaled` view, the only form a table stores), so every difference
 is an integer pair and every comparison a cross-multiplication; a Fraction
-is built only for the reported value.  Each linear axiom has one generator
-(`responsive_pairs`, `isolation_groups`, `unanimous_profiles`) yielding
-profile indices in enumeration order, as `prefs.profile_walk` numbers them:
-its meter reads lottery i of the view, and `polytope.build_polytope` names
-variable (i, x), from the same items.  The top-count meters index the same
-walk.  The canonical-profile table v'(x, j) reads one base ordering,
-0 > 1 > ... > m-1.
+is built only for the reported value.  Each meter first reduces inside the
+groups whose values it compares by integers (a profile's candidates for the
+distance reports, a context group for isolation, a top-count group for
+tops-only and times-at-top, a candidate's unanimous profiles for super-weak
+unanimity), so `_worst` gets one item per group; responsiveness passes on
+only the swaps that beat every earlier one.  The first strictly largest
+item is the one a stream of every (group member, candidate) would give.
+
+Each linear axiom has one generator (`responsive_pairs`, `isolation_groups`,
+`unanimous_profiles`) yielding profile indices in enumeration order, as
+`prefs.profile_walk` numbers them: its meter reads lottery i of the view,
+and `polytope.build_polytope` names variable (i, x), from the same items.
+The top-count meters group the same walk's indices.  The canonical-profile
+table v'(x, j) reads one base ordering, 0 > 1 > ... > m-1.
 
 `replay_report` checks every witness field it reads, then that the witness
 names a violation of its axiom.  It reads orderings, not the profile walk,
@@ -78,21 +85,24 @@ def _worst(axiom: str, fields: tuple[str, ...], scored) -> AxiomReport:
     return AxiomReport(axiom, Fraction(bn, bd), dict(zip(fields, top[2:])))
 
 
-def _extremes(items):
-    """(first minimum, first maximum) of nonempty (num, den, *parts) items by num/den."""
-    it = iter(items)
+def _extremes(nums, dens, members) -> tuple[int, int]:
+    """(first argmin, first argmax) of nums[k] / dens[k] over the nonempty
+    members, compared by cross-multiplication."""
+    it = iter(members)
     lo = hi = next(it)
-    for item in it:
-        if item[0] * lo[1] < lo[0] * item[1]:
-            lo = item
-        elif item[0] * hi[1] > hi[0] * item[1]:
-            hi = item
+    lo_num, lo_den = hi_num, hi_den = nums[lo], dens[lo]
+    for k in it:
+        num, den = nums[k], dens[k]
+        if num * lo_den < lo_num * den:
+            lo, lo_num, lo_den = k, num, den
+        elif num * hi_den > hi_num * den:
+            hi, hi_num, hi_den = k, num, den
     return lo, hi
 
 
-def _spread(lo, hi) -> tuple[int, int]:
-    """hi - lo as (num, den) for two (num, den, ...) items."""
-    return hi[0] * lo[1] - lo[0] * hi[1], hi[1] * lo[1]
+def _spread(nums, dens, lo: int, hi: int) -> tuple[int, int]:
+    """nums[hi] / dens[hi] - nums[lo] / dens[lo] as (num, den)."""
+    return nums[hi] * dens[lo] - nums[lo] * dens[hi], dens[hi] * dens[lo]
 
 
 # -- Linear axioms: one generator each, shared with polytope.build_polytope ------
@@ -203,11 +213,15 @@ def min_eps_weak_unanimity(v: RuleTable) -> AxiomReport:
 
 
 def min_eps_super_weak_unanimity(v: RuleTable) -> AxiomReport:
-    # the gaps come in ascending key order, so the first minimum is the
-    # minimum by (value, key)
-    return _worst("super-weak-unanimity", ("profile", "x"), (
-        (*_extremes(gaps)[0], x) for x, gaps in enumerate(_unanimity_gaps(v))
-    ))
+    def smallest():
+        for x, gaps in enumerate(_unanimity_gaps(v)):
+            nums, dens, keys = zip(*gaps)
+            # the gaps come in ascending key order, so the first minimum is
+            # the minimum by (value, key)
+            lo, _ = _extremes(nums, dens, range(len(keys)))
+            yield nums[lo], dens[lo], keys[lo], x
+
+    return _worst("super-weak-unanimity", ("profile", "x"), smallest())
 
 
 # -- Swap-based deviation meters -------------------------------------------------
@@ -219,8 +233,9 @@ def responsiveness_deviation(v: RuleTable) -> AxiomReport:
     keys, lots = list(view), list(view.values())
 
     def gaps():
-        # One item per swap, its first largest bystander gap: the same first
-        # strictly largest item as one item per bystander, with fewer items.
+        # Only the swaps whose first largest bystander gap beats every earlier
+        # one: the same first strictly largest item as one item per bystander.
+        best_num, best_den = 0, 1
         for i, i2, r, p, zs in responsive_pairs(v.m, v.n):
             a, da = lots[i]
             b, db = lots[i2]
@@ -229,8 +244,9 @@ def responsiveness_deviation(v: RuleTable) -> AxiomReport:
                 diff = abs(b[z] * da - a[z] * db)
                 if diff > gap:
                     gap, worst = diff, z
-            if gap:
-                yield gap, da * db, keys[i], keys[i2], r, p, worst
+            if gap * best_den > best_num * da * db:
+                best_num, best_den = gap, da * db
+                yield gap, best_den, keys[i], keys[i2], r, p, worst
 
     fields = ("profile", "swapped_profile", "acting_rank", "pos", "z")
     return _worst("responsiveness", fields, gaps())
@@ -245,44 +261,58 @@ def isolation_deviation(v: RuleTable) -> AxiomReport:
 
     def spreads():
         for r, p, r2, y, groups in isolation_groups(v.m, v.n):
-            deltas = [(a[y] * db - b[y] * da, da * db)
-                      for (a, da), (b, db) in zip(column[r2], column[r])]
+            nums = [a[y] * db - b[y] * da for (a, da), (b, db) in zip(column[r2], column[r])]
+            dens = [da * db for (_, da), (_, db) in zip(column[r2], column[r])]
             for c, members in groups.items():
-                lo, hi = _extremes((*deltas[k], k) for k in members)
-                yield *_spread(lo, hi), r, p, c, contexts[hi[2]], contexts[lo[2]]
+                lo, hi = _extremes(nums, dens, members)
+                yield *_spread(nums, dens, lo, hi), r, p, c, contexts[hi], contexts[lo]
 
     fields = ("acting_rank", "pos", "pair_count", "others", "others_2")
     return _worst("isolation", fields, spreads())
 
 
-def _group_spreads(v: RuleTable, groups):
-    """(spread num, spread den, first argmax profile, first argmin profile, x)
-    of v(., x) over each (profiles, x)."""
+def _group_spreads(v: RuleTable, groups_of):
+    """Per (x, groups) of groups_of, the list of (spread num, spread den, first
+    argmax profile, first argmin profile, x) of v(., x) over each group of two
+    or more profile indices, in group order."""
     view = v._scaled()
-    for members, x in groups:
-        if len(members) >= 2:
-            lo, hi = _extremes((view[k][0][x], view[k][1], k) for k in members)
-            yield *_spread(lo, hi), hi[2], lo[2], x
+    keys = list(view)
+    dens = [den for _, den in view.values()]
+    for x, groups in groups_of:
+        nums = [lot[x] for lot, _ in view.values()]  # one candidate's entries at a time
+        found = []
+        for members in groups:
+            if len(members) >= 2:
+                lo, hi = _extremes(nums, dens, members)
+                found.append((*_spread(nums, dens, lo, hi), keys[hi], keys[lo], x))
+        yield found
 
 
 def tops_only_deviation(v: RuleTable) -> AxiomReport:
     """Spread of any candidate's probability across profiles with equal tops."""
-    groups: dict[tuple, list] = defaultdict(list)
-    for key, _nums, _den, counts in _top_counts(v):
-        groups[counts].append(key)
-    pairs = ((members, x) for members in groups.values() for x in range(v.m))
-    return _worst("tops-only", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
+    _, _, top_counts = profile_walk(v.m, v.n)
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for i, counts in enumerate(top_counts):
+        groups[counts].append(i)
+    per_x = list(_group_spreads(v, ((x, groups.values()) for x in range(v.m))))
+    # the items go group by group, each group's candidates in order
+    return _worst("tops-only", ("profile", "profile_2", "x"),
+                  (item for items in zip(*per_x) for item in items))
 
 
 def times_at_top_deviation(v: RuleTable) -> AxiomReport:
     """Spread of x's probability across profiles with the same x top-count."""
-    rows = list(_top_counts(v))
-    groups: dict[tuple, list] = defaultdict(list)
-    for x in range(v.m):
-        for key, _nums, _den, counts in rows:
-            groups[(x, counts[x])].append(key)
-    pairs = ((members, x) for (x, _), members in groups.items())
-    return _worst("times-at-top", ("profile", "profile_2", "x"), _group_spreads(v, pairs))
+    _, _, top_counts = profile_walk(v.m, v.n)
+
+    def groups(x: int):
+        by_count: dict[int, list[int]] = defaultdict(list)
+        for i, counts in enumerate(top_counts):
+            by_count[counts[x]].append(i)
+        return by_count.values()
+
+    per_x = _group_spreads(v, ((x, groups(x)) for x in range(v.m)))
+    return _worst("times-at-top", ("profile", "profile_2", "x"),
+                  (item for items in per_x for item in items))
 
 
 # -- Canonical-profile table -----------------------------------------------------
@@ -341,34 +371,39 @@ def sliding_window_deviation(v: RuleTable) -> AxiomReport:
 # -- Distance to random dictatorship ----------------------------------------------
 
 
-def _top_counts(v: RuleTable):
-    """(key, nums, den, counts) per profile, counts[x] the voters with x on top,
-    read from the profile walk."""
-    _, _, counts = profile_walk(v.m, v.n)
-    for (key, (nums, den)), row in zip(v._scaled().items(), counts):
-        yield key, nums, den, row
+def _profile_gaps(v: RuleTable, scale: int, target):
+    """Per profile, (gap, scale * den, key, x, j) for the lottery nums / den:
+    x is the first candidate with the largest gap = |nums[x] * scale -
+    target[x][j] * den|, j the number of voters with x on top.
+
+    A profile's gaps share one denominator, so each profile gives `_worst`
+    one item, found by integer comparison: the same first strictly largest
+    item as one item per (profile, x)."""
+    _, _, top_counts = profile_walk(v.m, v.n)
+    for (key, (nums, den)), counts in zip(v._scaled().items(), top_counts):
+        gap = -1
+        for x, num in enumerate(nums):
+            diff = abs(num * scale - target[x][counts[x]] * den)
+            if diff > gap:
+                gap, worst = diff, x
+        yield gap, scale * den, key, worst, counts[worst]
 
 
 def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
     """Random dictatorship elects x with probability (voters with x on top) / n;
     its table is read that way, never built."""
     n = v.n
-    close = _worst("distance", ("profile", "x"), (
-        (abs(nums[x] * n - counts[x] * den), den * n, key, x)
-        for key, nums, den, counts in _top_counts(v)
-        for x in range(v.m)
-    ))
+    shares = [range(n + 1)] * v.m  # random dictatorship's v(., x) is j / n
+    # the fields name (profile, x); zip drops the trailing j
+    close = _worst("distance", ("profile", "x"), _profile_gaps(v, n, shares))
     if v.m < 2:
         return DistanceReport(close, AxiomReport("table-vs-canonical", ZERO, None),
                               AxiomReport("canonical-vs-linear", ZERO, None))
     vp, vden = _vprime_scaled(v)
+    rows = [[vp[(x, j)] for j in range(n + 1)] for x in range(v.m)]
     return DistanceReport(
         close,
-        _worst("table-vs-canonical", ("profile", "x", "j"), (
-            (abs(nums[x] * vden - vp[(x, counts[x])] * den), den * vden, key, x, counts[x])
-            for key, nums, den, counts in _top_counts(v)
-            for x in range(v.m)
-        )),
+        _worst("table-vs-canonical", ("profile", "x", "j"), _profile_gaps(v, vden, rows)),
         _worst("canonical-vs-linear", ("x", "j"), (
             (abs(vp[(x, j)] * n - j * vden), vden * n, x, j)
             for x in range(v.m)

@@ -31,10 +31,10 @@ from .prefs import (
     AnonKey,
     Ordering,
     candidate_names,
-    canonicalize,
     enumerate_orderings,
     enumerate_profiles,
     format_key,
+    ordering_rank,
     parse_ordering,
     profile_walk,
     upper_set,
@@ -82,6 +82,8 @@ def checked_unit(q, name: str) -> Fraction:
 def _canonical(nums, den: int) -> tuple[tuple[int, ...], int]:
     """(nums, den) divided by their gcd, which makes den the lcm of the reduced denominators."""
     g = math.gcd(den, *nums)
+    if g == 1:  # always, for entries written reduced, as save_rule writes them
+        return tuple(nums), den
     return tuple(num // g for num in nums), den // g
 
 
@@ -117,6 +119,20 @@ def validate_lottery(m: int, probs) -> Lottery:
     return lot
 
 
+def _checked_names(m: int, names) -> tuple[str, ...]:
+    """names as a tuple, checked to be m distinct strings that an ordering
+    string gives back: none contains '>', and none has leading or trailing
+    whitespace, which parse_ordering strips."""
+    names = tuple(names)
+    for name in names:
+        if type(name) is not str or ">" in name or name != name.strip():
+            raise ValidationError(f"candidate name {name!r} is not a string without '>' "
+                                  "and without leading or trailing whitespace")
+    if len(names) != m or len(set(names)) != m:
+        raise ValidationError(f"need {m} distinct candidate names, got {names!r}")
+    return names
+
+
 class _Scaled(dict):
     """A table of unchecked (nums, den) pairs, as the loader and `perturb` give it to RuleTable."""
 
@@ -132,9 +148,7 @@ class RuleTable:
             raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         self.m = m
         self.n = n
-        self.names = tuple(names) if names is not None else candidate_names(m)
-        if len(self.names) != m or len(set(self.names)) != m:
-            raise ValidationError(f"need {m} distinct candidate names, got {self.names!r}")
+        self.names = candidate_names(m) if names is None else _checked_names(m, names)
         scaled = type(table) is _Scaled
         view: dict[AnonKey, tuple[tuple[int, ...], int]] = {}
         for key in enumerate_profiles(m, n):
@@ -358,15 +372,13 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
         raise ValidationError(f"m and n must be JSON integers, got m={m!r}, n={n!r}")
     if not isinstance(names, list) or any(type(name) is not str for name in names):
         raise ValidationError(f"candidates must be a list of strings, got {names!r}")
-    names = tuple(names)
     if not isinstance(entries, list):
         raise ValidationError("malformed rule file: entries must be a list")
-    if m < 1 or n < 1:  # before any entry: no profile to canonicalize at n = 0
+    if m < 1 or n < 1:  # before any entry: no profile to read at n = 0
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if len(names) != m:
-        raise ValidationError(f"expected {m} candidate names, got {len(names)}")
+    names = _checked_names(m, names)  # before any entry parses an ordering with them
     table = _Scaled()
-    parsed: dict[str, Ordering] = {}  # each distinct ordering string, parsed once
+    parsed: dict[str, int] = {}  # each distinct ordering string's rank, parsed once
     for entry in entries:
         if not (isinstance(entry, dict) and isinstance(entry.get("profile"), list)
                 and isinstance(entry.get("lottery"), list)):
@@ -380,11 +392,10 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
                 raise ValidationError(f"lottery item {item!r} is not a string or an integer")
         for text in entry["profile"]:
             if text not in parsed:
-                parsed[text] = parse_ordering(text, names)
-        profile = tuple(parsed[text] for text in entry["profile"])
-        if len(profile) != n:
-            raise ValidationError(f"entry lists {len(profile)} orderings, expected {n}")
-        key = canonicalize(profile)
+                parsed[text] = ordering_rank(parse_ordering(text, names))
+        if len(entry["profile"]) != n:
+            raise ValidationError(f"entry lists {len(entry['profile'])} orderings, expected {n}")
+        key = tuple(sorted([parsed[text] for text in entry["profile"]]))
         if key in table:
             raise ValidationError(f"duplicate entry for profile {entry['profile']}")
         pairs, others = [], []  # others: the entries only Fraction(text) reads
@@ -397,7 +408,7 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
                 pairs.append(pair)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational in lottery: {exc}") from None
-        if not within_digit_limit(*others):
+        if others and not within_digit_limit(*others):
             raise ValidationError("lottery entry has more digits than Python will print")
         table[key] = _scaled_pairs(pairs)
     return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum

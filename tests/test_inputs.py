@@ -16,8 +16,8 @@ from click.testing import CliRunner
 import votecert
 from votecert.cli import main
 from votecert.errors import InternalError, ValidationError
-from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, max_m, max_profiles
-from votecert.rules import random_dictatorship, rule_to_json_obj, save_rule, uniform_rule
+from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, format_key, max_m, max_profiles
+from votecert.rules import RuleTable, random_dictatorship, rule_to_json_obj, save_rule, uniform_rule
 
 
 @pytest.fixture
@@ -139,6 +139,32 @@ def test_check_rejects_malformed_rule_file(runner, tmp_path, case):
     result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
     _assert_input_error(result)
     assert "error:" in result.output
+
+
+BAD_NAMES = {
+    "separator-in-name": ["a>", "b", "c"],
+    "leading-space": [" a", "b", "c"],
+    "trailing-newline": ["a", "b\n", "c"],
+    "duplicate-names": ["a", "a", "c"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NAMES))
+def test_bad_candidate_names_exit_2_with_a_message_about_the_names(runner, tmp_path, case):
+    names = tuple(BAD_NAMES[case])
+    rule = uniform_rule(3, 2)
+    with pytest.raises(ValidationError, match="candidate name"):
+        RuleTable(3, 2, rule.table, names)
+    # the file that save_rule would write if the table took these names
+    obj = rule_to_json_obj(rule)
+    obj["candidates"] = list(names)
+    for entry, key in zip(obj["entries"], rule.keys()):
+        entry["profile"] = format_key(key, names)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
+    _assert_input_error(result)
+    assert "candidate name" in result.output
 
 
 RAW_MALFORMED = {

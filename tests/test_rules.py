@@ -5,11 +5,15 @@ closeness meter must behave like a metric on tables.
 """
 
 import json
+import os
 import random
 import re
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votecert.errors import DomainError, ValidationError
 from votecert.prefs import canonicalize, enumerate_orderings, enumerate_profiles
@@ -258,3 +262,25 @@ def test_lottery_entry_errors_are_unchanged():
         obj["entries"][0]["lottery"][0] = text
         with pytest.raises(ValidationError, match=re.escape(f"bad rational in lottery: {message}")):
             rule_from_json_obj(obj)
+
+
+# Names drawn mostly from the characters that an ordering string could lose:
+# the separator and whitespace that parse_ordering strips.
+candidate_name = st.text(st.sampled_from("ab> \t\n\u00a0\u2003\"\\"), max_size=3) | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(names=st.lists(candidate_name, min_size=3, max_size=3))
+def test_every_accepted_name_tuple_round_trips(names):
+    table = uniform_rule(3, 1).table
+    clean = all(">" not in name and name == name.strip() for name in names)
+    if not (clean and len(set(names)) == 3):
+        with pytest.raises(ValidationError, match="candidate name"):
+            RuleTable(3, 1, table, names)
+        return
+    rule = RuleTable(3, 1, table, names)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rule.json")
+        save_rule(rule, path)
+        loaded = load_rule(path)
+    assert loaded == rule and loaded.names == tuple(names)

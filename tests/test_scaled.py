@@ -15,6 +15,7 @@ from operator import itemgetter
 
 import pytest
 
+from votecert import axioms
 from votecert.axioms import (
     AxiomReport,
     candidate_anonymity_deviation,
@@ -316,6 +317,25 @@ def test_integer_meters_match_fraction_reference(label):
     for got, want in zip((rep.closeness, rep.table_vs_canonical, rep.canonical_vs_linear),
                          ref_distance(v)):
         assert (got.axiom, got.eps, got.witness) == (want.axiom, want.eps, want.witness), want.axiom
+
+
+@pytest.mark.parametrize("label", ["perturbed-43-0-1/20", "plurality-uniform-43", "pair-33"])
+def test_distance_gives_the_witness_rule_one_item_per_profile(monkeypatch, label):
+    """A profile's gaps share a denominator, so closeness and table-vs-canonical
+    reduce over x before `_worst` sees them, not one item per (profile, x)."""
+    seen = {}
+    witness_rule = axioms._worst
+
+    def counting(axiom, fields, scored):
+        items = list(scored)
+        seen[axiom] = len(items)
+        return witness_rule(axiom, fields, items)
+
+    monkeypatch.setattr(axioms, "_worst", counting)
+    v = CORPUS[label]
+    distance_to_random_dictatorship(v)
+    for axiom in ("distance", "table-vs-canonical"):
+        assert 0 < seen[axiom] <= len(v.keys()), axiom
 
 
 @pytest.mark.parametrize("label", sorted(CORPUS))
