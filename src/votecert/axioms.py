@@ -374,11 +374,8 @@ def sliding_window_deviation(v: RuleTable) -> AxiomReport:
 def _profile_gaps(v: RuleTable, scale: int, target):
     """Per profile, (gap, scale * den, key, x, j) for the lottery nums / den:
     x is the first candidate with the largest gap = |nums[x] * scale -
-    target[x][j] * den|, j the number of voters with x on top.
-
-    A profile's gaps share one denominator, so each profile gives `_worst`
-    one item, found by integer comparison: the same first strictly largest
-    item as one item per (profile, x)."""
+    target[x][j] * den|, j the number of voters with x on top.  The gaps of
+    one profile share the denominator scale * den, so ints compare them."""
     _, _, top_counts = profile_walk(v.m, v.n)
     for (key, (nums, den)), counts in zip(v._scaled().items(), top_counts):
         gap = -1
