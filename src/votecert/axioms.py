@@ -35,6 +35,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import AXIOM_NAMES
 from .errors import DomainError
 from .prefs import (
     AnonKey,
@@ -524,22 +525,20 @@ def _raise_delta(v: RuleTable, w: dict, others: str) -> Fraction:
 
 
 def _meters() -> dict:
-    """Axiom name -> meter, in report order; built per call, so wrapped meters are used."""
-    return {
-        "pareto": min_eps_pareto,
-        "strong-unanimity": min_eps_strong_unanimity,
-        "weak-unanimity": min_eps_weak_unanimity,
-        "super-weak-unanimity": min_eps_super_weak_unanimity,
-        "responsiveness": responsiveness_deviation,
-        "isolation": isolation_deviation,
-        "tops-only": tops_only_deviation,
-        "times-at-top": times_at_top_deviation,
-        "candidate-anonymity": candidate_anonymity_deviation,
-        "sliding-window": sliding_window_deviation,
-    }
-
-
-AXIOM_NAMES = tuple(_meters())
+    """Axiom name -> meter, one meter per name of AXIOM_NAMES in its order;
+    built per call, so wrapped meters are used."""
+    return dict(zip(AXIOM_NAMES, (
+        min_eps_pareto,
+        min_eps_strong_unanimity,
+        min_eps_weak_unanimity,
+        min_eps_super_weak_unanimity,
+        responsiveness_deviation,
+        isolation_deviation,
+        tops_only_deviation,
+        times_at_top_deviation,
+        candidate_anonymity_deviation,
+        sliding_window_deviation,
+    ), strict=True))
 
 
 def run_axiom(v: RuleTable, name: str) -> AxiomReport:

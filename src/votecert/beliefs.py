@@ -36,7 +36,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
+from . import SPConfig
 from .errors import DomainError
 from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank, profile_walk
 from .rules import RuleTable, is_consistent_utility, upper_set_utility
@@ -152,6 +154,7 @@ def enumerate_instances(m: int):
             yield ManipulationInstance(p, q, k)
 
 
+@lru_cache(maxsize=None)  # keyed by the opponents' multisets: profile_walk's contexts
 def _multinomial(key: tuple[int, ...]) -> int:
     total = math.factorial(len(key))
     for mult in Counter(key).values():
@@ -265,13 +268,6 @@ def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoi
         if val < 0:
             return RefutationPoint(phi, val, "random")
     return None
-
-
-@dataclass(frozen=True)
-class SPConfig:
-    polya_max: int = 6
-    trials: int = 10_000
-    seed: int = 42
 
 
 def _refuted_verdict(

@@ -16,19 +16,12 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
-from .axioms import (
-    AXIOM_NAMES,
-    AxiomReport,
-    distance_to_random_dictatorship,
-    run_axiom,
-)
-from .beliefs import ManipulationInstance, SPConfig, SPVerdict, check_classic_sp, check_weak_sp
+from . import AXIOM_NAMES, SPConfig, __version__
 from .errors import CapExceededError, DomainError, ValidationError
-from .polytope import max_distance, normalize_parts, traced_constant, verify_theorem
 from .prefs import enumerate_orderings, format_key, format_ordering
 from .rules import (
     RuleTable,
@@ -44,6 +37,10 @@ from .rules import (
     within_digit_limit,
     write_json,
 )
+
+if TYPE_CHECKING:  # each command imports the layers it runs, and no other
+    from .axioms import AxiomReport
+    from .beliefs import ManipulationInstance, SPVerdict
 
 EXIT_FAIL = 1
 EXIT_VALIDATION = 2
@@ -209,6 +206,8 @@ def gen(kind, m, n, delta, seed, out):
 @_handle_errors
 def check(rule_path, axiom, out):
     """Report minimal-eps values (and witnesses) for the chosen axioms."""
+    from .axioms import distance_to_random_dictatorship, run_axiom
+
     started = time.monotonic()
     rule = load_rule(rule_path)
     names = list(AXIOM_NAMES) + ["distance"] if axiom == "all" else [axiom]
@@ -236,6 +235,8 @@ def check(rule_path, axiom, out):
 @_handle_errors
 def sp_check(rule_path, classic, polya_max, trials, seed, out):
     """Decide strategy-proofness (classic, or w.r.t. all i.i.d. beliefs)."""
+    from .beliefs import check_classic_sp, check_weak_sp
+
     started = time.monotonic()
     rule = load_rule(rule_path)
     if classic:
@@ -255,6 +256,8 @@ def sp_check(rule_path, classic, polya_max, trials, seed, out):
 @_handle_errors
 def lp_max(m, n, eps, parts, out):
     """Maximize the distance to random dictatorship over the constraint polytope."""
+    from .polytope import max_distance, normalize_parts, traced_constant
+
     started = time.monotonic()
     eps = _fraction_arg(eps, "eps")
     part_set = normalize_parts(p.strip() for p in parts.split(","))
@@ -297,6 +300,8 @@ def lp_max(m, n, eps, parts, out):
 @_handle_errors
 def verify_theorem_cmd(m, n, eps, out):
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
+    from .polytope import verify_theorem
+
     started = time.monotonic()
     eps = _fraction_arg(eps, "eps")
     outcome = verify_theorem(m, n, eps)

@@ -251,6 +251,7 @@ def test_every_report_witness_replays_exactly():
     v = perturb(random_dictatorship(3, 3), F(2, 7), seed=8)
     for name in AXIOM_NAMES:
         report = run_axiom(v, name)
+        assert report.axiom == name
         assert replay_report(v, report) == report.eps, name
     rep = distance_to_random_dictatorship(v)
     for sub in (rep.closeness, rep.table_vs_canonical, rep.canonical_vs_linear):

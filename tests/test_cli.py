@@ -226,6 +226,21 @@ def test_golden_check_report_at_four_candidates_is_pinned(runner, tmp_path):
         "b2c681bc4bd2a46e0f7a618759a563fa42e3c8040001b60163b80f90b366d055")
 
 
+# sha256 of `--help` at 80 columns, taken when every layer was imported up
+# front: moving the imports into the commands changes no choice or default.
+HELP_DIGESTS = {
+    "check": "9a1988480c330298270ab1fe55f1809454ce3790ce76d0ae7be15ad5243f6c5b",
+    "sp-check": "1e43dd75ff057911d094d34c1b5e254286ca799f294b4c33f06979f9f3fec32e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_pinned(runner, command):
+    result = runner.invoke(main, [command, "--help"], prog_name="votecert", terminal_width=80)
+    assert result.exit_code == 0, result.output
+    assert _sha256(result.output.encode()) == HELP_DIGESTS[command], result.output
+
+
 def test_sp_check_defaults_are_the_config_defaults():
     defaults = {p.name: p.default for p in sp_check.params}
     for field in dataclasses.fields(SPConfig):

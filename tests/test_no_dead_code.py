@@ -1,8 +1,8 @@
-"""Helpers that nothing needs are deleted, not kept: no module imports a name
-it does not use, and every module-level function or class is read somewhere
-in the package other than its own body, or, if public, is named in
-OUTSIDE_USERS with the user outside the package that it is kept for.  A
-module reads another's definition only by importing it, so neither a local
+"""Helpers that nothing needs are deleted, not kept: no module or function
+imports a name it does not use, and every module-level function or class is
+read somewhere in the package other than its own body, or, if public, is
+named in OUTSIDE_USERS with the user outside the package that it is kept
+for.  A module reads another's definition only by importing it, so neither a local
 variable nor an attribute of the same name is a read.  Every method and
 property of a class is read as an attribute somewhere in the package
 outside its own body, or is named in OUTSIDE_MEMBER_USERS."""
@@ -32,10 +32,10 @@ def _used_names(node) -> set[str]:
     return names
 
 
-def _bound_imports(tree) -> dict[str, int]:
-    """Name -> line of every module-level import binding, `from __future__` aside."""
+def _bound_imports(nodes) -> dict[str, int]:
+    """Name -> line of every import binding among nodes, `from __future__` aside."""
     bound = {}
-    for stmt in tree.body:
+    for stmt in nodes:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 bound[alias.asname or alias.name.split(".")[0]] = stmt.lineno
@@ -45,14 +45,29 @@ def _bound_imports(tree) -> dict[str, int]:
     return bound
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reads(node, shadowed=frozenset()) -> set[str]:
+    """Names read under node, less those read inside a function that imports them itself."""
+    if isinstance(node, ast.Name):
+        return set() if node.id in shadowed else {node.id}
+    if isinstance(node, FUNCTIONS):
+        shadowed = shadowed | set(_bound_imports(ast.walk(node)))
+    return set().union(*(_reads(child, shadowed) for child in ast.iter_child_nodes(node)))
+
+
 def test_no_module_has_an_unused_import():
+    """A function's import must be read inside it; a module-level one outside
+    the functions that import the same name for themselves."""
     unused = []
     for name, tree in _modules().items():
-        if name == "__init__.py":  # re-exports are its purpose
-            continue
-        loads = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
-        unused += [f"{name}:{line} {bound}" for bound, line in _bound_imports(tree).items()
-                   if bound not in loads]
+        functions = [d for d in ast.walk(tree) if isinstance(d, FUNCTIONS)]
+        in_function = {id(sub) for d in functions for sub in ast.walk(d)}
+        scopes = [(_bound_imports(sub for sub in ast.walk(tree) if id(sub) not in in_function), _reads(tree))]
+        scopes += [(_bound_imports(ast.walk(d)), {sub.id for sub in ast.walk(d) if isinstance(sub, ast.Name)})
+                   for d in functions]
+        unused += [f"{name}:{line} {b}" for bound, reads in scopes for b, line in bound.items() if b not in reads]
     assert not unused, f"unused imports: {unused}"
 
 
