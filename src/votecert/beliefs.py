@@ -8,12 +8,12 @@ polynomials are nonnegative on the belief simplex: a consistent utility is
 a positive combination of upper-set indicators plus a constant, and the
 constant cancels between the two reports.
 
-Nonnegativity is certified by scaling with powers of the coordinate sum and
-checking coefficients (Polya's theorem: sound, not complete), and refuted by
-exact values at point masses and pairwise midpoints, read off the terms
-grouped by support, then by exact evaluation at seeded rational samples.
-Each instance tries the degree-0 certificate first, so a polynomial with
-nonnegative coefficients is never scanned.
+Nonnegativity is certified by Polya's ladder (sound, not complete): each
+rung is the last one times the coordinate sum, built only while its degree
+has at most the profile cap of monomials, and passes when no coefficient is
+negative.  It is refuted at point masses and pairwise midpoints, read off
+the terms grouped by support, then at seeded samples, each signed at its
+integer weights (f is homogeneous); only a hit becomes a Fraction belief.
 
 A monomial is keyed by the sorted tuple of its variables, each repeated by
 its exponent, so the opponents' multiset is its own key.  The opponents'
@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import SPConfig
-from .errors import DomainError
-from .prefs import AnonKey, Ordering, enumerate_orderings, ordering_rank, profile_walk
+from .errors import CapExceededError, DomainError
+from .prefs import AnonKey, Ordering, enumerate_orderings, max_profiles, ordering_rank, profile_walk
 from .rules import RuleTable, is_consistent_utility, upper_set_utility
 
 ZERO = Fraction(0)
@@ -263,10 +263,10 @@ def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoi
         total = sum(weights)
         if not total:
             continue
-        phi = tuple(Fraction(w, total) for w in weights)
-        val = f.evaluate(phi)
+        val = f.evaluate(weights)  # f is homogeneous: f(w) and f(w / total) share a sign
         if val < 0:
-            return RefutationPoint(phi, val, "random")
+            phi = tuple(Fraction(w, total) for w in weights)
+            return RefutationPoint(phi, val / total**f.degree, "random")
     return None
 
 
@@ -299,10 +299,10 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
 
     Each instance first tries the degree-0 certificate (all coefficients
     nonnegative).  One it does not settle is scanned at the deterministic
-    beliefs (point masses, midpoints), then pushed up the rest of the
-    certificate ladder, and only instances the ladder cannot settle are
-    sampled.  By anonymity a single manipulating voter index covers all of
-    them.
+    beliefs (point masses, midpoints), then climbs the rest of the ladder
+    (CapExceededError at a rung past the profile cap), and only instances
+    the ladder leaves open are sampled.  By anonymity a single manipulating
+    voter index covers all of them.
     """
     config = config or SPConfig()
     pairs = _misreport_pairs(v.m)
@@ -326,31 +326,29 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
             hit = sample_refute(f, 0, config.seed)
             if hit is not None:
                 return refuted(inst, siblings, hit)
+            g = f
             for boost in rungs[1:]:
                 max_tried = max(max_tried, boost)
-                if polya_certify(f, boost):
+                if math.comb(g.nvars + g.degree, g.degree + 1) > max_profiles():  # monomials of rung boost
+                    raise CapExceededError(f"Pólya rung {boost} at (m={v.m}, n={v.n}) has more monomials "
+                                           f"than the profile cap {max_profiles()}")
+                g = g.times_coordinate_sum()
+                if polya_certify(g, 0):
                     certified_at = max(certified_at, boost)
                     break
             else:
                 pending.append((inst, f, siblings))
-    unknown: list[ManipulationInstance] = []
     for inst, f, siblings in pending:
         hit = sample_refute(f, config.trials, config.seed)
         if hit is not None:
             return refuted(inst, siblings, hit)
-        unknown.append(inst)
-    if unknown:
-        return SPVerdict(
-            STATUS_UNKNOWN,
-            max_degree_tried=max_tried,
-            instances_total=total,
-            instances_unknown=tuple(unknown),
-        )
+    unknown = tuple(inst for inst, _, _ in pending)
     return SPVerdict(
-        STATUS_CERTIFIED,
-        polya_degree=certified_at,
+        STATUS_UNKNOWN if unknown else STATUS_CERTIFIED,
+        polya_degree=None if unknown else certified_at,
         max_degree_tried=max_tried,
         instances_total=total,
+        instances_unknown=unknown,
     )
 
 

@@ -314,7 +314,8 @@ def verify_theorem_cmd(m, n, eps, out):
         results["bound"] = _rational(outcome["bound"])
         results["links"] = list(outcome["links"])
     _write_report(out, _run_report(results, None, {}, started))
-    click.echo(f"verify-theorem m={m} n={n} eps={eps}: {outcome['status']}")
+    if out is not None:  # otherwise stdout holds the report alone, one JSON document
+        click.echo(f"verify-theorem m={m} n={n} eps={eps}: {outcome['status']}")
     if outcome["status"] == "FAIL":
         sys.exit(EXIT_FAIL)
 

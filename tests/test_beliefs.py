@@ -7,6 +7,7 @@ where f_k is the k-th dominance polynomial; both sides are computed by
 independent code paths and compared exactly.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -35,6 +36,7 @@ from votecert.beliefs import (
 )
 from votecert.axioms import isolation_deviation, responsiveness_deviation
 from votecert.errors import DomainError
+from votecert.polytope import max_distance
 from votecert.prefs import canonicalize, enumerate_orderings, upper_set
 from votecert.rules import (
     constant_rule,
@@ -349,6 +351,69 @@ def test_weak_sp_ladder_reports_first_certified_rung(monkeypatch):
     assert (no_rungs.status, len(no_rungs.instances_unknown)) == ("unknown", 2)
 
 
+def fraction_sampler(f, trials, seed):
+    """Reference for the seeded stage: every draw is normalized to a Fraction
+    belief and evaluated there."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        weights = [rng.randrange(0, 101) for _ in range(f.nvars)]
+        total = sum(weights)
+        if not total:
+            continue
+        phi = tuple(F(w, total) for w in weights)
+        val = f.evaluate(phi)
+        if val < 0:
+            return RefutationPoint(phi, val, "random")
+    return None
+
+
+def centre_dip(nvars=3, at=(0, 1, 2)):
+    """(x+y+z)^2 - (18/5)(xy+yz+zx) on the variables `at`: 1 at each point mass
+    and 1/10 at each midpoint, but -1/5 at the centre, so only a sample refutes it."""
+    terms = {}
+    for a, b in itertools.combinations_with_replacement(at, 2):
+        exps = [0] * nvars
+        exps[a] += 1
+        exps[b] += 1
+        terms[tuple(exps)] = F(1) if a == b else F(-8, 5)
+    return polynomial_from_terms(nvars, 2, terms)
+
+
+def test_sampler_refutes_at_the_fraction_reference_belief():
+    f = centre_dip()
+    points = ((1, 0, 0), (F(1, 2), F(1, 2), 0), (F(1, 3),) * 3)
+    assert [f.evaluate(p) for p in points] == [1, F(1, 10), F(-1, 5)]
+    assert sample_refute(f, 0, seed=0) is None  # no point mass or midpoint refutes it
+    outcomes = Counter()
+    for g in (f, centre_dip(6, (0, 2, 4))):
+        for seed in range(12):
+            for trials in (1, 2, 20):
+                want = fraction_sampler(g, trials, seed)
+                assert sample_refute(g, trials, seed) == want, (g.nvars, seed, trials)
+                outcomes[g.nvars, want is None] += 1
+    assert len(outcomes) == 4, outcomes  # hits and misses at both sizes
+
+
+def test_weak_sp_reports_the_sampler_refutation(monkeypatch):
+    """Through the _dominance_siblings seam: one misreport's k = 1 polynomial is
+    the centre dip on 3 of the 6 belief variables, every other is 0, so the
+    ladder climbs to the top and only the seeded stage refutes."""
+    v = uniform_rule(3, 3)
+    zero = polynomial_from_terms(6, 2, {})
+    dip = centre_dip(6, (0, 2, 4))
+    target = (ABC, BAC)
+    monkeypatch.setattr(beliefs, "_dominance_siblings",
+                        lambda v, t, q: (dip, zero) if (t, q) == target else (zero, zero))
+    config = SPConfig()
+    verdict = check_weak_sp(v, config)
+    hit = sample_refute(dip, config.trials, config.seed)
+    assert hit.stage == "random"
+    assert verdict.status == "refuted" and verdict.max_degree_tried == config.polya_max
+    w = verdict.witness
+    assert (w.instance, w.belief, w.stage) == (ManipulationInstance(ABC, BAC, 1), hit.belief, "random")
+    assert w.gain > 0 and is_consistent_utility(w.utility, ABC)
+
+
 def test_validate_belief():
     assert validate_belief(2, [F(1, 2), F(1, 2)])
     with pytest.raises(DomainError):
@@ -632,3 +697,36 @@ def test_replay_gain_rejects_misshapen_witness(case):
     assert replay_gain(v, witness) == witness.gain
     with pytest.raises(DomainError):
         replay_gain(v, alter(witness))
+
+
+# -- the vertex corpora ---------------------------------------------------------------
+
+# n -> tables in max_distance(3, n, 1/10, keep_witnesses=True).all_witnesses, their
+# check_weak_sp outcomes under the default SPConfig, and sha256(repr(verdicts))[:16]:
+# every verdict is pinned, witnesses, rungs and unknown instances included.  Taken
+# while each rung was still rebuilt from degree n - 1 and the sampler normalized
+# every draw before evaluating it.
+VERTEX_CORPUS_VERDICTS = {
+    3: (24, {"certified at 0": 11, "certified at 2": 1, "point-mass": 8, "midpoint": 3, "unknown": 1},
+        "f80f73817043e2db"),
+    4: (57, {"certified at 0": 21, "point-mass": 13, "midpoint": 15, "unknown": 8}, "175779da48789981"),
+}
+
+
+def _outcome(verdict):
+    if verdict.status == "certified":
+        return f"certified at {verdict.polya_degree}"
+    return verdict.witness.stage if verdict.witness else verdict.status
+
+
+@pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.slow)])
+def test_vertex_corpus_verdicts_are_pinned(n):
+    tables = max_distance(3, n, F(1, 10), keep_witnesses=True).all_witnesses
+    verdicts = [check_weak_sp(v) for v in tables]
+    count, outcomes, digest = VERTEX_CORPUS_VERDICTS[n]
+    assert len(verdicts) == count
+    assert Counter(map(_outcome, verdicts)) == outcomes
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest()[:16] == digest
+    for v, verdict in zip(tables, verdicts):
+        if verdict.witness:
+            assert replay_gain(v, verdict.witness) == verdict.witness.gain > 0

@@ -157,6 +157,19 @@ def test_verify_theorem_skipped_below_three_candidates(runner):
     assert "SKIPPED" in result.output
 
 
+@pytest.mark.parametrize("args,status", [(("3", "2", "0"), "PASS"), (("2", "3", "1/10"), "SKIPPED")])
+def test_verify_theorem_stdout_is_one_json_report(runner, tmp_path, args, status):
+    """Without --out, stdout is the report alone; with it, the status line."""
+    result = runner.invoke(main, ["verify-theorem", *args])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["results"]["status"] == status
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["verify-theorem", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "verify-theorem m={} n={} eps={}: {}\n".format(*args, status)
+    assert json.loads(out.read_text())["results"]["status"] == status
+
+
 def test_reports_roundtrip_byte_identically(runner, tmp_path):
     rule_path = _gen(runner, tmp_path, "uniform", 3, 2)
     report_path = tmp_path / "report.json"

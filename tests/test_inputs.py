@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from click.testing import CliRunner
 import votecert
 from votecert.cli import main
 from votecert.errors import InternalError, ValidationError
+from votecert.polytope import max_distance
 from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, format_key, max_m, max_profiles
 from votecert.rules import RuleTable, random_dictatorship, rule_to_json_obj, save_rule, uniform_rule
 
@@ -90,6 +92,24 @@ def test_bad_env_cap_exits_2_from_the_command_line(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "VOTECERT_MAX_M" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_ladder_rung_past_the_profile_cap_exits_3(runner, tmp_path, monkeypatch):
+    """Rung b of an (m, n) instance spans the C(m! + n - 2 + b, n - 1 + b)
+    monomials of its degree: 126 at rung 2 for (3, 3), where this vertex table
+    is certified.  One fewer allowed is a cap error, not a MemoryError later."""
+    rule_path = tmp_path / "vertex.json"
+    save_rule(max_distance(3, 3, Fraction(1, 10), keep_witnesses=True).all_witnesses[4], str(rule_path))
+    args = ["sp-check", "--rule", str(rule_path), "--trials", "0"]
+    monkeypatch.setenv("VOTECERT_MAX_PROFILES", "126")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["results"]["verdict"]["polya_degree"] == 2
+    monkeypatch.setenv("VOTECERT_MAX_PROFILES", "125")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == (
+        "error: Pólya rung 2 at (m=3, n=3) has more monomials than the profile cap 125\n")
 
 
 # -- rule-file schema --------------------------------------------------------------
