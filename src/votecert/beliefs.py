@@ -19,11 +19,15 @@ A monomial is keyed by the sorted tuple of its variables, each repeated by
 its exponent, so the opponents' multiset is its own key.  The opponents'
 monomial carries the multinomial times their upper-set gap at that fixed
 profile, so classic strategy-proofness (dominance at every profile of the
-others) is the degree-0 certificate on every instance.  Both checks read
-the gaps from one opponent walk, `_opponent_gaps`, which works on the rule
-table's integer-scaled lotteries: the gaps at a fixed profile are integers
-over one denominator, and a Fraction is built only for a polynomial
-coefficient or a refuting witness.  The walk finds both reports' profiles
+others) is the degree-0 certificate on every instance.  The classic check
+decides that per (opponent context c, upper set S) first: the least S-mass
+among the reports that rank S on top must be at least the greatest S-mass
+among all m! reports, compared in integers.  Only after that pass has found
+a violation does it walk the gaps, in instance order, for the witness.  The
+gap walk, `_opponent_gaps`, which also builds the dominance polynomials,
+works on the rule table's integer-scaled lotteries: the gaps at a fixed
+profile are integers over one denominator, and a Fraction is built only for
+a polynomial coefficient or a refuting witness.  Both read the profiles
 through `prefs.profile_walk`, by index.  `replay_gain` computes in
 Fractions read from the same view and sorts its own profiles.
 """
@@ -352,24 +356,74 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     )
 
 
+def _upper_sets(m: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(S, T_S) for each proper nonempty candidate set S, as a bitmask: T_S
+    holds the ranks of the orderings whose top |S| candidates are S."""
+    groups: dict[int, list[int]] = {}
+    for r, ordering in enumerate(enumerate_orderings(m)):
+        mask = 0
+        for x in ordering[:-1]:
+            mask |= 1 << x
+            groups.setdefault(mask, []).append(r)
+    return [(mask, tuple(ranks)) for mask, ranks in groups.items()]
+
+
+def _every_gap_nonnegative(v: RuleTable) -> bool:
+    """Whether no instance has a negative gap, decided per (opponents, upper set).
+
+    A gap of (t, q, k) at opponents c is mass(at[c][t], S) - mass(at[c][q], S)
+    with S = t's top k.  So every gap is >= 0 exactly when, for each context
+    c and set S, the least S-mass among the reports t in T_S is at least the
+    greatest S-mass among all m! reports.  A profile's S-masses come from its
+    (nums, den) view by a subset-sum recurrence, once; a context's reports
+    are compared over the lcm of their denominators.  Stops at the first
+    violation.
+    """
+    _, at, _ = profile_walk(v.m, v.n)
+    lots = list(v._scaled().values())
+    sets = _upper_sets(v.m)
+    masks = [mask for mask, _ in sets]
+
+    @lru_cache(maxsize=None)  # one recurrence per profile, however many contexts reach it
+    def upper_masses(i: int) -> tuple[tuple[int, ...], int]:
+        nums, den = lots[i]
+        sums = [0]  # sums[mask] is the mass of the candidates whose bits mask sets
+        for num in nums:
+            sums += [s + num for s in sums]
+        return tuple(map(sums.__getitem__, masks)), den
+
+    for row in at:
+        reports = list(map(upper_masses, row))
+        common = math.lcm(*{den for _, den in reports})
+        rows = [s if den == common else tuple(x * (common // den) for x in s) for s, den in reports]
+        for col, (_, on_top) in zip(zip(*rows), sets):
+            if min(map(col.__getitem__, on_top)) < max(col):
+                return False
+    return True
+
+
 def check_classic_sp(v: RuleTable) -> SPVerdict:
     """Classic strategy-proofness: dominance must hold at every fixed profile
     of the other voters, not just in expectation under a belief.  It holds
-    exactly when every dominance polynomial passes the degree-0 certificate;
-    this reads the same `_opponent_gaps` walk, tests the sign of its integer
-    gaps and refutes at the first negative one, in enumerate_instances
-    order."""
+    exactly when every dominance polynomial passes the degree-0 certificate,
+    that is, when at every context c of the opponents each report that ranks
+    a candidate set S on top gives S at least the mass any report gives it
+    (`_every_gap_nonnegative`, in integers).  Only after that pass has found
+    a violation does the ordered `_opponent_gaps` walk run: it tests the
+    sign of the integer gaps and refutes at the first negative one, in
+    enumerate_instances order."""
     pairs = _misreport_pairs(v.m)
     total = len(pairs) * (v.m - 1)
-    for truthful, misreport in pairs:
-        # only a multiset with a negative gap can refute
-        walk = [item for item in _opponent_gaps(v, truthful, misreport) if min(item[1]) < 0]
-        for k in range(1, v.m):
-            for others, gaps, den in walk:
-                if gaps[k - 1] < 0:
-                    inst = ManipulationInstance(truthful, misreport, k)
-                    k_values = {j: Fraction(gap, den) for j, gap in enumerate(gaps, 1)}
-                    return _refuted_verdict(inst, k_values, total, 0, others=others)
+    if not _every_gap_nonnegative(v):
+        for truthful, misreport in pairs:
+            # only a multiset with a negative gap can refute
+            walk = [item for item in _opponent_gaps(v, truthful, misreport) if min(item[1]) < 0]
+            for k in range(1, v.m):
+                for others, gaps, den in walk:
+                    if gaps[k - 1] < 0:
+                        inst = ManipulationInstance(truthful, misreport, k)
+                        k_values = {j: Fraction(gap, den) for j, gap in enumerate(gaps, 1)}
+                        return _refuted_verdict(inst, k_values, total, 0, others=others)
     return SPVerdict(STATUS_CERTIFIED, polya_degree=0, instances_total=total)
 
 

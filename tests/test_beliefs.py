@@ -598,6 +598,30 @@ def test_classic_sp_verdicts_match_pinned():
         assert replay_gain(v, verdict.witness) == verdict.witness.gain
 
 
+def test_certified_classic_verdict_never_walks_the_gaps(monkeypatch):
+    """A certified rule is decided per (opponents, upper set) without the
+    ordered gap walk; a refuted one still walks the misreport pairs in
+    instance order and stops at its first witness."""
+    calls = []
+    walk = beliefs._opponent_gaps
+
+    def counting(v, truthful, misreport):
+        calls.append((truthful, misreport))
+        return walk(v, truthful, misreport)
+
+    monkeypatch.setattr(beliefs, "_opponent_gaps", counting)
+    for v in (random_dictatorship(3, 3), pair_rule(3, 3, A, C), random_dictatorship(4, 3)):
+        assert check_classic_sp(v).status == "certified"
+    assert calls == []
+    witness = SPWitness(
+        ManipulationInstance(ABC, BAC, 2), (F(1), F(4, 5), F(0)), F(1), F(1, 5), others=(2, 4)
+    )
+    assert check_classic_sp(plurality_uniform_tiebreak(3, 3)) == SPVerdict(
+        "refuted", witness=witness, instances_total=60
+    )
+    assert calls == [(ABC, (0, 2, 1)), (ABC, BAC)]
+
+
 def test_classic_sp_holds_iff_every_dominance_polynomial_certifies_at_degree_zero():
     """The opponents' monomial carries multinomial times their gap, so classic
     strategy-proofness is exactly the degree-0 certificate on every instance."""

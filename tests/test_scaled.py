@@ -295,6 +295,17 @@ def corpus():
     rules["mixture-33"] = mixture(
         [rd33, plurality_uniform_tiebreak(3, 3), uniform_rule(3, 3)], [F(1, 2), F(1, 3), F(1, 6)]
     )
+    # certified mixtures whose contexts mix denominators (1, 3, 5, 15; 24, 72), so the
+    # classic pass compares reports over their lcm and, where they agree, directly
+    rd_pair = mixture([rd33, pair_rule(3, 3, 2, 0)], [F(2, 5), F(3, 5)])
+    rules["mixture-rd-pair-33"] = rd_pair
+    rules["mixture-rd-pair-uniform-43"] = mixture(
+        [random_dictatorship(4, 3), pair_rule(4, 3, 0, 1), uniform_rule(4, 3)],
+        [F(1, 3), F(1, 2), F(1, 6)],
+    )
+    # the unanimous profile of the last ordering lies only in the last context, so
+    # every violation comes after the pass has read every other context
+    rules["mixture-rd-pair-33-late"] = _edited(rd_pair, (5, 5, 5), (ZERO, F(1, 10), F(9, 10)))
     # the hand-edited tables of the axiom tests
     rules["deviant-unanimity"] = _edited(rd33, canonicalize((ABC, ABC, ACB)), (F(7, 8), F(1, 8), ZERO))
     rules["isolation-counterexample"] = _edited(
@@ -347,6 +358,43 @@ def test_classic_walk_matches_fraction_reference(label):
 def test_classic_corpus_has_both_verdicts():
     statuses = Counter(check_classic_sp(v).status for v in CORPUS.values())
     assert statuses["certified"] >= 5 and statuses["refuted"] >= 5
+
+
+def test_late_violation_lies_only_in_the_last_context():
+    v = CORPUS["mixture-rd-pair-33-late"]
+    contexts, _, _ = profile_walk(v.m, v.n)
+    refuting = {others for p, q in _misreport_pairs(v.m)
+                for others, gaps in ref_opponent_gaps(v, p, q) if min(gaps) < 0}
+    assert refuting == {contexts[-1]}
+    assert check_classic_sp(v).witness.others == contexts[-1]
+
+
+EDGE_RULES = {
+    "random-dictatorship": random_dictatorship,
+    "uniform": uniform_rule,
+    "plurality-fixed": plurality_fixed_tiebreak,
+    "plurality-uniform": plurality_uniform_tiebreak,
+    "rank-last": lambda m, n: rank_rule(m, n, m),
+    "perturbed": lambda m, n: perturb(random_dictatorship(m, n), F(1, 7), 0),
+}
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)])
+@pytest.mark.parametrize("rule", sorted(EDGE_RULES))
+def test_classic_verdict_at_edge_sizes_matches_fraction_reference(rule, m, n):
+    """One candidate (no instance), two candidates (one upper-set size) and
+    one voter (a single, empty opponent context)."""
+    v = EDGE_RULES[rule](m, n)
+    verdict = check_classic_sp(v)
+    assert verdict == ref_classic(v)
+    assert verdict.instances_total == math.factorial(m) * (math.factorial(m) - 1) * (m - 1)
+
+
+@pytest.mark.parametrize("m, n, total", [(4, 4, 1656), (5, 2, 57120)])
+def test_random_dictatorship_is_classic_sp_at_large_sizes(m, n, total):
+    assert check_classic_sp(random_dictatorship(m, n)) == SPVerdict(
+        "certified", polya_degree=0, instances_total=total
+    )
 
 
 @pytest.mark.parametrize("label", [k for k in sorted(CORPUS)
