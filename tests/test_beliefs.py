@@ -328,7 +328,7 @@ def test_weak_sp_ladder_reports_first_certified_rung(monkeypatch):
 
     one, three, never = square_form(F(2, 3)), square_form(F(5, 4)), square_form(F(2))
     assert [next(b for b in range(7) if polya_certify(f, b)) for f in (one, three)] == [1, 3]
-    v = uniform_rule(2, 3)  # two instances: (ab, ba, 1) and (ba, ab, 1)
+    v = rank_rule(2, 3, 2)  # two instances, both with a negative gap: (ab, ba, 1) and (ba, ab, 1)
 
     def verdict(first, second, polya_max):
         fake = {(0, 1): (first,), (1, 0): (second,)}
@@ -397,8 +397,9 @@ def test_sampler_refutes_at_the_fraction_reference_belief():
 def test_weak_sp_reports_the_sampler_refutation(monkeypatch):
     """Through the _dominance_siblings seam: one misreport's k = 1 polynomial is
     the centre dip on 3 of the 6 belief variables, every other is 0, so the
-    ladder climbs to the top and only the seeded stage refutes."""
-    v = uniform_rule(3, 3)
+    ladder climbs to the top and only the seeded stage refutes.  The rule has
+    a negative gap at (abc, bac, 1), so that instance reaches the seam."""
+    v = rank_rule(3, 3, 2)
     zero = polynomial_from_terms(6, 2, {})
     dip = centre_dip(6, (0, 2, 4))
     target = (ABC, BAC)
