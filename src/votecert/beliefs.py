@@ -8,27 +8,28 @@ polynomials are nonnegative on the belief simplex: a consistent utility is
 a positive combination of upper-set indicators plus a constant, and the
 constant cancels between the two reports.
 
-Nonnegativity is certified by Polya's ladder (sound, not complete): each
-rung is the last one times the coordinate sum, built only while its degree
-has at most the profile cap of monomials, and passes when no coefficient is
-negative.  It is refuted at point masses and pairwise midpoints, read off
-the terms grouped by support, then at seeded samples, each signed at its
-integer weights (f is homogeneous); only a hit becomes a Fraction belief.
-
 A monomial is keyed by the sorted tuple of its variables, each repeated by
 its exponent, so the opponents' multiset is its own key.  The opponents'
 monomial carries the multinomial times their upper-set gap at that fixed
-profile, so classic strategy-proofness (dominance at every profile of the
-others) is the degree-0 certificate on every instance.  The classic check
-decides that per (opponent context c, upper set S) first: the least S-mass
-among the reports that rank S on top must be at least the greatest S-mass
-among all m! reports, compared in integers.  Only after that pass has found
-a violation does it walk the gaps, in instance order, for the witness.  The
-gap walk, `_opponent_gaps`, which also builds the dominance polynomials,
-works on the rule table's integer-scaled lotteries: the gaps at a fixed
-profile are integers over one denominator, and a Fraction is built only for
-a polynomial coefficient or a refuting witness.  Both read the profiles
-through `prefs.profile_walk`, by index.  `replay_gain` computes in
+profile, so an instance passes the degree-0 certificate exactly when none
+of its gaps is negative, and classic strategy-proofness (dominance at every
+profile of the others) is that certificate on every instance.  Both checks
+read one degree-0 stage, `_open_pairs`, decided in integers: the classic
+check refutes at its first open instance, and the i.i.d. check builds
+dominance polynomials for the open instances alone.
+
+An open instance is scanned at point masses and pairwise midpoints, read
+off the terms grouped by support, then climbs Polya's ladder (sound, not
+complete): each rung is the last one times the coordinate sum, built only
+while its degree has at most the profile cap of monomials, and passes when
+no coefficient is negative.  Instances the ladder leaves open are sampled
+at seeded beliefs, each signed at its integer weights (f is homogeneous);
+only a hit becomes a Fraction belief.
+
+`_opponent_gaps` reads the gaps from the rule table's integer-scaled
+lotteries, through `prefs.profile_walk` by index: at a fixed profile they
+are integers over one denominator, and a Fraction is built only for a
+polynomial coefficient or a refuting witness.  `replay_gain` computes in
 Fractions read from the same view and sorts its own profiles.
 """
 
@@ -301,17 +302,17 @@ def _refuted_verdict(
 def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     """Decide strategy-proofness w.r.t. all i.i.d. beliefs.
 
-    Each instance first tries the degree-0 certificate (all coefficients
-    nonnegative).  One it does not settle is scanned at the deterministic
-    beliefs (point masses, midpoints), then climbs the rest of the ladder
+    Only the instances the degree-0 stage `_open_pairs` leaves open get
+    dominance polynomials.  Each is scanned at the deterministic beliefs
+    (point masses, midpoints), then climbs the ladder from rung 1
     (CapExceededError at a rung past the profile cap), and only instances
     the ladder leaves open are sampled.  By anonymity a single manipulating
     voter index covers all of them.
     """
     config = config or SPConfig()
-    pairs = _misreport_pairs(v.m)
-    total = len(pairs) * (v.m - 1)  # instances: (truthful, misreport, k)
-    rungs = range(config.polya_max + 1)
+    if config.polya_max < 0:
+        raise DomainError(f"Pólya degree cap polya_max must be nonnegative, got {config.polya_max}")
+    total = len(_misreport_pairs(v.m)) * (v.m - 1)  # instances: (truthful, misreport, k)
     pending: list[tuple[ManipulationInstance, SimplexPolynomial, tuple[SimplexPolynomial, ...]]] = []
     certified_at = 0
     max_tried = 0
@@ -320,18 +321,16 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
         values = {k: f.evaluate(hit.belief) for k, f in enumerate(siblings, 1)}
         return _refuted_verdict(inst, values, total, max_tried, belief=hit.belief, stage=hit.stage)
 
-    # enumerate_instances order, with the k-siblings of each misreport built together
-    for truthful, misreport in pairs:
+    # enumerate_instances order, with the k-siblings of each open misreport built together
+    for truthful, misreport, open_ks, _ in _open_pairs(v):
         siblings = _dominance_siblings(v, truthful, misreport)
-        for k, f in enumerate(siblings, 1):
-            inst = ManipulationInstance(truthful, misreport, k)
-            if 0 in rungs and polya_certify(f, 0):
-                continue  # f >= 0 on the simplex: no scan can refute it
+        for k in open_ks:
+            inst, f = ManipulationInstance(truthful, misreport, k), siblings[k - 1]
             hit = sample_refute(f, 0, config.seed)
             if hit is not None:
                 return refuted(inst, siblings, hit)
             g = f
-            for boost in rungs[1:]:
+            for boost in range(1, config.polya_max + 1):
                 max_tried = max(max_tried, boost)
                 if math.comb(g.nvars + g.degree, g.degree + 1) > max_profiles():  # monomials of rung boost
                     raise CapExceededError(f"Pólya rung {boost} at (m={v.m}, n={v.n}) has more monomials "
@@ -402,28 +401,32 @@ def _every_gap_nonnegative(v: RuleTable) -> bool:
     return True
 
 
+def _open_pairs(v: RuleTable):
+    """The degree-0 stage of both checks, in enumerate_instances order: each
+    misreport pair with a negative gap, as (truthful, misreport, open_ks,
+    walk), open_ks the ascending k with a negative k-th gap and walk the
+    pair's `_opponent_gaps` items that have one.  Nothing if no gap is negative."""
+    if _every_gap_nonnegative(v):
+        return
+    for truthful, misreport in _misreport_pairs(v.m):
+        walk = [item for item in _opponent_gaps(v, truthful, misreport) if min(item[1]) < 0]
+        if walk:
+            open_ks = sorted({k for _, gaps, _ in walk for k, gap in enumerate(gaps, 1) if gap < 0})
+            yield truthful, misreport, open_ks, walk
+
+
 def check_classic_sp(v: RuleTable) -> SPVerdict:
     """Classic strategy-proofness: dominance must hold at every fixed profile
-    of the other voters, not just in expectation under a belief.  It holds
-    exactly when every dominance polynomial passes the degree-0 certificate,
-    that is, when at every context c of the opponents each report that ranks
-    a candidate set S on top gives S at least the mass any report gives it
-    (`_every_gap_nonnegative`, in integers).  Only after that pass has found
-    a violation does the ordered `_opponent_gaps` walk run: it tests the
-    sign of the integer gaps and refutes at the first negative one, in
-    enumerate_instances order."""
-    pairs = _misreport_pairs(v.m)
-    total = len(pairs) * (v.m - 1)
-    if not _every_gap_nonnegative(v):
-        for truthful, misreport in pairs:
-            # only a multiset with a negative gap can refute
-            walk = [item for item in _opponent_gaps(v, truthful, misreport) if min(item[1]) < 0]
-            for k in range(1, v.m):
-                for others, gaps, den in walk:
-                    if gaps[k - 1] < 0:
-                        inst = ManipulationInstance(truthful, misreport, k)
-                        k_values = {j: Fraction(gap, den) for j, gap in enumerate(gaps, 1)}
-                        return _refuted_verdict(inst, k_values, total, 0, others=others)
+    of the other voters, not just in expectation under a belief.  It is the
+    degree-0 certificate on every instance: certified when `_open_pairs`
+    yields nothing, else refuted at its first open instance, at the first
+    opponents where that instance's gap is negative."""
+    total = len(_misreport_pairs(v.m)) * (v.m - 1)
+    for truthful, misreport, open_ks, walk in _open_pairs(v):
+        k = open_ks[0]
+        others, gaps, den = next(item for item in walk if item[1][k - 1] < 0)
+        k_values = {j: Fraction(gap, den) for j, gap in enumerate(gaps, 1)}
+        return _refuted_verdict(ManipulationInstance(truthful, misreport, k), k_values, total, 0, others=others)
     return SPVerdict(STATUS_CERTIFIED, polya_degree=0, instances_total=total)
 
 

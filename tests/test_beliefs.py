@@ -347,8 +347,8 @@ def test_weak_sp_ladder_reports_first_certified_rung(monkeypatch):
     stuck = verdict(one, never, 4)
     assert (stuck.status, stuck.max_degree_tried) == ("unknown", 4)
     nonnegative = square_form(F(0))
-    no_rungs = verdict(nonnegative, nonnegative, -1)  # no certificate, not even degree 0
-    assert (no_rungs.status, len(no_rungs.instances_unknown)) == ("unknown", 2)
+    with pytest.raises(DomainError):  # degree 0 is decided before any rung: no mode without it
+        verdict(nonnegative, nonnegative, -1)
 
 
 def fraction_sampler(f, trials, seed):
@@ -623,6 +623,30 @@ def test_certified_classic_verdict_never_walks_the_gaps(monkeypatch):
     assert calls == [(ABC, (0, 2, 1)), (ABC, BAC)]
 
 
+def test_weak_sp_builds_polynomials_only_for_pairs_with_a_negative_gap(monkeypatch):
+    """Degree 0 is decided in integers before any polynomial exists: a rule
+    with no negative gap builds none, and a refuted one builds, in instance
+    order, only the misreport pairs whose gaps go negative somewhere."""
+    build = beliefs._dominance_siblings
+    refuted_rule = plurality_fixed_tiebreak(4, 2)
+    negative = [
+        (t, q) for t, q in itertools.permutations(enumerate_orderings(4), 2)
+        if any(c < 0 for f in build(refuted_rule, t, q) for c in f.terms.values())
+    ]
+    calls = []
+
+    def counting(v, truthful, misreport):
+        calls.append((truthful, misreport))
+        return build(v, truthful, misreport)
+
+    monkeypatch.setattr(beliefs, "_dominance_siblings", counting)
+    for v in (pair_rule(4, 2, 0, 1), random_dictatorship(4, 3)):
+        assert check_weak_sp(v).status == "certified"
+    assert calls == []
+    assert check_weak_sp(refuted_rule).status == "refuted"
+    assert calls and calls == negative[: len(calls)]
+
+
 def test_classic_sp_holds_iff_every_dominance_polynomial_certifies_at_degree_zero():
     """The opponents' monomial carries multinomial times their gap, so classic
     strategy-proofness is exactly the degree-0 certificate on every instance."""
@@ -648,6 +672,8 @@ def test_classic_sp_holds_iff_every_dominance_polynomial_certifies_at_degree_zer
             polya_certify(dominance_polynomial(v, inst), 0) for inst in enumerate_instances(v.m)
         )
         assert (classic == "certified") == degree_zero
+        weak = check_weak_sp(v)
+        assert (classic == "certified") == (weak.status == "certified" and weak.polya_degree == 0)
         statuses.add(classic)
     assert statuses == {"certified", "refuted"}
 

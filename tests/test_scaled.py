@@ -40,6 +40,7 @@ from votecert.beliefs import (
     _misreport_pairs,
     _refuted_verdict,
     check_classic_sp,
+    check_weak_sp,
     dominance_polynomial,
     enumerate_instances,
 )
@@ -392,9 +393,11 @@ def test_classic_verdict_at_edge_sizes_matches_fraction_reference(rule, m, n):
 
 @pytest.mark.parametrize("m, n, total", [(4, 4, 1656), (5, 2, 57120)])
 def test_random_dictatorship_is_classic_sp_at_large_sizes(m, n, total):
-    assert check_classic_sp(random_dictatorship(m, n)) == SPVerdict(
-        "certified", polya_degree=0, instances_total=total
-    )
+    """The i.i.d. check reads the same degree-0 stage, so it certifies too."""
+    v = random_dictatorship(m, n)
+    certified = SPVerdict("certified", polya_degree=0, instances_total=total)
+    assert check_classic_sp(v) == certified
+    assert check_weak_sp(v) == certified
 
 
 @pytest.mark.parametrize("label", [k for k in sorted(CORPUS)
