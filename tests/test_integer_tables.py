@@ -8,6 +8,7 @@ while tables were stored as Fractions), on values, on error messages and on
 bytes.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -19,8 +20,12 @@ import pytest
 from votecert.errors import ValidationError
 from votecert.prefs import canonicalize, enumerate_profiles, parse_ordering
 from votecert.rules import (
+    constant_rule,
     load_rule,
+    mixture,
+    pair_rule,
     perturb,
+    plurality_fixed_tiebreak,
     plurality_uniform_tiebreak,
     random_dictatorship,
     rank_rule,
@@ -208,3 +213,56 @@ def test_write_json_failure_mid_stream_keeps_path(tmp_path):
     with pytest.raises(TypeError):
         write_json(str(tmp_path / "new.json"), obj)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+# -- Every built-in rule's file, pinned by its bytes ---------------------------------------
+
+# sha256 of save_rule's bytes, taken while the built-in rules built their
+# lotteries as Fractions and json.dump wrote them.
+BUILT_IN_RULES = {
+    "random_dictatorship": random_dictatorship,
+    "uniform_rule": uniform_rule,
+    "plurality_uniform_tiebreak": plurality_uniform_tiebreak,
+    "plurality_fixed_tiebreak": plurality_fixed_tiebreak,
+    "rank_rule(2)": lambda m, n: rank_rule(m, n, 2),
+    "pair_rule(0, 1)": lambda m, n: pair_rule(m, n, 0, 1),
+    "constant_rule": lambda m, n: constant_rule(
+        m, n, [F(1, 2 ** (x + 1)) for x in range(m - 1)] + [F(1, 2 ** (m - 1))]),
+    "mixture": lambda m, n: mixture(
+        [random_dictatorship(m, n), plurality_fixed_tiebreak(m, n)], [F(1, 3), F(2, 3)]),
+}
+RULE_FILE_DIGESTS = {
+    ("random_dictatorship", 3, 3): "accd308cf58953d114ca840d4bd376d6a4414f184ebcddf06f9d217936c006c3",
+    ("random_dictatorship", 4, 2): "59dc0d0229be3333d5972a418657762ec3a77ce8d33a7eb0a548b1fe834086b6",
+    ("uniform_rule", 3, 3): "305266bde5286d7ea81b292123095ef6a1fe6c381e8968cf65a4a5560e71c20c",
+    ("uniform_rule", 4, 2): "66f784de790863b6fde924d253df42ab2bd3085061a32ed9b22535651dc92960",
+    ("plurality_uniform_tiebreak", 3, 3): "82adafb16b99cf6c60361ce2ecd7169d633d83b2c7c56a6c34ba59f783897146",
+    ("plurality_uniform_tiebreak", 4, 2): "59dc0d0229be3333d5972a418657762ec3a77ce8d33a7eb0a548b1fe834086b6",
+    ("plurality_fixed_tiebreak", 3, 3): "38c86580ea6d8f886b83f0ec4cb075aaef500a9422b4c218f3f337807d7d4e59",
+    ("plurality_fixed_tiebreak", 4, 2): "f3699605532c7e39d5924b59c96e783370245b8614a44b0f67ec9b674cfa0d3b",
+    ("rank_rule(2)", 3, 3): "596170e2f3f7c62959928852093144057f81ad3b6a787c4b18d93d62c1f66819",
+    ("rank_rule(2)", 4, 2): "67c62ec9a8e585d6cf19f87e59d57ad2bd7f1d00403d0384724fedd32a3c4c53",
+    ("pair_rule(0, 1)", 3, 3): "8e1bac95fe82c31469bd50bf681aa9973a920c3ff7f6235989c186a1bf017dbb",
+    ("pair_rule(0, 1)", 4, 2): "36051d9c1ad01a4e7df9bba352c928faf81ffdbcdd365b45abaaae2c0a9eae50",
+    ("constant_rule", 3, 3): "f3bac41924de9e74eaf928fdb3af2fd43cf64f6b33f6484be48177b76fcb4173",
+    ("constant_rule", 4, 2): "93b863dc3f9aef0521acc15e42125d305db902f8d08e692a444c38ea83a75b9a",
+    ("mixture", 3, 3): "dcccef851678eca6c5979fcb04e8d9e22afab0b06f78df6224a19234b08281b4",
+    ("mixture", 4, 2): "260d67dc6d2548f9dbc0c97f63765f78a5df73758d4f2b6660d15eaebcd7aad6",
+}
+
+
+def _saved_digest(rule, path):
+    save_rule(rule, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, m, n", sorted(RULE_FILE_DIGESTS), ids=str)
+def test_built_in_rule_files_are_pinned(tmp_path, name, m, n):
+    rule = BUILT_IN_RULES[name](m, n)
+    assert _saved_digest(rule, tmp_path / "rule.json") == RULE_FILE_DIGESTS[name, m, n]
+
+
+def test_audit_rule_file_is_pinned(tmp_path):
+    rule = perturb(random_dictatorship(4, 4), F(1, 20), 0)
+    assert _saved_digest(rule, tmp_path / "rule.json") == (
+        "7778712d3b0f56138900674ff6133cd24167380837cffe147db7caf6dc1d7a79")
