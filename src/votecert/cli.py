@@ -11,7 +11,6 @@ together with a display-only decimal approximation.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 import time
 import traceback
@@ -27,6 +26,7 @@ from .rules import (
     RuleTable,
     check_printable,
     checked_unit,
+    dump_json,
     load_rule,
     perturb,
     plurality_uniform_tiebreak,
@@ -73,7 +73,7 @@ def _digest(path: str) -> str:
 
 def _write_report(out: str | None, payload: dict) -> None:
     if out is None:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        dump_json(payload, sys.stdout)
     else:
         write_json(out, payload)
 

@@ -7,11 +7,13 @@ total, both checked at construction.
 A table stores each lottery once, as integers (nums, den) with den the lcm
 of the entries' reduced denominators, so p[x] = nums[x] / den.  The pair is
 canonical (equal lotteries have equal pairs), so comparisons become
-cross-multiplications.  The view is built in enumeration order as the table
-is validated; rule files are parsed into it and written from it, and
-`perturb` mixes on it.  Fractions are built on demand, by `lottery_at`,
-`prob_at` and `.table`, which all read a table by its anonymous profile
-key (`prefs.canonicalize` turns an ordered profile into one).
+cross-multiplications.  The view is built in enumeration order and validated
+by RuleTable: the built-in rules build it directly, rule files are parsed into
+it and written back from it, and `mixture` and `perturb` mix on it.  One
+writer, `dump_json`, streams rule files and reports as indented JSON.
+Fractions are built on demand, by `lottery_at`, `prob_at` and `.table`,
+which all read a table by its anonymous profile key (`prefs.canonicalize`
+turns an ordered profile into one).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 import os
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import CapExceededError, DomainError, ValidationError
 from .prefs import (
@@ -33,7 +35,7 @@ from .prefs import (
     candidate_names,
     enumerate_orderings,
     enumerate_profiles,
-    format_key,
+    format_ordering,
     ordering_rank,
     parse_ordering,
     profile_walk,
@@ -43,7 +45,6 @@ from .prefs import (
 Lottery = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @functools.cache
@@ -73,7 +74,7 @@ def check_printable(*qs: Fraction | int) -> None:
 def checked_unit(q, name: str) -> Fraction:
     """q as a Fraction, checked to lie in [0, 1]; like every message about a
     rational, the error leaves the value out, which str() may refuse to print."""
-    q = Fraction(q)
+    q = q if isinstance(q, Fraction) else Fraction(q)
     if not 0 <= q <= 1:
         raise DomainError(f"{name} must lie in [0, 1]")
     return q
@@ -204,21 +205,20 @@ def uniform_rule(m: int, n: int) -> RuleTable:
 def plurality_uniform_tiebreak(m: int, n: int) -> RuleTable:
     """Most top votes wins; ties are broken uniformly among the tied."""
     _, _, top_counts = profile_walk(m, n)
-    table = {}
+    table = _Scaled()
     for key, counts in zip(enumerate_profiles(m, n), top_counts):
         best = max(counts)
-        share = Fraction(1, counts.count(best))
-        table[key] = tuple(share if c == best else ZERO for c in counts)
+        table[key] = tuple(int(c == best) for c in counts), counts.count(best)
     return RuleTable(m, n, table)
 
 
 def plurality_fixed_tiebreak(m: int, n: int) -> RuleTable:
     """Most top votes wins; ties go to the lowest candidate id (deterministic)."""
     _, _, top_counts = profile_walk(m, n)
-    table = {}
+    points = [(tuple(int(x == winner) for x in range(m)), 1) for winner in range(m)]
+    table = _Scaled()
     for key, counts in zip(enumerate_profiles(m, n), top_counts):
-        winner = counts.index(max(counts))
-        table[key] = tuple(ONE if x == winner else ZERO for x in range(m))
+        table[key] = points[counts.index(max(counts))]
     return RuleTable(m, n, table)
 
 
@@ -227,10 +227,13 @@ def rank_rule(m: int, n: int, r: int) -> RuleTable:
     orderings = enumerate_orderings(m)  # rejects m < 1 before r is checked
     if not 1 <= r <= m:
         raise DomainError(f"rank r={r} outside 1..{m}")
-    table = {}
+    ranked = [o[r - 1] for o in orderings]
+    table = _Scaled()
     for key in enumerate_profiles(m, n):
-        cnt = Counter(orderings[idx][r - 1] for idx in key)
-        table[key] = tuple(Fraction(cnt.get(x, 0), n) for x in range(m))
+        nums = [0] * m
+        for idx in key:
+            nums[ranked[idx]] += 1
+        table[key] = _canonical(nums, n)
     return RuleTable(m, n, table)
 
 
@@ -240,20 +243,19 @@ def pair_rule(m: int, n: int, x: int, y: int) -> RuleTable:
         raise DomainError(f"need two distinct candidates in 0..{m - 1}, got {x}, {y}")
     orderings = enumerate_orderings(m)
     prefers_x = [o.index(x) < o.index(y) for o in orderings]
-    table = {}
+    table = _Scaled()
     for key in enumerate_profiles(m, n):
-        cx = sum(1 for idx in key if prefers_x[idx])
-        lot = [ZERO] * m
-        lot[x] = Fraction(cx, n)
-        lot[y] = Fraction(n - cx, n)
-        table[key] = tuple(lot)
+        nums = [0] * m
+        nums[x] = sum(1 for idx in key if prefers_x[idx])
+        nums[y] = n - nums[x]
+        table[key] = _canonical(nums, n)
     return RuleTable(m, n, table)
 
 
 def constant_rule(m: int, n: int, lottery) -> RuleTable:
     """Ignore the votes; always play the given lottery."""
     keys = list(enumerate_profiles(m, n))  # rejects m < 1 or n < 1 first
-    return RuleTable(m, n, dict.fromkeys(keys, validate_lottery(m, lottery)))
+    return RuleTable(m, n, _Scaled.fromkeys(keys, _scaled_lottery(validate_lottery(m, lottery))))
 
 
 # -- Combinators and comparisons ---------------------------------------------
@@ -274,8 +276,17 @@ def mixture(rules: list[RuleTable], weights) -> RuleTable:
     for v in rules[1:]:
         if (v.m, v.n) != (m, n):
             raise DomainError("mixture requires rules with identical dimensions")
-    table = {key: tuple(sum((q * v.prob_at(key, x) for q, v in zip(w, rules)), ZERO)
-                        for x in range(m)) for key in rules[0].keys()}
+    total = math.lcm(*(q.denominator for q in w))
+    scales = [q.numerator * (total // q.denominator) for q in w]  # w[i] == scales[i] / total
+    views = [v._scaled() for v in rules]
+    table = _Scaled()
+    for key in views[0]:
+        lots = [view[key] for view in views]
+        den = math.lcm(*(d for _, d in lots))
+        factors = [s * (den // d) for s, (_, d) in zip(scales, lots)]
+        columns = zip(*(ns for ns, _ in lots))  # column x: every rule's numerator of x
+        nums = [sum(f * num for f, num in zip(factors, column)) for column in columns]
+        table[key] = _canonical(nums, total * den)
     return RuleTable(m, n, table, rules[0].names)
 
 
@@ -341,12 +352,15 @@ def upper_set_utility(ordering: Ordering, k: int, rho: Fraction) -> tuple[Fracti
 
 
 def rule_to_json_obj(v: RuleTable) -> dict:
-    entries = []
-    for key, (nums, den) in v._scaled().items():
-        pairs = [(num // g, den // g) for num in nums for g in (math.gcd(num, den),)]
-        check_printable(*itertools.chain.from_iterable(pairs))
-        entries.append({"profile": format_key(key, v.names),
-                        "lottery": [f"{p}/{q}" if q != 1 else str(p) for p, q in pairs]})
+    view = v._scaled()
+    # Before any str(): every reduced entry prints if the largest reduced
+    # denominator does, as no numerator exceeds its denominator.
+    check_printable(max(den // math.gcd(num, den) for nums, den in view.values() for num in nums))
+    texts = [format_ordering(o, v.names) for o in enumerate_orderings(v.m)]
+    entries = [{"profile": [texts[r] for r in key],
+                "lottery": [f"{num // g}/{den // g}" if g != den else str(num // den)
+                            for num in nums for g in (math.gcd(num, den),)]}
+               for key, (nums, den) in view.items()]
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
 
 
@@ -414,18 +428,78 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
     return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dump_json(obj, fh) -> None:
+    """Write obj and a newline to fh as json.dumps(obj, indent=2, sort_keys=True)
+    writes it, piece by piece: no string holds the whole document.  Like
+    json.dumps it raises TypeError on a value it cannot encode, and unlike it
+    on a key that is not a str."""
+    _dump(obj, fh.write, "\n")
+    fh.write("\n")
+
+
+def _dump(obj, write, newline: str) -> None:
+    """obj as the json module encodes it, each line indented as far as newline's."""
+    if isinstance(obj, dict) and obj:
+        if not all(map(isinstance, obj, itertools.repeat(str))):
+            raise TypeError("keys must be str")
+        members = [(encode_basestring_ascii(key) + ": ", value)
+                   for key, value in sorted(obj.items())]
+        _dump_members(members, "{}", write, newline)
+    elif isinstance(obj, (list, tuple)) and obj:
+        if all(map(isinstance, obj, itertools.repeat(str))):
+            inner = newline + "  "
+            body = ("," + inner).join(map(encode_basestring_ascii, obj))
+            write("[" + inner + body + newline + "]")
+        else:
+            _dump_members([("", item) for item in obj], "[]", write, newline)
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        write(_FLOAT_WORDS.get(text, text))
+    elif isinstance(obj, (list, tuple, dict)):
+        write("{}" if isinstance(obj, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dump_members(members, brackets: str, write, newline: str) -> None:
+    """A nonempty array or object: each (prefix, value) member on its own line."""
+    inner = newline + "  "
+    sep = brackets[0]
+    for prefix, value in members:
+        write(sep + inner + prefix)
+        _dump(value, write, inner)
+        sep = ","
+    write(newline + brackets[1])
+
+
 def write_json(path: str, obj) -> None:
     """Write obj as indented, key-sorted JSON, replacing path in one step.
 
     The text goes to path + ".tmp" first; a failed write or replace deletes
-    that file again and re-raises.
+    that file again and re-raises.  A temporary file that cannot be created
+    is reported under path.
     """
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w")
+    try:
+        fh = open(tmp, "w")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            dump_json(obj, fh)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -204,6 +204,16 @@ def test_check_rejects_unreadable_rule_file(runner, tmp_path, case):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("args", [["gen", "uniform", "3", "2"], ["check", "--rule", "rule.json"]])
+def test_out_in_a_missing_directory_names_the_users_path(runner, tmp_path, args):
+    path = os.path.join("missing", "x.json")
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        save_rule(uniform_rule(3, 2), "rule.json")
+        result = runner.invoke(main, [*args, "--out", path])
+    _assert_input_error(result)
+    assert result.output == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
 # -- internal errors -----------------------------------------------------------------
 
 

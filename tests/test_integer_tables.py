@@ -1,26 +1,34 @@
 """Rule tables kept as integers from file to report.
 
-A table stores each lottery only as (nums, den).  The loader parses plain
-p/q text straight into that form, `perturb` mixes on it and `write_json`
-streams the file.  Oracle style: each is checked against a Fraction
-reference written out in this file (the formulas and checks the code used
-while tables were stored as Fractions), on values, on error messages and on
-bytes.
+A table stores each lottery only as (nums, den).  The built-in rules build
+that form, the loader parses plain p/q text straight into it, `perturb`
+mixes on it and `dump_json` streams the file.  Oracle style: each is checked
+against a Fraction reference written out in this file (the formulas and
+checks the code used while tables were stored as Fractions) or against the
+json module, on values, on error messages and on bytes.
 """
 
 import hashlib
+import io
 import json
 import math
 import random
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from votecert import cli, rules
 
 from votecert.errors import ValidationError
 from votecert.prefs import canonicalize, enumerate_profiles, parse_ordering
 from votecert.rules import (
     constant_rule,
+    dump_json,
     load_rule,
     mixture,
     pair_rule,
@@ -215,6 +223,44 @@ def test_write_json_failure_mid_stream_keeps_path(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
+json_text = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600 ab')
+json_floats = st.floats() | st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_floats | json_text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_text, inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(obj=json_values)
+def test_write_json_and_the_stdout_report_match_dumps(tmp_path_factory, obj):
+    want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    work = tmp_path_factory.getbasetemp()
+    write_json(str(work / "dump.json"), obj)
+    assert (work / "dump.json").read_bytes() == want.encode()
+    save_rule(uniform_rule(2, 1), str(work / "rule.json"))
+    with mock.patch.object(cli, "_run_report", return_value=obj):
+        result = CliRunner().invoke(cli.main, ["check", "--axiom", "pareto",
+                                               "--rule", str(work / "rule.json")])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == want.encode()
+
+
+@pytest.mark.parametrize("obj", [{"a": {1, 2}}, [b"x"], F(1, 2), {"a": [None, object()]}])
+def test_dump_json_rejects_values_as_json_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dump_json(obj, io.StringIO())
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {None: 0}, {"a": {2.5: 1}}, [{"b": 0, True: 1}]])
+def test_dump_json_rejects_keys_that_are_not_strings(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj, io.StringIO())
+
+
 # -- Every built-in rule's file, pinned by its bytes ---------------------------------------
 
 # sha256 of save_rule's bytes, taken while the built-in rules built their
@@ -266,3 +312,36 @@ def test_audit_rule_file_is_pinned(tmp_path):
     rule = perturb(random_dictatorship(4, 4), F(1, 20), 0)
     assert _saved_digest(rule, tmp_path / "rule.json") == (
         "7778712d3b0f56138900674ff6133cd24167380837cffe147db7caf6dc1d7a79")
+
+
+# -- Built without Fractions -------------------------------------------------------------
+
+
+def test_built_in_rules_and_rule_files_build_no_fraction(tmp_path, monkeypatch):
+    made = []
+
+    class Counting(type):  # rules.Fraction: real instance checks, counted constructions
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, F)
+
+        def __call__(cls, *args):
+            made.append(args)
+            return F(*args)
+
+    monkeypatch.setattr(rules, "Fraction", Counting("Fraction", (), {}))
+    v = random_dictatorship(4, 4)
+    pair_rule(4, 2, 0, 1)
+    plurality_fixed_tiebreak(4, 2)
+    save_rule(perturb(v, F(1, 20), 0), str(tmp_path / "rule.json"))
+    count = len(made)
+    uniform_rule(3, 1)  # control: a Fraction built through rules.Fraction is counted
+    assert count == 0 and len(made) == 3
+
+
+def test_rule_file_holds_entries_that_print_under_an_lcm_that_does_not(tmp_path):
+    big_p, big_q = 10**3000 + 1, 10**3000 + 3
+    v = constant_rule(4, 1, [F(1, big_p), F(1, 2) - F(1, big_p), F(1, big_q), F(1, 2) - F(1, big_q)])
+    assert not within_digit_limit(*(den for _, den in v._scaled().values()))
+    path = str(tmp_path / "rule.json")
+    save_rule(v, path)
+    assert load_rule(path) == v
