@@ -29,11 +29,11 @@ AXIOM_NAMES = (
 
 @dataclass(frozen=True)
 class SPConfig:
-    """Settings of `beliefs.check_weak_sp`; the defaults are `sp-check`'s."""
+    """Settings of `beliefs.check_weak_sp`; the defaults are `sp-check`'s.
+    polya_max is the top rung of the Pólya ladder, whose grid is scanned
+    for instances that no rung certifies."""
 
     polya_max: int = 6
-    trials: int = 10_000
-    seed: int = 42
 
 
 # Public name -> the layer that defines it.
@@ -50,7 +50,7 @@ _MODULE_OF = {
         "beliefs": (
             "ManipulationInstance", "SPVerdict", "SPWitness", "SimplexPolynomial",
             "check_classic_sp", "check_weak_sp", "dominance_polynomial", "polya_certify",
-            "replay_gain", "sample_refute",
+            "replay_gain",
         ),
         "errors": ("CapExceededError", "DomainError", "InternalError", "ValidationError", "VoteCertError"),
         "lp": ("Constraint", "LinearProgram", "LPSolution", "constraint", "solve_lp"),

@@ -19,12 +19,14 @@ check refutes at its first open instance, and the i.i.d. check builds
 dominance polynomials for the open instances alone.
 
 An open instance is scanned at point masses and pairwise midpoints, read
-off the terms grouped by support, then climbs Polya's ladder (sound, not
-complete): each rung is the last one times the coordinate sum, built only
-while its degree has at most the profile cap of monomials, and passes when
-no coefficient is negative.  Instances the ladder leaves open are sampled
-at seeded beliefs, each signed at its integer weights (f is homogeneous);
-only a hit becomes a Fraction belief.
+off the terms grouped by support, then climbs Polya's ladder: each rung is
+the last one times the coordinate sum, built only while its degree has at
+most the profile cap of monomials, and passes when no coefficient is
+negative.  An instance the ladder leaves open is signed on its top rung's
+grid, at the integer weights of each negative monomial (f is homogeneous);
+only a hit becomes a Fraction belief.  A rung's coefficients approach f's
+values on its grid (Polya), so a high enough rung decides every f but an
+f >= 0 with a zero.
 
 `_opponent_gaps` reads the gaps from the rule table's integer-scaled
 lotteries, through `prefs.profile_walk` by index: at a fixed profile they
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,7 +124,7 @@ class ManipulationInstance:
 class RefutationPoint:
     belief: Belief
     value: Fraction
-    stage: str  # "point-mass" | "midpoint" | "random"
+    stage: str  # "point-mass" | "midpoint" | "grid"
 
 
 @dataclass(frozen=True)
@@ -256,22 +257,19 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
     return None
 
 
-def sample_refute(f: SimplexPolynomial, trials: int, seed: int) -> RefutationPoint | None:
-    """First belief with f < 0 among point masses, midpoints, then seeded samples."""
-    hit = _refute_at_point_masses_and_midpoints(f)
-    if hit is not None:
-        return hit
-    nv = f.nvars
-    rng = random.Random(seed)
-    for _ in range(trials):
-        weights = [rng.randrange(0, 101) for _ in range(nv)]
-        total = sum(weights)
-        if not total:
-            continue
-        val = f.evaluate(weights)  # f is homogeneous: f(w) and f(w / total) share a sign
-        if val < 0:
-            phi = tuple(Fraction(w, total) for w in weights)
-            return RefutationPoint(phi, val / total**f.degree, "random")
+def _refute_on_grid(f: SimplexPolynomial, g: SimplexPolynomial) -> RefutationPoint | None:
+    """First grid point alpha / N where f < 0, over the monomials alpha of g
+    with a negative coefficient in sorted order; g is a rung of f, of degree N.
+    f(alpha) / N^d is f(alpha / N), d = f.degree, as f is homogeneous."""
+    for mono in sorted(g.terms):
+        if g.terms[mono] < 0:
+            alpha = [0] * g.nvars
+            for i in mono:
+                alpha[i] += 1
+            val = f.evaluate(alpha)
+            if val < 0:
+                phi = tuple(Fraction(a, g.degree) for a in alpha)
+                return RefutationPoint(phi, val / g.degree**f.degree, "grid")
     return None
 
 
@@ -303,17 +301,18 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
     """Decide strategy-proofness w.r.t. all i.i.d. beliefs.
 
     Only the instances the degree-0 stage `_open_pairs` leaves open get
-    dominance polynomials.  Each is scanned at the deterministic beliefs
-    (point masses, midpoints), then climbs the ladder from rung 1
-    (CapExceededError at a rung past the profile cap), and only instances
-    the ladder leaves open are sampled.  By anonymity a single manipulating
+    dominance polynomials.  Each is scanned at point masses and midpoints,
+    then climbs the ladder from rung 1 (CapExceededError at a rung past the
+    profile cap), and an instance the ladder leaves open is scanned on the
+    grid of its top rung.  A grid hit refutes only once every ladder has
+    run, at the first such instance.  By anonymity a single manipulating
     voter index covers all of them.
     """
     config = config or SPConfig()
     if config.polya_max < 0:
         raise DomainError(f"Pólya degree cap polya_max must be nonnegative, got {config.polya_max}")
     total = len(_misreport_pairs(v.m)) * (v.m - 1)  # instances: (truthful, misreport, k)
-    pending: list[tuple[ManipulationInstance, SimplexPolynomial, tuple[SimplexPolynomial, ...]]] = []
+    pending: list[tuple[ManipulationInstance, RefutationPoint | None, tuple[SimplexPolynomial, ...]]] = []
     certified_at = 0
     max_tried = 0
 
@@ -326,7 +325,7 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
         siblings = _dominance_siblings(v, truthful, misreport)
         for k in open_ks:
             inst, f = ManipulationInstance(truthful, misreport, k), siblings[k - 1]
-            hit = sample_refute(f, 0, config.seed)
+            hit = _refute_at_point_masses_and_midpoints(f)
             if hit is not None:
                 return refuted(inst, siblings, hit)
             g = f
@@ -340,9 +339,8 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
                     certified_at = max(certified_at, boost)
                     break
             else:
-                pending.append((inst, f, siblings))
-    for inst, f, siblings in pending:
-        hit = sample_refute(f, config.trials, config.seed)
+                pending.append((inst, _refute_on_grid(f, g), siblings))
+    for inst, hit, siblings in pending:
         if hit is not None:
             return refuted(inst, siblings, hit)
     unknown = tuple(inst for inst, _, _ in pending)

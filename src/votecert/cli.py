@@ -78,11 +78,11 @@ def _write_report(out: str | None, payload: dict) -> None:
         write_json(out, payload)
 
 
-def _run_report(results: dict, seed: int | None, inputs: dict[str, str], started: float) -> dict:
+def _run_report(results: dict, inputs: dict[str, str], started: float) -> dict:
     return {
         "tool": f"votecert {__version__}",
         "command": sys.argv[1:],
-        "seed": seed,
+        "seed": None,  # no report depends on a seed; the key keeps the report layout
         "inputs": inputs,
         "results": results,
         "wall_clock_s": round(time.monotonic() - started, 6),
@@ -222,18 +222,18 @@ def check(rule_path, axiom, out):
             }
         else:
             results[name] = _report_json(run_axiom(rule, name), rule)
-    _write_report(out, _run_report(results, None, {rule_path: _digest(rule_path)}, started))
+    _write_report(out, _run_report(results, {rule_path: _digest(rule_path)}, started))
 
 
 @main.command("sp-check")
 @click.option("--rule", "rule_path", required=True, type=click.Path(exists=True))
 @click.option("--classic", is_flag=True, help="Check classic strategy-proofness instead.")
 @click.option("--polya-max", default=SPConfig().polya_max, show_default=True, type=click.IntRange(min=0))
-@click.option("--trials", default=SPConfig().trials, show_default=True, type=click.IntRange(min=0))
-@click.option("--seed", default=SPConfig().seed, show_default=True)
+# Accepted and ignored: nothing is sampled, but the sp-iid job in perfbench/workloads.py still passes it.
+@click.option("--seed", hidden=True, expose_value=False)
 @click.option("--out", default=None, type=click.Path())
 @_handle_errors
-def sp_check(rule_path, classic, polya_max, trials, seed, out):
+def sp_check(rule_path, classic, polya_max, out):
     """Decide strategy-proofness (classic, or w.r.t. all i.i.d. beliefs)."""
     from .beliefs import check_classic_sp, check_weak_sp
 
@@ -242,9 +242,9 @@ def sp_check(rule_path, classic, polya_max, trials, seed, out):
     if classic:
         verdict = check_classic_sp(rule)
     else:
-        verdict = check_weak_sp(rule, SPConfig(polya_max=polya_max, trials=trials, seed=seed))
+        verdict = check_weak_sp(rule, SPConfig(polya_max=polya_max))
     results = {"mode": "classic" if classic else "iid-beliefs", "verdict": _verdict_json(verdict, rule)}
-    _write_report(out, _run_report(results, seed, {rule_path: _digest(rule_path)}, started))
+    _write_report(out, _run_report(results, {rule_path: _digest(rule_path)}, started))
 
 
 @main.command("lp-max")
@@ -289,7 +289,7 @@ def lp_max(m, n, eps, parts, out):
     if constant is not None:
         results["constant"] = _rational(constant.value)
         results["constant_links"] = list(constant.links)
-    _write_report(out, _run_report(results, None, {}, started))
+    _write_report(out, _run_report(results, {}, started))
 
 
 @main.command("verify-theorem")
@@ -313,7 +313,7 @@ def verify_theorem_cmd(m, n, eps, out):
         results["constant"] = _rational(outcome["constant"])
         results["bound"] = _rational(outcome["bound"])
         results["links"] = list(outcome["links"])
-    _write_report(out, _run_report(results, None, {}, started))
+    _write_report(out, _run_report(results, {}, started))
     if out is not None:  # otherwise stdout holds the report alone, one JSON document
         click.echo(f"verify-theorem m={m} n={n} eps={eps}: {outcome['status']}")
     if outcome["status"] == "FAIL":

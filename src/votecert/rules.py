@@ -271,7 +271,7 @@ def mixture(rules: list[RuleTable], weights) -> RuleTable:
     if any(q <= 0 for q in w):
         raise DomainError("mixture weights must be strictly positive")
     if sum(w) != 1:
-        raise DomainError(f"mixture weights sum to {sum(w)}, not 1")
+        raise DomainError("mixture weights must sum to 1")  # their sum may have too many digits to print
     m, n = rules[0].m, rules[0].n
     for v in rules[1:]:
         if (v.m, v.n) != (m, n):

@@ -112,15 +112,31 @@ def test_sp_check_certified_and_refuted(runner, tmp_path):
     report = json.loads(result.output)
     assert report["results"]["verdict"]["status"] == "certified"
     assert report["results"]["verdict"]["polya_degree"] == 0
-    assert report["seed"] == 42  # defaults are still echoed
+    assert report["seed"] is None
 
     plu = _gen(runner, tmp_path, "plurality-tiebreak", 3, 3)
-    result = runner.invoke(main, ["sp-check", "--rule", str(plu), "--seed", "5"])
+    result = runner.invoke(main, ["sp-check", "--rule", str(plu)])
     report = json.loads(result.output)
     verdict = report["results"]["verdict"]
     assert verdict["status"] == "refuted"
     assert verdict["witness"]["gain"]["frac"].count("/")  # a strictly positive rational
-    assert report["seed"] == 5
+
+
+def test_sp_check_accepts_and_ignores_a_seed(runner, tmp_path):
+    plu = _gen(runner, tmp_path, "plurality-tiebreak", 3, 3)
+    plain = runner.invoke(main, ["sp-check", "--rule", str(plu)])
+    seeded = runner.invoke(main, ["sp-check", "--rule", str(plu), "--seed", "5"])
+    assert seeded.exit_code == 0, seeded.output
+    report = json.loads(seeded.output)
+    assert report["results"] == json.loads(plain.output)["results"]
+    assert report["seed"] is None
+
+
+def test_sp_check_has_no_trials_option(runner, tmp_path):
+    plu = _gen(runner, tmp_path, "plurality-tiebreak", 3, 3)
+    result = runner.invoke(main, ["sp-check", "--rule", str(plu), "--trials", "5"])
+    assert result.exit_code == 2
+    assert "--trials" in result.output
 
 
 def test_sp_check_classic_mode(runner, tmp_path):
@@ -241,9 +257,10 @@ def test_golden_check_report_at_four_candidates_is_pinned(runner, tmp_path):
 
 # sha256 of `--help` at 80 columns, taken when every layer was imported up
 # front: moving the imports into the commands changes no choice or default.
+# sp-check's was retaken when `--trials` went and `--seed` was hidden.
 HELP_DIGESTS = {
     "check": "9a1988480c330298270ab1fe55f1809454ce3790ce76d0ae7be15ad5243f6c5b",
-    "sp-check": "1e43dd75ff057911d094d34c1b5e254286ca799f294b4c33f06979f9f3fec32e",
+    "sp-check": "e04a9c44989d4136a32206a58e60b826c8f765b8d94f23ec27d7d19334f70da7",
 }
 
 

@@ -92,7 +92,6 @@ command_lines = st.one_of(
         st.just(("sp-check",)),
         st.sampled_from([(), ("--classic",)]),
         option("--polya-max", ("-1", "0", "2", "x")),
-        option("--trials", ("-1", "0", "25", "1.5")),
         option("--seed", ("7", "x")),
     ),
 ).map(lambda parts: [arg for part in parts for arg in part])

@@ -67,7 +67,7 @@ OLD_EXPORTS = {
     "beliefs": (
         "ManipulationInstance", "SPConfig", "SPVerdict", "SPWitness", "SimplexPolynomial",
         "check_classic_sp", "check_weak_sp", "dominance_polynomial", "polya_certify",
-        "replay_gain", "sample_refute",
+        "replay_gain",
     ),
     "errors": ("CapExceededError", "DomainError", "InternalError", "ValidationError", "VoteCertError"),
     "lp": ("Constraint", "LinearProgram", "LPSolution", "constraint", "solve_lp"),

@@ -36,7 +36,7 @@ def _assert_input_error(result):
 # -- numeric flags ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flag", ["--polya-max", "--trials"])
+@pytest.mark.parametrize("flag", ["--polya-max"])
 def test_sp_check_rejects_negative_counts(runner, tmp_path, flag):
     rule_path = tmp_path / "uniform.json"
     save_rule(uniform_rule(3, 2), str(rule_path))
@@ -49,7 +49,7 @@ def test_sp_check_accepts_zero_counts(runner, tmp_path):
     rule_path = tmp_path / "uniform.json"
     save_rule(uniform_rule(3, 2), str(rule_path))
     result = runner.invoke(
-        main, ["sp-check", "--rule", str(rule_path), "--polya-max", "0", "--trials", "0"]
+        main, ["sp-check", "--rule", str(rule_path), "--polya-max", "0"]
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["results"]["verdict"]["status"] == "certified"
@@ -100,7 +100,7 @@ def test_a_ladder_rung_past_the_profile_cap_exits_3(runner, tmp_path, monkeypatc
     is certified.  One fewer allowed is a cap error, not a MemoryError later."""
     rule_path = tmp_path / "vertex.json"
     save_rule(max_distance(3, 3, Fraction(1, 10), keep_witnesses=True).all_witnesses[4], str(rule_path))
-    args = ["sp-check", "--rule", str(rule_path), "--trials", "0"]
+    args = ["sp-check", "--rule", str(rule_path)]
     monkeypatch.setenv("VOTECERT_MAX_PROFILES", "126")
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output

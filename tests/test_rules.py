@@ -114,6 +114,12 @@ def test_mixture_validation():
         mixture([u, random_dictatorship(3, 3)], [F(1, 2), F(1, 2)])
 
 
+def test_mixture_weights_past_the_digit_limit_raise_domain_error():
+    u = uniform_rule(2, 1)
+    with pytest.raises(DomainError, match="sum to 1"):
+        mixture([u, u], [F(1, 10**5000), F(1, 2)])
+
+
 def test_closeness():
     u, v = uniform_rule(3, 3), random_dictatorship(3, 3)
     assert closeness(v, v) == 0
