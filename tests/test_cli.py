@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, exit codes, report round-trips."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
 from votecert.beliefs import SPConfig
 from votecert.cli import main, sp_check
-from votecert.rules import load_rule, random_dictatorship
+from votecert.polytope import max_distance
+from votecert.rules import load_rule, mixture, random_dictatorship, save_rule
 
 
 @pytest.fixture
@@ -206,6 +209,20 @@ GOLDEN_RULES = {  # gen kind at (3, 3): (extra gen options, digest)
                   "ea4a54a86e0c033126d1e4fc6849d41f611d0fc996ecafcf91c926ec9dc32cda"),
     "plurality-tiebreak": ((), "82adafb16b99cf6c60361ce2ecd7169d633d83b2c7c56a6c34ba59f783897146"),
 }
+
+
+@functools.cache
+def _vertex_tables():
+    return max_distance(3, 3, F(1, 10), keep_witnesses=True).all_witnesses
+
+
+# Rules that no gen kind writes, saved from the (3, 3) vertex corpus: table 7 is
+# left open by every rung at the default --polya-max (4 unknown instances), and
+# the mixture is refuted only on the grid of rung 7.
+SAVED_RULES = {
+    "vertex-7": lambda: _vertex_tables()[7],
+    "vertex-mixture": lambda: mixture([_vertex_tables()[7], _vertex_tables()[5]], [F(4, 5), F(1, 5)]),
+}
 GOLDEN_REPORTS = [
     (("check", "--axiom", "all", "--rule", "perturbed"),
      "697a0e7a586277a726872dab9a9b7141fd4335ad595bd30f24f8230a1e1188fe"),
@@ -219,6 +236,8 @@ GOLDEN_REPORTS = [
      "349b160dbb7364480cd440c7ba8e10e32f4a44c2ddbc91f3ba54f936d22cd1d8"),
     (("verify-theorem", "3", "4", "0"),
      "8e0c8d598b60621af294e419d83d05c3ae34e2ed35e9af09304e1d2c2d916eb1"),
+    (("sp-check", "--rule", "vertex-7"), "429486a0c1482d5327042672e91b142ee6c465aa06745ab5c086b4f5930a608b"),
+    (("sp-check", "--polya-max", "7", "--rule", "vertex-mixture"), "66f276283da865227f1ad90f50244fef96ce7b62e9f4f745947ff96e9eec5a26"),
 ]
 
 
@@ -233,9 +252,14 @@ def test_golden_rule_files_are_pinned(runner, tmp_path):
 
 @pytest.mark.parametrize("args,digest", GOLDEN_REPORTS, ids=lambda a: " ".join(a)[:40])
 def test_golden_reports_are_pinned(runner, tmp_path, args, digest):
-    if "--rule" in args:  # the rule is named by its key in GOLDEN_RULES
+    if "--rule" in args:  # the rule is named by its key in GOLDEN_RULES or SAVED_RULES
         kind = args[-1]
-        args = (*args[:-1], str(_gen(runner, tmp_path, kind, 3, 3, *GOLDEN_RULES[kind][0])))
+        if kind in SAVED_RULES:
+            path = tmp_path / f"{kind}.json"
+            save_rule(SAVED_RULES[kind](), str(path))
+        else:
+            path = _gen(runner, tmp_path, kind, 3, 3, *GOLDEN_RULES[kind][0])
+        args = (*args[:-1], str(path))
     out = tmp_path / "report.json"
     result = runner.invoke(main, [*args, "--out", str(out)])
     assert result.exit_code == 0, result.output

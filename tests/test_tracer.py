@@ -13,6 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from votecert import beliefs, polytope, rules
+from votecert.beliefs import SPVerdict
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -34,3 +35,19 @@ def test_traced_sweep_and_sp_check_bump_the_benchmark_counters():
         tracer.uninstall()
     for name in ("lp._pivot", "polytope.rows", "rules.profiles_validated"):
         assert tracer.counts[name] > 0, name
+
+
+def test_traced_sp_check_runs_the_ladder_hook_on_a_climbing_ladder():
+    """Table 4 of the (3, 3) vertex corpus is certified at rung 2, so the
+    ladder climbs and the `polya_certify` hook binds its arguments on every
+    rung; tracing leaves the verdict as it is."""
+    v = polytope.max_distance(3, 3, F(1, 10), keep_witnesses=True).all_witnesses[4]
+    tracer = _tracer_class()()
+    tracer.install()
+    try:
+        verdict = beliefs.check_weak_sp(v)
+    finally:
+        tracer.uninstall()
+    assert verdict == SPVerdict("certified", polya_degree=2, max_degree_tried=2, instances_total=60)
+    rungs = [span for span in tracer.spans if span[0] == "beliefs.polya_certify"]
+    assert len(rungs) >= 2 and "beliefs.polya_degree_max" in tracer.peaks
