@@ -3,12 +3,12 @@ strategy-proofness w.r.t. all i.i.d. beliefs, and polytope distance sweeps.
 
 `import votecert` loads no layer.  The package root defines only what the
 command line shows before a command runs (the version, the axiom names and
-the strategy-proofness defaults); every other public name is resolved from
-its module on first use, so a command compiles only the layers it runs.
+the default top rung of the Pólya ladder); every other public name is
+resolved from its module on first use, so a command compiles only the
+layers it runs.
 """
 
 import importlib
-from dataclasses import dataclass
 
 __version__ = "0.1.0"
 
@@ -26,14 +26,9 @@ AXIOM_NAMES = (
     "sliding-window",
 )
 
-
-@dataclass(frozen=True)
-class SPConfig:
-    """Settings of `beliefs.check_weak_sp`; the defaults are `sp-check`'s.
-    polya_max is the top rung of the Pólya ladder, whose grid is scanned
-    for instances that no rung certifies."""
-
-    polya_max: int = 6
+# The top rung of the Pólya ladder in `beliefs.check_weak_sp` and `sp-check
+# --polya-max`; an instance that no rung certifies is scanned on its grid.
+POLYA_MAX = 6
 
 
 # Public name -> the layer that defines it.
@@ -69,7 +64,7 @@ _MODULE_OF = {
 }
 _LAYERS = frozenset(_MODULE_OF.values())
 
-__all__ = sorted({"AXIOM_NAMES", "SPConfig", *_MODULE_OF})
+__all__ = sorted({"AXIOM_NAMES", "POLYA_MAX", *_MODULE_OF})
 
 
 def __getattr__(name: str):

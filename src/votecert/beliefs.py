@@ -16,17 +16,18 @@ of its gaps is negative, and classic strategy-proofness (dominance at every
 profile of the others) is that certificate on every instance.  Both checks
 read one degree-0 stage, `_open_pairs`, decided in integers: the classic
 check refutes at its first open instance, and the i.i.d. check builds
-dominance polynomials for the open instances alone.
+dominance polynomials for the open instances alone, from the one walk of
+their misreport pair that the stage made.
 
 An open instance is scanned at point masses and pairwise midpoints, read
 off the terms grouped by support, then climbs Polya's ladder: each rung is
 the last one times the coordinate sum, built only while its degree has at
 most the profile cap of monomials, and passes when no coefficient is
 negative.  An instance the ladder leaves open is signed on its top rung's
-grid, at the integer weights of each negative monomial (f is homogeneous);
-only a hit becomes a Fraction belief.  A rung's coefficients approach f's
-values on its grid (Polya), so a high enough rung decides every f but an
-f >= 0 with a zero.
+grid, at the integer weights of each negative monomial (f is homogeneous),
+until one grid refutes; only a hit becomes a Fraction belief.  A rung's
+coefficients approach f's values on its grid (Polya), so a high enough
+rung decides every f but an f >= 0 with a zero.
 
 `_opponent_gaps` reads the gaps from the rule table's integer-scaled
 lotteries, through `prefs.profile_walk` by index: at a fixed profile they
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import SPConfig
+from . import POLYA_MAX
 from .errors import CapExceededError, DomainError
 from .prefs import AnonKey, Ordering, enumerate_orderings, max_profiles, ordering_rank, profile_walk
 from .rules import RuleTable, is_consistent_utility, upper_set_utility
@@ -123,7 +124,6 @@ class ManipulationInstance:
 @dataclass(frozen=True)
 class RefutationPoint:
     belief: Belief
-    value: Fraction
     stage: str  # "point-mass" | "midpoint" | "grid"
 
 
@@ -194,13 +194,12 @@ def _opponent_gaps(v: RuleTable, truthful: Ordering, misreport: Ordering):
         yield others, tuple(itertools.accumulate(diffs)), den
 
 
-def _dominance_siblings(
-    v: RuleTable, truthful: Ordering, misreport: Ordering
-) -> tuple[SimplexPolynomial, ...]:
-    """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1:
-    the opponents' monomial carries multinomial times their k-th gap."""
+def _dominance_siblings(v: RuleTable, walk) -> tuple[SimplexPolynomial, ...]:
+    """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1,
+    from the pair's `_opponent_gaps` items: the opponents' monomial carries
+    multinomial times their k-th gap."""
     terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(v.m - 1)]
-    for others, gaps, den in _opponent_gaps(v, truthful, misreport):
+    for others, gaps, den in walk:
         weight = _multinomial(others)
         for k_terms, gap in zip(terms, gaps):
             if gap:
@@ -210,7 +209,7 @@ def _dominance_siblings(
 
 def dominance_polynomial(v: RuleTable, inst: ManipulationInstance) -> SimplexPolynomial:
     """Expected truthful-minus-misreport upper-set mass, as a belief polynomial."""
-    return _dominance_siblings(v, inst.truthful, inst.misreport)[inst.k - 1]
+    return _dominance_siblings(v, _opponent_gaps(v, inst.truthful, inst.misreport))[inst.k - 1]
 
 
 def polya_certify(f: SimplexPolynomial, boost: int) -> bool:
@@ -228,7 +227,7 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
     """First point mass, then first pairwise midpoint, where f < 0.
 
     At e_i only the pure x_i^d term survives; at (e_i+e_j)/2 only the terms
-    supported on {i, j} do, each scaled by 2^-d.  So one pass buckets the
+    supported on {i, j} do, each scaled by 2^-d > 0.  So one pass buckets the
     coefficients by support, and only pairs with a mixed term can be
     negative once every point mass is nonnegative.
     """
@@ -245,31 +244,23 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
             mixed[pair] = mixed.get(pair, ZERO) + coeff
     for i, val in enumerate(pure):
         if val < 0:
-            phi = tuple(ONE if t == i else ZERO for t in range(nv))
-            return RefutationPoint(phi, val, "point-mass")
+            return RefutationPoint(tuple(ONE if t == i else ZERO for t in range(nv)), "point-mass")
     half = Fraction(1, 2)
-    scale = half**f.degree
     for i, j in sorted(mixed):
-        val = scale * (pure[i] + pure[j] + mixed[i, j])
-        if val < 0:
-            phi = tuple(half if t in (i, j) else ZERO for t in range(nv))
-            return RefutationPoint(phi, val, "midpoint")
+        if pure[i] + pure[j] + mixed[i, j] < 0:
+            return RefutationPoint(tuple(half if t in (i, j) else ZERO for t in range(nv)), "midpoint")
     return None
 
 
 def _refute_on_grid(f: SimplexPolynomial, g: SimplexPolynomial) -> RefutationPoint | None:
     """First grid point alpha / N where f < 0, over the monomials alpha of g
     with a negative coefficient in sorted order; g is a rung of f, of degree N.
-    f(alpha) / N^d is f(alpha / N), d = f.degree, as f is homogeneous."""
+    f(alpha) has the sign of f(alpha / N), as f is homogeneous."""
     for mono in sorted(g.terms):
         if g.terms[mono] < 0:
-            alpha = [0] * g.nvars
-            for i in mono:
-                alpha[i] += 1
-            val = f.evaluate(alpha)
-            if val < 0:
-                phi = tuple(Fraction(a, g.degree) for a in alpha)
-                return RefutationPoint(phi, val / g.degree**f.degree, "grid")
+            alpha = [mono.count(i) for i in range(g.nvars)]
+            if f.evaluate(alpha) < 0:
+                return RefutationPoint(tuple(Fraction(a, g.degree) for a in alpha), "grid")
     return None
 
 
@@ -292,44 +283,41 @@ def _refuted_verdict(
     scale = 1 / (1 + rho * Fraction(m - 1, m))
     gain = scale * (-(f_k + rho * spill))
     witness = SPWitness(inst, utility, rho, gain, belief=belief, stage=stage, others=others)
-    return SPVerdict(
-        STATUS_REFUTED, witness=witness, max_degree_tried=max_tried, instances_total=total
-    )
+    return SPVerdict(STATUS_REFUTED, witness=witness, max_degree_tried=max_tried, instances_total=total)
 
 
-def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
+def check_weak_sp(v: RuleTable, polya_max: int = POLYA_MAX) -> SPVerdict:
     """Decide strategy-proofness w.r.t. all i.i.d. beliefs.
 
     Only the instances the degree-0 stage `_open_pairs` leaves open get
-    dominance polynomials.  Each is scanned at point masses and midpoints,
-    then climbs the ladder from rung 1 (CapExceededError at a rung past the
-    profile cap), and an instance the ladder leaves open is scanned on the
-    grid of its top rung.  A grid hit refutes only once every ladder has
-    run, at the first such instance.  By anonymity a single manipulating
-    voter index covers all of them.
+    dominance polynomials, built from the walk of their misreport pair that
+    the stage made.  Each is scanned at point masses and midpoints, then
+    climbs the ladder from rung 1 to rung polya_max (CapExceededError at a
+    rung past the profile cap), and an instance the ladder leaves open is
+    scanned on the grid of its top rung until one grid refutes.  That grid
+    hit refutes only once every ladder has run.  By anonymity a single
+    manipulating voter index covers all of them.
     """
-    config = config or SPConfig()
-    if config.polya_max < 0:
-        raise DomainError(f"Pólya degree cap polya_max must be nonnegative, got {config.polya_max}")
+    if polya_max < 0:
+        raise DomainError(f"Pólya degree cap polya_max must be nonnegative, got {polya_max}")
     total = len(_misreport_pairs(v.m)) * (v.m - 1)  # instances: (truthful, misreport, k)
-    pending: list[tuple[ManipulationInstance, RefutationPoint | None, tuple[SimplexPolynomial, ...]]] = []
-    certified_at = 0
-    max_tried = 0
+    unknown: list[ManipulationInstance] = []
+    grid_hit = None  # (instance, siblings, hit) of the first instance refuted on a grid
+    certified_at = max_tried = 0
 
     def refuted(inst, siblings, hit: RefutationPoint) -> SPVerdict:
         values = {k: f.evaluate(hit.belief) for k, f in enumerate(siblings, 1)}
         return _refuted_verdict(inst, values, total, max_tried, belief=hit.belief, stage=hit.stage)
 
     # enumerate_instances order, with the k-siblings of each open misreport built together
-    for truthful, misreport, open_ks, _ in _open_pairs(v):
-        siblings = _dominance_siblings(v, truthful, misreport)
+    for truthful, misreport, open_ks, walk in _open_pairs(v):
+        siblings = _dominance_siblings(v, walk)
         for k in open_ks:
             inst, f = ManipulationInstance(truthful, misreport, k), siblings[k - 1]
-            hit = _refute_at_point_masses_and_midpoints(f)
-            if hit is not None:
+            if (hit := _refute_at_point_masses_and_midpoints(f)) is not None:
                 return refuted(inst, siblings, hit)
             g = f
-            for boost in range(1, config.polya_max + 1):
+            for boost in range(1, polya_max + 1):
                 max_tried = max(max_tried, boost)
                 if math.comb(g.nvars + g.degree, g.degree + 1) > max_profiles():  # monomials of rung boost
                     raise CapExceededError(f"Pólya rung {boost} at (m={v.m}, n={v.n}) has more monomials "
@@ -339,17 +327,17 @@ def check_weak_sp(v: RuleTable, config: SPConfig | None = None) -> SPVerdict:
                     certified_at = max(certified_at, boost)
                     break
             else:
-                pending.append((inst, _refute_on_grid(f, g), siblings))
-    for inst, hit, siblings in pending:
-        if hit is not None:
-            return refuted(inst, siblings, hit)
-    unknown = tuple(inst for inst, _, _ in pending)
+                unknown.append(inst)
+                if grid_hit is None and (hit := _refute_on_grid(f, g)) is not None:
+                    grid_hit = (inst, siblings, hit)
+    if grid_hit is not None:
+        return refuted(*grid_hit)
     return SPVerdict(
         STATUS_UNKNOWN if unknown else STATUS_CERTIFIED,
         polya_degree=None if unknown else certified_at,
         max_degree_tried=max_tried,
         instances_total=total,
-        instances_unknown=unknown,
+        instances_unknown=tuple(unknown),
     )
 
 
@@ -403,13 +391,14 @@ def _open_pairs(v: RuleTable):
     """The degree-0 stage of both checks, in enumerate_instances order: each
     misreport pair with a negative gap, as (truthful, misreport, open_ks,
     walk), open_ks the ascending k with a negative k-th gap and walk the
-    pair's `_opponent_gaps` items that have one.  Nothing if no gap is negative."""
+    pair's `_opponent_gaps` items, all of them, so that each pair is walked
+    once.  Nothing if no gap is negative."""
     if _every_gap_nonnegative(v):
         return
     for truthful, misreport in _misreport_pairs(v.m):
-        walk = [item for item in _opponent_gaps(v, truthful, misreport) if min(item[1]) < 0]
-        if walk:
-            open_ks = sorted({k for _, gaps, _ in walk for k, gap in enumerate(gaps, 1) if gap < 0})
+        walk = list(_opponent_gaps(v, truthful, misreport))
+        open_ks = [k for k, col in enumerate(zip(*(gaps for _, gaps, _ in walk)), 1) if min(col) < 0]
+        if open_ks:
             yield truthful, misreport, open_ks, walk
 
 

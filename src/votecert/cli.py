@@ -19,11 +19,12 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import AXIOM_NAMES, SPConfig, __version__
+from . import AXIOM_NAMES, POLYA_MAX, __version__
 from .errors import CapExceededError, DomainError, ValidationError
 from .prefs import enumerate_orderings, format_key, format_ordering
 from .rules import (
     RuleTable,
+    _parse_fraction,
     check_printable,
     checked_unit,
     dump_json,
@@ -58,7 +59,7 @@ def _rational(q: Fraction) -> dict:
 def _fraction_arg(text: str, name: str) -> Fraction:
     """The rational argument `name`, checked to lie in [0, 1] and to be printable."""
     try:
-        q = checked_unit(Fraction(text), name)
+        q = checked_unit(_parse_fraction(text, name), name)
     except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"{text!r} is not a rational number like 1/10")
     if not within_digit_limit(q):
@@ -228,7 +229,7 @@ def check(rule_path, axiom, out):
 @main.command("sp-check")
 @click.option("--rule", "rule_path", required=True, type=click.Path(exists=True))
 @click.option("--classic", is_flag=True, help="Check classic strategy-proofness instead.")
-@click.option("--polya-max", default=SPConfig().polya_max, show_default=True, type=click.IntRange(min=0))
+@click.option("--polya-max", default=POLYA_MAX, show_default=True, type=click.IntRange(min=0))
 # Accepted and ignored: nothing is sampled, but the sp-iid job in perfbench/workloads.py still passes it.
 @click.option("--seed", hidden=True, expose_value=False)
 @click.option("--out", default=None, type=click.Path())
@@ -242,7 +243,7 @@ def sp_check(rule_path, classic, polya_max, out):
     if classic:
         verdict = check_classic_sp(rule)
     else:
-        verdict = check_weak_sp(rule, SPConfig(polya_max=polya_max))
+        verdict = check_weak_sp(rule, polya_max=polya_max)
     results = {"mode": "classic" if classic else "iid-beliefs", "verdict": _verdict_json(verdict, rule)}
     _write_report(out, _run_report(results, {rule_path: _digest(rule_path)}, started))
 

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -111,13 +112,6 @@ def _checked(m: int, scaled: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ..
     if sum(nums) != den:
         raise ValidationError("lottery does not sum to 1")
     return scaled
-
-
-def validate_lottery(m: int, probs) -> Lottery:
-    """Check length, range, and exact normalization; return as a tuple."""
-    lot = tuple(p if isinstance(p, Fraction) else Fraction(p) for p in probs)
-    _checked(m, _scaled_lottery(lot))
-    return lot
 
 
 def _checked_names(m: int, names) -> tuple[str, ...]:
@@ -255,7 +249,7 @@ def pair_rule(m: int, n: int, x: int, y: int) -> RuleTable:
 def constant_rule(m: int, n: int, lottery) -> RuleTable:
     """Ignore the votes; always play the given lottery."""
     keys = list(enumerate_profiles(m, n))  # rejects m < 1 or n < 1 first
-    return RuleTable(m, n, _Scaled.fromkeys(keys, _scaled_lottery(validate_lottery(m, lottery))))
+    return RuleTable(m, n, _Scaled.fromkeys(keys, _scaled_lottery(lottery)))
 
 
 # -- Combinators and comparisons ---------------------------------------------
@@ -364,6 +358,26 @@ def rule_to_json_obj(v: RuleTable) -> dict:
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
 
 
+# Fraction's decimal form with an exponent: its integer digits, fraction digits and exponent.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                           r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
+def _parse_fraction(text: str | int, name: str) -> Fraction:
+    """Fraction(text), but an exponent past twice the digit limit builds no power
+    of ten: int() refuses each digit string past the limit, as in Fraction, so
+    a nonzero mantissa there gives a value that does not print (ValidationError)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    match = _EXPONENT_FORM.fullmatch(text) if limit and type(text) is str else None
+    if match:
+        whole, decimals, exp = (int(digits or "0") for digits in match.groups())
+        if abs(exp) > 2 * limit:
+            if whole or decimals:
+                raise ValidationError(f"{name} has more digits than Python will print")
+            return Fraction(0)
+    return Fraction(text)
+
+
 def _parse_pair(text: str | int) -> tuple[int, int] | None:
     """(p, q), not reduced, with p / q == Fraction(text) for plain ASCII [-]digits[/digits]
     and q != 0; None for every other text.  int() raises Fraction's error past the digit
@@ -417,7 +431,7 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
             for text in entry["lottery"]:
                 pair = _parse_pair(text)
                 if pair is None:
-                    others.append(Fraction(text))
+                    others.append(_parse_fraction(text, "lottery entry"))
                     pair = others[-1].as_integer_ratio()
                 pairs.append(pair)
         except (ValueError, ZeroDivisionError) as exc:

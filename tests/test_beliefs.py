@@ -21,7 +21,6 @@ from votecert import beliefs
 from votecert.beliefs import (
     ManipulationInstance,
     RefutationPoint,
-    SPConfig,
     SPVerdict,
     SPWitness,
     _refute_at_point_masses_and_midpoints,
@@ -36,6 +35,7 @@ from votecert.beliefs import (
     validate_belief,
 )
 from votecert.axioms import isolation_deviation, responsiveness_deviation
+from votecert import POLYA_MAX
 from votecert.errors import DomainError
 from votecert.polytope import max_distance
 from votecert.prefs import canonicalize, enumerate_orderings, upper_set
@@ -191,7 +191,6 @@ def test_sample_refute_finds_point_mass_first():
     hit = _refute_at_point_masses_and_midpoints(f)
     assert hit.stage == "point-mass"
     assert hit.belief == (F(1), F(0))
-    assert hit.value == -1
 
 
 def dense_scan(f):
@@ -200,14 +199,12 @@ def dense_scan(f):
     nv = f.nvars
     for i in range(nv):
         phi = tuple(F(1) if t == i else F(0) for t in range(nv))
-        val = f.evaluate(phi)
-        if val < 0:
-            return RefutationPoint(phi, val, "point-mass")
+        if f.evaluate(phi) < 0:
+            return RefutationPoint(phi, "point-mass")
     for i, j in itertools.combinations(range(nv), 2):
         phi = tuple(F(1, 2) if t in (i, j) else F(0) for t in range(nv))
-        val = f.evaluate(phi)
-        if val < 0:
-            return RefutationPoint(phi, val, "midpoint")
+        if f.evaluate(phi) < 0:
+            return RefutationPoint(phi, "midpoint")
     return None
 
 
@@ -336,9 +333,10 @@ def test_weak_sp_ladder_reports_first_certified_rung(monkeypatch):
     v = rank_rule(2, 3, 2)  # two instances, both with a negative gap: (ab, ba, 1) and (ba, ab, 1)
 
     def verdict(first, second, polya_max):
-        fake = {(0, 1): (first,), (1, 0): (second,)}
-        monkeypatch.setattr(beliefs, "_dominance_siblings", lambda v, t, q: fake[t])
-        return check_weak_sp(v, SPConfig(polya_max=polya_max))
+        # in call order: the two pairs' walks are equal, so a fake keyed on the walk could not tell them apart
+        fake = iter([(first,), (second,)])
+        monkeypatch.setattr(beliefs, "_dominance_siblings", lambda v, walk: next(fake))
+        return check_weak_sp(v, polya_max=polya_max)
 
     assert verdict(one, three, 6) == SPVerdict(
         "certified", polya_degree=3, max_degree_tried=3, instances_total=2
@@ -374,24 +372,26 @@ def test_grid_refutes_the_centre_dip_at_rung_one():
     assert [f.evaluate(p) for p in points] == [1, F(1, 10), F(-1, 5)]
     assert _refute_at_point_masses_and_midpoints(f) is None
     assert _refute_on_grid(f, f) is None  # rung 0's grid: the point masses and midpoints
-    assert _refute_on_grid(f, f.times_coordinate_sum()) == RefutationPoint((F(1, 3),) * 3, F(-1, 5), "grid")
+    assert _refute_on_grid(f, f.times_coordinate_sum()) == RefutationPoint((F(1, 3),) * 3, "grid")
 
 
 def dip_verdict(monkeypatch, polya_max):
-    """Through the _dominance_siblings seam: one misreport's k = 1 polynomial is
-    the centre dip on 3 of the 6 belief variables, every other is 0, so the
-    ladder climbs to the top and only the grid can refute.  The rule has a
-    negative gap at (abc, bac, 1), so that instance reaches the seam."""
+    """Through the _dominance_siblings seam, in the order the open pairs reach
+    it: one misreport's k = 1 polynomial is the centre dip on 3 of the 6
+    belief variables, every other is 0, so the ladder climbs to the top and
+    only the grid can refute.  The rule has a negative gap at (abc, bac, 1),
+    so that instance reaches the seam."""
+    v = rank_rule(3, 3, 2)
     zero = polynomial_from_terms(6, 2, {})
     dip = centre_dip(6, (0, 2, 4))
-    target = (ABC, BAC)
-    monkeypatch.setattr(beliefs, "_dominance_siblings",
-                        lambda v, t, q: (dip, zero) if (t, q) == target else (zero, zero))
-    return check_weak_sp(rank_rule(3, 3, 2), SPConfig(polya_max=polya_max))
+    fake = iter([(dip, zero) if (t, q) == (ABC, BAC) else (zero, zero)
+                 for t, q, _, _ in beliefs._open_pairs(v)])
+    monkeypatch.setattr(beliefs, "_dominance_siblings", lambda v, walk: next(fake))
+    return check_weak_sp(v, polya_max=polya_max)
 
 
 def test_weak_sp_reports_the_grid_refutation(monkeypatch):
-    polya_max = SPConfig().polya_max
+    polya_max = POLYA_MAX
     verdict = dip_verdict(monkeypatch, polya_max)
     assert verdict.status == "refuted" and verdict.max_degree_tried == polya_max
     w = verdict.witness
@@ -619,18 +619,19 @@ def test_certified_classic_verdict_never_walks_the_gaps(monkeypatch):
 def test_weak_sp_builds_polynomials_only_for_pairs_with_a_negative_gap(monkeypatch):
     """Degree 0 is decided in integers before any polynomial exists: a rule
     with no negative gap builds none, and a refuted one builds, in instance
-    order, only the misreport pairs whose gaps go negative somewhere."""
+    order, only the misreport pairs whose gaps go negative somewhere, each
+    from its whole walk."""
     build = beliefs._dominance_siblings
     refuted_rule = plurality_fixed_tiebreak(4, 2)
-    negative = [
-        (t, q) for t, q in itertools.permutations(enumerate_orderings(4), 2)
-        if any(c < 0 for f in build(refuted_rule, t, q) for c in f.terms.values())
-    ]
+    walks = [list(beliefs._opponent_gaps(refuted_rule, t, q))
+             for t, q in itertools.permutations(enumerate_orderings(4), 2)]
+    negative = [walk for walk in walks
+                if any(c < 0 for f in build(refuted_rule, walk) for c in f.terms.values())]
     calls = []
 
-    def counting(v, truthful, misreport):
-        calls.append((truthful, misreport))
-        return build(v, truthful, misreport)
+    def counting(v, walk):
+        calls.append(list(walk))
+        return build(v, walk)
 
     monkeypatch.setattr(beliefs, "_dominance_siblings", counting)
     for v in (pair_rule(4, 2, 0, 1), random_dictatorship(4, 3)):
@@ -638,6 +639,23 @@ def test_weak_sp_builds_polynomials_only_for_pairs_with_a_negative_gap(monkeypat
     assert calls == []
     assert check_weak_sp(refuted_rule).status == "refuted"
     assert calls and calls == negative[: len(calls)]
+
+
+def test_weak_sp_walks_each_misreport_pair_once(monkeypatch):
+    """Table 7 of the (3, 3) vertex corpus has a negative gap, so the degree-0
+    stage walks all 30 misreport pairs, and the pairs it leaves open build
+    their polynomials from that same walk: no pair is walked twice."""
+    v = max_distance(3, 3, F(1, 10), keep_witnesses=True).all_witnesses[7]
+    walk = beliefs._opponent_gaps
+    calls = []
+
+    def counting(v, truthful, misreport):
+        calls.append((truthful, misreport))
+        return walk(v, truthful, misreport)
+
+    monkeypatch.setattr(beliefs, "_opponent_gaps", counting)
+    assert check_weak_sp(v).status == "unknown"
+    assert calls == list(itertools.permutations(enumerate_orderings(3), 2))
 
 
 def test_classic_sp_holds_iff_every_dominance_polynomial_certifies_at_degree_zero():
@@ -746,7 +764,7 @@ def test_replay_gain_rejects_misshapen_witness(case):
 # -- the vertex corpora ---------------------------------------------------------------
 
 # n -> tables in max_distance(3, n, 1/10, keep_witnesses=True).all_witnesses, their
-# check_weak_sp outcomes under the default SPConfig, and sha256(repr(verdicts))[:16]:
+# check_weak_sp outcomes at the default polya_max, and sha256(repr(verdicts))[:16]:
 # every verdict is pinned, witnesses, rungs and unknown instances included.  Taken
 # while each rung was still rebuilt from degree n - 1 and the sampler normalized
 # every draw before evaluating it.
@@ -789,6 +807,6 @@ def test_a_mixture_open_on_the_top_rung_grid_is_manipulable():
     sampled = SPWitness(inst, (F(1), F(0), F(448187, 448312)), F(125, 149354), F(373385, 4973573328),
                         belief=(F(27, 86), F(7, 129), F(1, 86), F(47, 129), F(35, 258), F(31, 258)))
     assert replay_gain(v, sampled) == sampled.gain > 0
-    w = check_weak_sp(v, SPConfig(polya_max=7)).witness
+    w = check_weak_sp(v, polya_max=7).witness
     assert (w.instance, w.stage, w.belief) == (inst, "grid", (F(5, 9), 0, F(4, 9), 0, 0, 0))
     assert replay_gain(v, w) == w.gain > 0

@@ -65,7 +65,7 @@ OLD_EXPORTS = {
         "times_at_top_deviation", "tops_only_deviation", "vprime_table",
     ),
     "beliefs": (
-        "ManipulationInstance", "SPConfig", "SPVerdict", "SPWitness", "SimplexPolynomial",
+        "ManipulationInstance", "SPVerdict", "SPWitness", "SimplexPolynomial",
         "check_classic_sp", "check_weak_sp", "dominance_polynomial", "polya_certify",
         "replay_gain",
     ),

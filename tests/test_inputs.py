@@ -15,6 +15,8 @@ import pytest
 from click.testing import CliRunner
 
 import votecert
+import votecert.cli
+import votecert.rules
 from votecert.cli import main
 from votecert.errors import InternalError, ValidationError
 from votecert.polytope import max_distance
@@ -310,6 +312,73 @@ def test_delta_past_digit_limit_exits_2(runner, tmp_path):
     _assert_input_error(result)
     assert "error: delta must lie in [0, 1]" in result.output
     assert not os.path.exists(out)
+
+
+# -- decimal exponents past twice the digit limit ------------------------------------
+
+
+@pytest.fixture
+def fraction_texts(monkeypatch):
+    """Every text that reaches Fraction in the command line or the rule loader."""
+    seen = []
+
+    class Recorded(Fraction):
+        def __new__(cls, *args, **kwargs):
+            seen.extend(arg for arg in args if isinstance(arg, str))
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(votecert.cli, "Fraction", Recorded)
+    monkeypatch.setattr(votecert.rules, "Fraction", Recorded)
+    return seen
+
+
+HUGE_EXPONENT_ARGS = [
+    ["lp-max", "--m", "3", "--n", "2", "--eps", "1e-100000000"],
+    ["gen", "perturbed", "3", "2", "--delta", "1e-100000000", "--out", "x.json"],
+]
+
+
+@pytest.mark.parametrize("args", HUGE_EXPONENT_ARGS, ids=lambda a: a[0])
+def test_rational_arguments_with_a_huge_exponent_exit_2_unbuilt(runner, tmp_path, fraction_texts,
+                                                                args):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        result = runner.invoke(main, args)
+        assert not os.path.exists("x.json")
+    _assert_input_error(result)
+    assert "more digits than Python will print" in result.output
+    assert fraction_texts == []
+
+
+def test_a_zero_mantissa_with_a_huge_exponent_reads_as_zero(runner, fraction_texts):
+    reports = []
+    for eps in ("0", "0e100000000"):
+        result = runner.invoke(main, ["lp-max", "--m", "3", "--n", "2", "--eps", eps])
+        assert result.exit_code == 0, result.output
+        reports.append(json.loads(result.stdout)["results"])
+    assert reports[0] == reports[1]
+    assert "0e100000000" not in fraction_texts
+
+
+def test_a_rule_file_entry_with_a_huge_exponent_exits_2_unbuilt(runner, tmp_path, fraction_texts):
+    obj = rule_to_json_obj(random_dictatorship(3, 2))
+    _mutate_entry(obj, "lottery", ["1e-100000000", "0", "1"])
+    path = tmp_path / "huge-exponent.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
+    _assert_input_error(result)
+    assert "error: lottery entry has more digits than Python will print" in result.output
+    assert "1e-100000000" not in fraction_texts
+
+
+def test_exponents_up_to_twice_the_limit_reach_fraction_as_do_all_without_a_limit(monkeypatch,
+                                                                                   fraction_texts):
+    limit = sys.get_int_max_str_digits()
+    at_bound = f"1e-{2 * limit}"
+    assert votecert.rules._parse_fraction(at_bound, "x") == Fraction(1, 10 ** (2 * limit))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    past_bound = f"1e-{2 * limit + 1}"
+    assert votecert.rules._parse_fraction(past_bound, "x") == Fraction(1, 10 ** (2 * limit + 1))
+    assert fraction_texts == [at_bound, past_bound]
 
 
 # -- results past Python's integer digit limit -------------------------------------

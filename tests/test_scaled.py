@@ -55,6 +55,7 @@ from votecert.prefs import (
 )
 from votecert.rules import (
     RuleTable,
+    constant_rule,
     load_rule,
     mixture,
     pair_rule,
@@ -65,7 +66,6 @@ from votecert.rules import (
     rank_rule,
     save_rule,
     uniform_rule,
-    validate_lottery,
 )
 
 ZERO = F(0)
@@ -452,15 +452,18 @@ LOTTERIES = [
 
 @pytest.mark.parametrize("m, probs", LOTTERIES)
 def test_validate_lottery_matches_fraction_reference(m, probs):
+    """The table's lottery check, as a one-voter constant rule meets it."""
     try:
         want = ref_validate_lottery(m, probs)
     except ValidationError as exc:
         with pytest.raises(ValidationError) as info:
-            validate_lottery(m, probs)
+            constant_rule(m, 1, probs)
         assert str(info.value) == str(exc)
     else:
-        got = validate_lottery(m, probs)
-        assert got == want and all(type(p) is F for p in got)
+        v = constant_rule(m, 1, probs)
+        for key in v.keys():
+            got = v.lottery_at(key)
+            assert got == want and all(type(p) is F for p in got)
 
 
 # -- One view per table -----------------------------------------------------------------
