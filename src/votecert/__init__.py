@@ -27,7 +27,7 @@ AXIOM_NAMES = (
 )
 
 # The top rung of the Pólya ladder in `beliefs.check_weak_sp` and `sp-check
-# --polya-max`; an instance that no rung certifies is scanned on its grid.
+# --polya-max`; each rung that does not certify is scanned on its own grid.
 POLYA_MAX = 6
 
 

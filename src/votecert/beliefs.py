@@ -23,11 +23,13 @@ An open instance is scanned at point masses and pairwise midpoints, read
 off the terms grouped by support, then climbs Polya's ladder: each rung is
 the last one times the coordinate sum, built only while its degree has at
 most the profile cap of monomials, and passes when no coefficient is
-negative.  An instance the ladder leaves open is signed on its top rung's
-grid, at the integer weights of each negative monomial (f is homogeneous),
-until one grid refutes; only a hit becomes a Fraction belief.  A rung's
-coefficients approach f's values on its grid (Polya), so a high enough
-rung decides every f but an f >= 0 with a zero.
+negative.  A rung that does not pass is signed on its own grid, at the
+integer weights of each negative monomial (f is homogeneous), in integers
+over the lcm of f's denominators; only a hit becomes a Fraction belief.
+The first negative value refutes: instances in order, and within one, point
+masses, midpoints, then rung by rung.  A rung's coefficients approach f's
+values on its grid (Polya), so a high enough rung decides every f but an
+f >= 0 with a zero.
 
 `_opponent_gaps` reads the gaps from the rule table's integer-scaled
 lotteries, through `prefs.profile_walk` by index: at a fixed profile they
@@ -255,11 +257,14 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
 def _refute_on_grid(f: SimplexPolynomial, g: SimplexPolynomial) -> RefutationPoint | None:
     """First grid point alpha / N where f < 0, over the monomials alpha of g
     with a negative coefficient in sorted order; g is a rung of f, of degree N.
-    f(alpha) has the sign of f(alpha / N), as f is homogeneous."""
+    f(alpha) has the sign of f(alpha / N), as f is homogeneous, and so does
+    f(alpha) times the lcm of f's denominators, which is an integer."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    scaled = [(mono, c.numerator * (scale // c.denominator)) for mono, c in f.terms.items()]
     for mono in sorted(g.terms):
         if g.terms[mono] < 0:
             alpha = [mono.count(i) for i in range(g.nvars)]
-            if f.evaluate(alpha) < 0:
+            if sum(c * math.prod(map(alpha.__getitem__, e)) for e, c in scaled) < 0:
                 return RefutationPoint(tuple(Fraction(a, g.degree) for a in alpha), "grid")
     return None
 
@@ -293,31 +298,25 @@ def check_weak_sp(v: RuleTable, polya_max: int = POLYA_MAX) -> SPVerdict:
     dominance polynomials, built from the walk of their misreport pair that
     the stage made.  Each is scanned at point masses and midpoints, then
     climbs the ladder from rung 1 to rung polya_max (CapExceededError at a
-    rung past the profile cap), and an instance the ladder leaves open is
-    scanned on the grid of its top rung until one grid refutes.  That grid
-    hit refutes only once every ladder has run.  By anonymity a single
-    manipulating voter index covers all of them.
+    rung past the profile cap), and each rung that does not certify is
+    scanned on its own grid.  The first negative value refutes, in instance
+    order and then stage by stage: point masses, midpoints, rung 1's grid,
+    rung 2's, and so on.  By anonymity a single manipulating voter index
+    covers all of them.
     """
     if polya_max < 0:
         raise DomainError(f"Pólya degree cap polya_max must be nonnegative, got {polya_max}")
     total = len(_misreport_pairs(v.m)) * (v.m - 1)  # instances: (truthful, misreport, k)
     unknown: list[ManipulationInstance] = []
-    grid_hit = None  # (instance, siblings, hit) of the first instance refuted on a grid
     certified_at = max_tried = 0
-
-    def refuted(inst, siblings, hit: RefutationPoint) -> SPVerdict:
-        values = {k: f.evaluate(hit.belief) for k, f in enumerate(siblings, 1)}
-        return _refuted_verdict(inst, values, total, max_tried, belief=hit.belief, stage=hit.stage)
-
     # enumerate_instances order, with the k-siblings of each open misreport built together
     for truthful, misreport, open_ks, walk in _open_pairs(v):
         siblings = _dominance_siblings(v, walk)
         for k in open_ks:
             inst, f = ManipulationInstance(truthful, misreport, k), siblings[k - 1]
-            if (hit := _refute_at_point_masses_and_midpoints(f)) is not None:
-                return refuted(inst, siblings, hit)
-            g = f
-            for boost in range(1, polya_max + 1):
+            boost, hit, g = 0, _refute_at_point_masses_and_midpoints(f), f
+            while hit is None and boost < polya_max:
+                boost += 1
                 max_tried = max(max_tried, boost)
                 if math.comb(g.nvars + g.degree, g.degree + 1) > max_profiles():  # monomials of rung boost
                     raise CapExceededError(f"Pólya rung {boost} at (m={v.m}, n={v.n}) has more monomials "
@@ -326,12 +325,12 @@ def check_weak_sp(v: RuleTable, polya_max: int = POLYA_MAX) -> SPVerdict:
                 if polya_certify(g, 0):
                     certified_at = max(certified_at, boost)
                     break
+                hit = _refute_on_grid(f, g)
             else:
+                if hit is not None:
+                    values = {j: f_j.evaluate(hit.belief) for j, f_j in enumerate(siblings, 1)}
+                    return _refuted_verdict(inst, values, total, max_tried, belief=hit.belief, stage=hit.stage)
                 unknown.append(inst)
-                if grid_hit is None and (hit := _refute_on_grid(f, g)) is not None:
-                    grid_hit = (inst, siblings, hit)
-    if grid_hit is not None:
-        return refuted(*grid_hit)
     return SPVerdict(
         STATUS_UNKNOWN if unknown else STATUS_CERTIFIED,
         polya_degree=None if unknown else certified_at,

@@ -306,14 +306,10 @@ def verify_theorem_cmd(m, n, eps, out):
     started = time.monotonic()
     eps = _fraction_arg(eps, "eps")
     outcome = verify_theorem(m, n, eps)
-    results = {"status": outcome["status"], "m": m, "n": n, "eps": _rational(eps)}
-    if outcome["status"] == "SKIPPED":
-        results["reason"] = outcome["reason"]
-    else:
-        results["d_star"] = _rational(outcome["d_star"])
-        results["constant"] = _rational(outcome["constant"])
-        results["bound"] = _rational(outcome["bound"])
-        results["links"] = list(outcome["links"])
+    results = {
+        key: _rational(value) if isinstance(value, Fraction) else list(value) if isinstance(value, tuple) else value
+        for key, value in outcome.items()
+    }
     _write_report(out, _run_report(results, {}, started))
     if out is not None:  # otherwise stdout holds the report alone, one JSON document
         click.echo(f"verify-theorem m={m} n={n} eps={eps}: {outcome['status']}")

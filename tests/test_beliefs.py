@@ -23,6 +23,7 @@ from votecert.beliefs import (
     RefutationPoint,
     SPVerdict,
     SPWitness,
+    SimplexPolynomial,
     _refute_at_point_masses_and_midpoints,
     _refute_on_grid,
     check_classic_sp,
@@ -391,15 +392,35 @@ def dip_verdict(monkeypatch, polya_max):
 
 
 def test_weak_sp_reports_the_grid_refutation(monkeypatch):
-    polya_max = POLYA_MAX
-    verdict = dip_verdict(monkeypatch, polya_max)
-    assert verdict.status == "refuted" and verdict.max_degree_tried == polya_max
+    """Rung 1 does not certify the dip, so its grid is signed at once and the
+    centre refutes there, whatever the cap above it."""
+    for polya_max in (1, POLYA_MAX):
+        verdict = dip_verdict(monkeypatch, polya_max)
+        assert verdict.status == "refuted" and verdict.max_degree_tried == 1
+        w = verdict.witness
+        assert (w.instance, w.stage) == (ManipulationInstance(ABC, BAC, 1), "grid")
+        assert w.belief == (F(1, 3), 0, F(1, 3), 0, F(1, 3), 0)
+        assert w.gain > 0 and is_consistent_utility(w.utility, ABC)
+
+
+def test_an_earlier_grid_refutation_wins_over_a_later_midpoint(monkeypatch):
+    """Through the _dominance_siblings seam: the first open instance is the
+    centre dip, which only rung 1's grid refutes, and a later one is negative
+    at a midpoint.  Instances are searched in order, so the dip refutes."""
+    v = rank_rule(3, 3, 2)
+    zero = polynomial_from_terms(6, 2, {})
+    dip = centre_dip(6, (0, 2, 4))
+    pairs = [(t, q) for t, q, _, _ in beliefs._open_pairs(v)]
+    assert pairs[0] == (ABC, BAC) and len(pairs) > 1
+    later = polynomial_from_terms(6, 2, {(1, 1, 0, 0, 0, 0): F(-1)})  # -1/4 at (e_0 + e_1) / 2
+    assert _refute_at_point_masses_and_midpoints(later).stage == "midpoint"
+    fake = iter([(dip, zero)] + [(later, later)] * (len(pairs) - 1))
+    monkeypatch.setattr(beliefs, "_dominance_siblings", lambda v, walk: next(fake))
+    verdict = check_weak_sp(v)
+    assert (verdict.status, verdict.max_degree_tried) == ("refuted", 1)
     w = verdict.witness
-    assert (w.instance, w.stage) == (ManipulationInstance(ABC, BAC, 1), "grid")
-    grid = [q * (2 + polya_max) for q in w.belief]  # the dip has degree 2
-    assert all(a.denominator == 1 for a in grid) and sum(w.belief) == 1 and min(w.belief) >= 0
-    assert w.gain > 0 and is_consistent_utility(w.utility, ABC)
-    assert dip_verdict(monkeypatch, 1).witness.belief == (F(1, 3), 0, F(1, 3), 0, F(1, 3), 0)
+    assert (w.instance, w.stage, w.belief) == (
+        ManipulationInstance(ABC, BAC, 1), "grid", (F(1, 3), 0, F(1, 3), 0, F(1, 3), 0))
 
 
 def test_weak_sp_grid_of_rung_zero_adds_no_belief(monkeypatch):
@@ -767,11 +788,14 @@ def test_replay_gain_rejects_misshapen_witness(case):
 # check_weak_sp outcomes at the default polya_max, and sha256(repr(verdicts))[:16]:
 # every verdict is pinned, witnesses, rungs and unknown instances included.  Taken
 # while each rung was still rebuilt from degree n - 1 and the sampler normalized
-# every draw before evaluating it.
+# every draw before evaluating it.  n = 4 was retaken when each rung came to be
+# signed on its own grid as it is built: tables 28, 41 and 50 moved from a
+# midpoint at rung 6 to a grid point of rung 1, on an earlier instance.
 VERTEX_CORPUS_VERDICTS = {
     3: (24, {"certified at 0": 11, "certified at 2": 1, "point-mass": 8, "midpoint": 3, "unknown": 1},
         "f80f73817043e2db"),
-    4: (57, {"certified at 0": 21, "point-mass": 13, "midpoint": 15, "unknown": 8}, "175779da48789981"),
+    4: (57, {"certified at 0": 21, "point-mass": 13, "midpoint": 12, "grid": 3, "unknown": 8},
+        "6d3c60b34c1aead5"),
 }
 
 
@@ -794,19 +818,67 @@ def test_vertex_corpus_verdicts_are_pinned(n):
             assert replay_gain(v, verdict.witness) == verdict.witness.gain > 0
 
 
-def test_a_mixture_open_on_the_top_rung_grid_is_manipulable():
-    """A (3,3) mixture of two vertex tables that is negative on an edge, but at
-    no point of the default top rung's grid (degree 8): its verdict is unknown,
-    never certified.  A belief drawn by a former seeded sampler replays to a
-    positive gain, and the grid of rung 7 (degree 9) refutes it."""
+def _edge_mixture():
+    """A (3,3) mixture of two vertex tables that is negative on an edge near
+    (3/5, 2/5), but at no point of the grids of degree 2, 3, 4, 6 or 8."""
     tables = max_distance(3, 3, F(1, 10), keep_witnesses=True).all_witnesses
-    v = mixture([tables[7], tables[5]], [F(4, 5), F(1, 5)])
-    inst = ManipulationInstance((0, 2, 1), (2, 1, 0), 2)
+    return mixture([tables[7], tables[5]], [F(4, 5), F(1, 5)])
+
+
+_EDGE_INSTANCE = ManipulationInstance((0, 2, 1), (2, 1, 0), 2)
+
+
+def test_an_edge_mixture_is_refuted_on_rung_three_at_the_default_cap():
+    """The default top rung's grid (degree 8) misses the edge's negative
+    values, but rung 3's grid (degree 5) hits one, and it is signed before the
+    ladder climbs on.  A belief drawn by a former seeded sampler also replays
+    to a positive gain."""
+    v = _edge_mixture()
     verdict = check_weak_sp(v)
-    assert verdict.status == "unknown" and inst in verdict.instances_unknown
-    sampled = SPWitness(inst, (F(1), F(0), F(448187, 448312)), F(125, 149354), F(373385, 4973573328),
+    assert (verdict.status, verdict.max_degree_tried) == ("refuted", 3)
+    w = verdict.witness
+    assert (w.instance, w.stage, w.belief) == (_EDGE_INSTANCE, "grid", (F(3, 5), 0, F(2, 5), 0, 0, 0))
+    assert replay_gain(v, w) == w.gain > 0
+    sampled = SPWitness(_EDGE_INSTANCE, (F(1), F(0), F(448187, 448312)), F(125, 149354),
+                        F(373385, 4973573328),
                         belief=(F(27, 86), F(7, 129), F(1, 86), F(47, 129), F(35, 258), F(31, 258)))
     assert replay_gain(v, sampled) == sampled.gain > 0
-    w = check_weak_sp(v, polya_max=7).witness
-    assert (w.instance, w.stage, w.belief) == (inst, "grid", (F(5, 9), 0, F(4, 9), 0, 0, 0))
-    assert replay_gain(v, w) == w.gain > 0
+
+
+def test_a_refutation_does_not_move_with_the_cap_above_its_rung():
+    """The instances before the edge one certify by rung 3, and rung 3's grid
+    is signed before the ladder climbs on, so every cap from 3 to 8 gives one
+    and the same verdict; caps below 3 leave the edge instance unknown."""
+    v = _edge_mixture()
+    verdicts = {polya_max: check_weak_sp(v, polya_max=polya_max) for polya_max in range(9)}
+    assert len({verdicts[polya_max] for polya_max in range(3, 9)}) == 1
+    assert verdicts[3].witness.stage == "grid"
+    for polya_max in range(3):
+        assert verdicts[polya_max].status == "unknown"
+        assert _EDGE_INSTANCE in verdicts[polya_max].instances_unknown
+
+
+@pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.slow)])
+def test_grid_signs_match_fraction_evaluation_on_the_vertex_corpora(n):
+    """Reference for the integer signs: at every negative monomial alpha of
+    rungs 1-6 of each open instance, `_refute_on_grid` refutes at alpha alone
+    exactly when `SimplexPolynomial.evaluate` gives f(alpha) < 0.  Open
+    instances share polynomials (16 distinct of 80 at n = 3), each checked once."""
+    distinct = {}
+    for v in max_distance(3, n, F(1, 10), keep_witnesses=True).all_witnesses:
+        for _, _, open_ks, walk in beliefs._open_pairs(v):
+            siblings = beliefs._dominance_siblings(v, walk)
+            for k in open_ks:
+                distinct.setdefault(frozenset(siblings[k - 1].terms.items()), siblings[k - 1])
+    checked = 0
+    for f in distinct.values():
+        g = f
+        for _ in range(6):
+            g = g.times_coordinate_sum()
+            for mono, coeff in g.terms.items():
+                if coeff < 0:
+                    alpha = [mono.count(i) for i in range(g.nvars)]
+                    one = SimplexPolynomial(g.nvars, g.degree, {mono: coeff})
+                    assert (_refute_on_grid(f, one) is not None) == (f.evaluate(alpha) < 0)
+                    checked += 1
+    assert checked > 0

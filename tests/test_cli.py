@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from votecert import POLYA_MAX
+from votecert import POLYA_MAX, polytope
 from votecert.beliefs import check_weak_sp
 from votecert.cli import main, sp_check
 from votecert.polytope import max_distance
@@ -190,6 +190,21 @@ def test_verify_theorem_stdout_is_one_json_report(runner, tmp_path, args, status
     assert json.loads(out.read_text())["results"]["status"] == status
 
 
+def test_verify_theorem_fail_exits_1(runner, tmp_path, monkeypatch):
+    """With a zero constant the bound is 0, below D* = 1/5 at (3, 2, 1/10)."""
+    monkeypatch.setattr(polytope, "traced_constant", lambda m: polytope.TracedConstant(F(0), ("zero",)))
+    args = ["verify-theorem", "3", "2", "1/10"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    results = json.loads(result.stdout)["results"]
+    assert (results["status"], results["bound"]["frac"], results["links"]) == ("FAIL", "0", ["zero"])
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == "verify-theorem m=3 n=2 eps=1/10: FAIL\n"
+    assert json.loads(out.read_text())["results"]["status"] == "FAIL"
+
+
 def test_reports_roundtrip_byte_identically(runner, tmp_path):
     rule_path = _gen(runner, tmp_path, "uniform", 3, 2)
     report_path = tmp_path / "report.json"
@@ -219,7 +234,7 @@ def _vertex_tables():
 
 # Rules that no gen kind writes, saved from the (3, 3) vertex corpus: table 7 is
 # left open by every rung at the default --polya-max (4 unknown instances), and
-# the mixture is refuted only on the grid of rung 7.
+# the mixture is refuted on the grid of rung 3, which the cap of 7 does not move.
 SAVED_RULES = {
     "vertex-7": lambda: _vertex_tables()[7],
     "vertex-mixture": lambda: mixture([_vertex_tables()[7], _vertex_tables()[5]], [F(4, 5), F(1, 5)]),
@@ -240,7 +255,7 @@ GOLDEN_REPORTS = [
     (("sp-check", "--rule", "vertex-7"),
      "429486a0c1482d5327042672e91b142ee6c465aa06745ab5c086b4f5930a608b"),
     (("sp-check", "--polya-max", "7", "--rule", "vertex-mixture"),
-     "66f276283da865227f1ad90f50244fef96ce7b62e9f4f745947ff96e9eec5a26"),
+     "c38e1da05672a553d0c50a3cf00a342a675bb08f2ff463324940a74791fdd7d0"),
 ]
 
 

@@ -163,6 +163,16 @@ def test_check_rejects_malformed_rule_file(runner, tmp_path, case):
     assert "error:" in result.output
 
 
+def test_an_entry_with_too_many_orderings_exits_2_naming_the_count(runner, tmp_path):
+    obj = rule_to_json_obj(random_dictatorship(3, 2))
+    obj["entries"][0]["profile"].append(obj["entries"][0]["profile"][0])
+    path = tmp_path / "three-orderings.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
+    _assert_input_error(result)
+    assert "entry lists 3 orderings, expected 2" in result.output
+
+
 BAD_NAMES = {
     "separator-in-name": ["a>", "b", "c"],
     "leading-space": [" a", "b", "c"],

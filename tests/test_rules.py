@@ -222,6 +222,13 @@ def test_rule_table_requires_totality():
         RuleTable(3, 2, table)
 
 
+def test_rule_table_rejects_an_unknown_profile():
+    table = dict(random_dictatorship(3, 2).table)
+    table[(0, 0, 0)] = table[(0, 0)]
+    with pytest.raises(ValidationError, match=re.escape("rule table lists unknown profile (0, 0, 0)")):
+        RuleTable(3, 2, table)
+
+
 def test_rank_and_pair_rule_values():
     r2 = rank_rule(3, 2, 2)
     assert r2.lottery_at(canonicalize((ABC, ABC))) == (F(0), F(1), F(0))
