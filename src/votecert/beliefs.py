@@ -24,8 +24,8 @@ off the terms grouped by support, then climbs Polya's ladder: each rung is
 the last one times the coordinate sum, built only while its degree has at
 most the profile cap of monomials, and passes when no coefficient is
 negative.  A rung that does not pass is signed on its own grid, at the
-integer weights of each negative monomial (f is homogeneous), in integers
-over the lcm of f's denominators; only a hit becomes a Fraction belief.
+integer weights of each negative monomial (f is homogeneous), with f's own
+integer coefficients; only a hit becomes a Fraction belief.
 The first negative value refutes: instances in order, and within one, point
 masses, midpoints, then rung by rung.  A rung's coefficients approach f's
 values on its grid (Polya), so a high enough rung decides every f but an
@@ -33,9 +33,10 @@ f >= 0 with a zero.
 
 `_opponent_gaps` reads the gaps from the rule table's integer-scaled
 lotteries, through `prefs.profile_walk` by index: at a fixed profile they
-are integers over one denominator, and a Fraction is built only for a
-polynomial coefficient or a refuting witness.  `replay_gain` computes in
-Fractions read from the same view and sorts its own profiles.
+are integers over one denominator, and so are a misreport pair's dominance
+polynomials, over the lcm of its walk's: the ladder and the scans add ints,
+and a Fraction is built only for a refuting witness.  `replay_gain` computes
+in Fractions read from the same view and sorts its own profiles.
 """
 
 from __future__ import annotations
@@ -73,26 +74,28 @@ def validate_belief(nvars: int, weights) -> Belief:
 
 @dataclass(frozen=True)
 class SimplexPolynomial:
-    """Sparse homogeneous polynomial over the belief variables; a monomial is
-    keyed by its sorted variables, with repeats: x_0^2 x_3 is (0, 0, 3)."""
+    """Sparse homogeneous polynomial terms / den over the belief variables,
+    den > 0 and int terms for a dominance polynomial; a monomial is keyed by
+    its sorted variables, with repeats: x_0^2 x_3 is (0, 0, 3)."""
 
     nvars: int
     degree: int
-    terms: dict[tuple[int, ...], Fraction]
+    terms: dict[tuple[int, ...], int | Fraction]
+    den: int = 1
 
     def evaluate(self, point: Belief) -> Fraction:
         if len(point) != self.nvars:
             raise DomainError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        return sum((c * math.prod(point[i] for i in mono) for mono, c in self.terms.items()), ZERO)
+        return Fraction(sum(c * math.prod(point[i] for i in mono) for mono, c in self.terms.items()), self.den)
 
     def times_coordinate_sum(self) -> "SimplexPolynomial":
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for mono, coeff in self.terms.items():
             for i in range(self.nvars):
                 bumped = tuple(sorted(mono + (i,)))
-                out[bumped] = out.get(bumped, ZERO) + coeff
+                out[bumped] = out.get(bumped, 0) + coeff
         out = {e: c for e, c in out.items() if c}
-        return SimplexPolynomial(self.nvars, self.degree + 1, out)
+        return SimplexPolynomial(self.nvars, self.degree + 1, out, self.den)
 
 
 def polynomial_from_terms(nvars: int, degree: int, terms) -> SimplexPolynomial:
@@ -196,22 +199,23 @@ def _opponent_gaps(v: RuleTable, truthful: Ordering, misreport: Ordering):
         yield others, tuple(itertools.accumulate(diffs)), den
 
 
-def _dominance_siblings(v: RuleTable, walk) -> tuple[SimplexPolynomial, ...]:
+def _dominance_siblings(v: RuleTable, walk: list) -> tuple[SimplexPolynomial, ...]:
     """The dominance polynomials of (truthful, misreport, k) for k = 1..m-1,
     from the pair's `_opponent_gaps` items: the opponents' monomial carries
-    multinomial times their k-th gap."""
-    terms: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(v.m - 1)]
+    multinomial times their k-th gap, an int over the walk's lcm denominator."""
+    common = math.lcm(*(den for _, _, den in walk))
+    terms: list[dict[tuple[int, ...], int]] = [{} for _ in range(v.m - 1)]
     for others, gaps, den in walk:
-        weight = _multinomial(others)
+        weight = _multinomial(others) * (common // den)
         for k_terms, gap in zip(terms, gaps):
             if gap:
-                k_terms[others] = Fraction(weight * gap, den)
-    return tuple(SimplexPolynomial(math.factorial(v.m), v.n - 1, k_terms) for k_terms in terms)
+                k_terms[others] = weight * gap
+    return tuple(SimplexPolynomial(math.factorial(v.m), v.n - 1, k_terms, common) for k_terms in terms)
 
 
 def dominance_polynomial(v: RuleTable, inst: ManipulationInstance) -> SimplexPolynomial:
     """Expected truthful-minus-misreport upper-set mass, as a belief polynomial."""
-    return _dominance_siblings(v, _opponent_gaps(v, inst.truthful, inst.misreport))[inst.k - 1]
+    return _dominance_siblings(v, list(_opponent_gaps(v, inst.truthful, inst.misreport)))[inst.k - 1]
 
 
 def polya_certify(f: SimplexPolynomial, boost: int) -> bool:
@@ -234,8 +238,8 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
     negative once every point mass is nonnegative.
     """
     nv = f.nvars
-    pure = [ZERO] * nv
-    mixed: dict[tuple[int, int], Fraction] = {}
+    pure = [0] * nv
+    mixed: dict[tuple[int, int], int | Fraction] = {}
     for mono, coeff in f.terms.items():
         if not mono:  # degree 0: the same constant at every point
             pure = [coeff] * nv
@@ -243,14 +247,13 @@ def _refute_at_point_masses_and_midpoints(f: SimplexPolynomial) -> RefutationPoi
             pure[mono[0]] += coeff
         elif len(set(mono)) == 2:
             pair = (mono[0], mono[-1])
-            mixed[pair] = mixed.get(pair, ZERO) + coeff
+            mixed[pair] = mixed.get(pair, 0) + coeff
     for i, val in enumerate(pure):
         if val < 0:
             return RefutationPoint(tuple(ONE if t == i else ZERO for t in range(nv)), "point-mass")
-    half = Fraction(1, 2)
     for i, j in sorted(mixed):
         if pure[i] + pure[j] + mixed[i, j] < 0:
-            return RefutationPoint(tuple(half if t in (i, j) else ZERO for t in range(nv)), "midpoint")
+            return RefutationPoint(tuple(Fraction(1, 2) if t in (i, j) else ZERO for t in range(nv)), "midpoint")
     return None
 
 
@@ -258,13 +261,11 @@ def _refute_on_grid(f: SimplexPolynomial, g: SimplexPolynomial) -> RefutationPoi
     """First grid point alpha / N where f < 0, over the monomials alpha of g
     with a negative coefficient in sorted order; g is a rung of f, of degree N.
     f(alpha) has the sign of f(alpha / N), as f is homogeneous, and so does
-    f(alpha) times the lcm of f's denominators, which is an integer."""
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    scaled = [(mono, c.numerator * (scale // c.denominator)) for mono, c in f.terms.items()]
+    f.terms at alpha, as f.den > 0: an int for a dominance polynomial."""
     for mono in sorted(g.terms):
         if g.terms[mono] < 0:
             alpha = [mono.count(i) for i in range(g.nvars)]
-            if sum(c * math.prod(map(alpha.__getitem__, e)) for e, c in scaled) < 0:
+            if sum(c * math.prod(map(alpha.__getitem__, e)) for e, c in f.terms.items()) < 0:
                 return RefutationPoint(tuple(Fraction(a, g.degree) for a in alpha), "grid")
     return None
 
@@ -422,26 +423,25 @@ def replay_gain(v: RuleTable, witness: SPWitness) -> Fraction:
     Independent of the polynomial path: expectations are expanded directly
     over the opponents, weighted by multinomial belief mass.
     """
-    fact = math.factorial(v.m)
-    if (witness.belief is None) == (witness.others is None):
+    fact, fixed = math.factorial(v.m), witness.others
+    if (witness.belief is None) == (fixed is None):
         raise DomainError("a witness carries exactly one of a belief and fixed opponents")
     if len(witness.instance.truthful) != v.m:
         raise DomainError(f"the witness orders {len(witness.instance.truthful)} candidates, expected {v.m}")
     if not is_consistent_utility(witness.utility, witness.instance.truthful):
         raise DomainError("the witness utility is not strictly consistent with its ordering, in [0, 1]")
-    if witness.others is not None and (
-        len(witness.others) != v.n - 1 or any(s not in range(fact) for s in witness.others)
-    ):
-        raise DomainError(f"fixed opponents must be {v.n - 1} ordering ranks in range({fact})")
-    if witness.others is None:
+    if fixed is not None and not (type(fixed) is tuple and len(fixed) == v.n - 1
+                                  and all(type(s) is int and s in range(fact) for s in fixed)):
+        raise DomainError(f"fixed opponents must be a tuple of {v.n - 1} int ordering ranks in range({fact})")
+    if fixed is None:
         belief = validate_belief(fact, witness.belief)
     r_true = ordering_rank(witness.instance.truthful)
     r_lie = ordering_rank(witness.instance.misreport)
     u = witness.utility
 
     def expected(report_rank: int) -> Fraction:
-        if witness.others is not None:
-            key = tuple(sorted(witness.others + (report_rank,)))
+        if fixed is not None:
+            key = tuple(sorted(fixed + (report_rank,)))
             lot = v.lottery_at(key)
             return sum((u[x] * lot[x] for x in range(v.m)), ZERO)
         total = ZERO

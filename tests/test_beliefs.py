@@ -763,6 +763,8 @@ MISSHAPEN = {  # name -> (witness kind, alteration), on plurality_uniform_tiebre
     "three-opponents": ("classic", lambda w: replace(w, others=(2, 4, 1))),
     "rank-past-m-factorial": ("classic", lambda w: replace(w, others=(2, 6))),
     "negative-rank": ("classic", lambda w: replace(w, others=(-1, 2))),
+    "opponents-as-list": ("classic", lambda w: replace(w, others=list(w.others))),  # not a TypeError
+    "bool-rank": ("classic", lambda w: replace(w, others=(True, 0))),  # range(6) holds True as 1
     "short-utility-classic": ("classic", lambda w: replace(w, utility=w.utility[:2])),
     "long-utility-classic": ("classic", lambda w: replace(w, utility=w.utility + (F(0),))),
     "short-utility-belief": ("iid", lambda w: replace(w, utility=w.utility[:2])),
@@ -858,6 +860,19 @@ def test_a_refutation_does_not_move_with_the_cap_above_its_rung():
         assert _EDGE_INSTANCE in verdicts[polya_max].instances_unknown
 
 
+def test_the_ladder_builds_no_fraction(monkeypatch):
+    """Dominance polynomials hold ints over one denominator, so neither the
+    ladder of (3,3) vertex table 4, certified at rung 2, nor that of table 7,
+    left open on 4 instances, builds a Fraction in `beliefs`."""
+    tables = max_distance(3, 3, F(1, 10), keep_witnesses=True).all_witnesses
+    built = []
+    monkeypatch.setattr(beliefs, "Fraction", lambda *args: built.append(args) or F(*args))
+    certified, unknown = check_weak_sp(tables[4]), check_weak_sp(tables[7])
+    assert (certified.status, certified.polya_degree) == ("certified", 2)
+    assert (unknown.status, len(unknown.instances_unknown)) == ("unknown", 4)
+    assert built == []
+
+
 @pytest.mark.parametrize("n", [3, pytest.param(4, marks=pytest.mark.slow)])
 def test_grid_signs_match_fraction_evaluation_on_the_vertex_corpora(n):
     """Reference for the integer signs: at every negative monomial alpha of
@@ -868,8 +883,8 @@ def test_grid_signs_match_fraction_evaluation_on_the_vertex_corpora(n):
     for v in max_distance(3, n, F(1, 10), keep_witnesses=True).all_witnesses:
         for _, _, open_ks, walk in beliefs._open_pairs(v):
             siblings = beliefs._dominance_siblings(v, walk)
-            for k in open_ks:
-                distinct.setdefault(frozenset(siblings[k - 1].terms.items()), siblings[k - 1])
+            for f in (siblings[k - 1] for k in open_ks):  # keyed by value: terms over den
+                distinct.setdefault(frozenset((e, F(c, f.den)) for e, c in f.terms.items()), f)
     checked = 0
     for f in distinct.values():
         g = f

@@ -17,11 +17,24 @@ from click.testing import CliRunner
 import votecert
 import votecert.cli
 import votecert.rules
+from votecert.axioms import AxiomReport, replay_report
+from votecert.beliefs import ManipulationInstance, polya_certify, polynomial_from_terms
 from votecert.cli import main
-from votecert.errors import InternalError, ValidationError
+from votecert.errors import DomainError, InternalError, ValidationError
+from votecert.lp import SlackBasisSimplex, constraint
 from votecert.polytope import max_distance
-from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, format_key, max_m, max_profiles
-from votecert.rules import RuleTable, random_dictatorship, rule_to_json_obj, save_rule, uniform_rule
+from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, format_key, max_m, max_profiles, swap_path
+from votecert.rules import (
+    RuleTable,
+    closeness,
+    mixture,
+    pair_rule,
+    random_dictatorship,
+    rank_rule,
+    rule_to_json_obj,
+    save_rule,
+    uniform_rule,
+)
 
 
 @pytest.fixture
@@ -288,13 +301,72 @@ def test_eps_outside_unit_interval_exits_2(runner, args):
         (["verify-theorem", "2", "0", "1/10"], "need at least one voter, got n=0"),
         (["verify-theorem", "--", "-1", "2", "1/10"], "need at least one candidate, got m=-1"),
         (["verify-theorem", "--", "2", "-3", "1/10"], "need at least one voter, got n=-3"),
+        (["gen", "uniform", "3", "0", "--out", "x.json"], "need at least one voter, got n=0"),
     ],
 )
-def test_sizes_below_one_exit_2_before_any_skip(runner, args, message):
+def test_sizes_below_one_exit_2_before_any_skip(runner, tmp_path, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, args)
     _assert_input_error(result)
     assert message in result.output
     assert "SKIPPED" not in result.output
+
+
+# -- library entry points --------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+_LINE = polynomial_from_terms(2, 1, {(1, 0): 1, (0, 1): -1})
+LIBRARY_MISUSE = {  # name -> (call, DomainError message)
+    "rule-table-without-candidates": (lambda: RuleTable(0, 2, {}), "need m >= 1 and n >= 1, got m=0, n=2"),
+    "rank-rule-rank-0": (lambda: rank_rule(3, 2, 0), "rank r=0 outside 1..3"),
+    "pair-rule-one-candidate": (lambda: pair_rule(3, 2, 1, 1), "need two distinct candidates in 0..2, got 1, 1"),
+    "mixture-of-nothing": (lambda: mixture([], []), "mixture needs at least one rule"),
+    "mixture-extra-weight": (lambda: mixture([uniform_rule(3, 2)], [_HALF, _HALF]), "1 rules but 2 weights"),
+    "mixture-negative-weight": (
+        lambda: mixture([uniform_rule(3, 2), random_dictatorship(3, 2)], [Fraction(3, 2), -_HALF]),
+        "mixture weights must be strictly positive",
+    ),
+    "closeness-across-sizes": (
+        lambda: closeness(uniform_rule(3, 2), uniform_rule(3, 3)),
+        "closeness requires rules with identical dimensions",
+    ),
+    "instance-misreport-is-truthful": (
+        lambda: ManipulationInstance((0, 1, 2), (0, 1, 2), 1), "misreport must differ from the truthful ordering"
+    ),
+    "instance-k-0": (lambda: ManipulationInstance((0, 1, 2), (1, 0, 2), 0), "upper-set size k=0 outside 1..2"),
+    "instance-k-m": (lambda: ManipulationInstance((0, 1, 2), (1, 0, 2), 3), "upper-set size k=3 outside 1..2"),
+    "evaluate-short-point": (lambda: _LINE.evaluate((Fraction(1),)), "point has 1 coordinates, expected 2"),
+    "polya-negative-boost": (lambda: polya_certify(_LINE, -1), "boost must be nonnegative, got -1"),
+    "simplex-column-past-width": (
+        lambda: SlackBasisSimplex([{2: Fraction(1)}], [Fraction(1)], 2), "a constraint row has a column outside 0..1"
+    ),
+    "simplex-short-objective": (
+        lambda: SlackBasisSimplex([{0: Fraction(1)}], [Fraction(1)], 2).solve([Fraction(1)]),
+        "objective has 1 entries, expected 2",
+    ),
+    "constraint-strict-relation": (lambda: constraint([1], "<", 1), "unknown relation '<'"),
+    "replay-unknown-axiom": (
+        lambda: replay_report(uniform_rule(3, 2), AxiomReport("bogus", Fraction(0), {"x": 0})),
+        "unknown axiom report 'bogus'",
+    ),
+    "swap-path-voter-counts": (
+        lambda: swap_path(((0, 1),), ((0, 1), (1, 0))), "profiles have different sizes 1 and 2"
+    ),
+    "swap-path-candidate-sets": (
+        lambda: swap_path(((0, 1),), ((0, 2),)), "voter 0: orderings use different candidate sets"
+    ),
+    "swap-path-absent-forbidden": (
+        lambda: swap_path(((0, 1),), ((1, 0),), forbidden=2), "forbidden candidate 2 not in voter 0's ordering"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_MISUSE))
+def test_library_entry_points_reject_misuse_with_a_domain_error(case):
+    call, message = LIBRARY_MISUSE[case]
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert message in str(caught.value)
 
 
 # -- rationals past Python's integer digit limit ---------------------------------
