@@ -26,13 +26,13 @@ from .rules import (
     RuleTable,
     _parse_fraction,
     check_printable,
+    check_rule_printable,
     checked_unit,
     dump_json,
     load_rule,
     perturb,
     plurality_uniform_tiebreak,
     random_dictatorship,
-    rule_to_json_obj,
     save_rule,
     uniform_rule,
     within_digit_limit,
@@ -264,6 +264,7 @@ def lp_max(m, n, eps, parts, out):
     part_set = normalize_parts(p.strip() for p in parts.split(","))
     result = max_distance(m, n, eps, part_set)
     constant = traced_constant(m) if m >= 3 else None
+    check_rule_printable(result.witness)  # before the report's first byte reaches stdout
     names = result.witness.names
     results = {
         "m": m,
@@ -273,7 +274,7 @@ def lp_max(m, n, eps, parts, out):
         "d_star": _rational(result.d_star),
         "free_dim": result.free_dim,
         "n_solves": result.n_solves,
-        "witness_rule": rule_to_json_obj(result.witness),
+        "witness_rule": result.witness,
         "witness_profile": format_key(result.witness_profile, names),
         "witness_candidate": names[result.witness_candidate],
         "witness_sign": result.witness_sign,

@@ -9,8 +9,9 @@ of the entries' reduced denominators, so p[x] = nums[x] / den.  The pair is
 canonical (equal lotteries have equal pairs), so comparisons become
 cross-multiplications.  The view is built in enumeration order and validated
 by RuleTable: the built-in rules build it directly, rule files are parsed into
-it and written back from it, and `mixture` and `perturb` mix on it.  One
-writer, `dump_json`, streams rule files and reports as indented JSON.
+it, and `mixture` and `perturb` mix on it.  One writer, `dump_json`, streams
+rule files and reports as indented JSON; it streams a table, whether a rule
+file or a report field, straight from the view, and builds no entry object.
 Fractions are built on demand, by `lottery_at`, `prob_at` and `.table`,
 which all read a table by its anonymous profile key (`prefs.canonicalize`
 turns an ordered profile into one).
@@ -301,16 +302,23 @@ def closeness(v: RuleTable, w: RuleTable) -> Fraction:
 def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
     """Move each lottery toward a seeded pseudo-random lottery w / total by factor
     delta = a/b: entry x is ((b-a)·nums[x]·total + a·w[x]·den) / (b·den·total), reduced
-    by one gcd over the lottery, so the view stays canonical."""
+    by one gcd over the lottery, so the view stays canonical.  The seed must be an
+    int: None would seed from the operating system, and the table would not repeat."""
+    if type(seed) is not int:
+        raise DomainError(f"seed must be an int, got {type(seed).__name__}")
     delta = checked_unit(delta, "delta")
     a, b = delta.numerator, delta.denominator
-    rng = random.Random(seed)
+    draw = random.Random(seed).randrange
+    candidates = range(v.m)
     table = _Scaled()
     for key, (nums, den) in v._scaled().items():
-        weights = [rng.randrange(1, 1001) for _ in range(v.m)]
+        weights = [draw(1, 1001) for _ in candidates]
         total = sum(weights)
-        mixed = [(b - a) * num * total + a * wt * den for num, wt in zip(nums, weights)]
-        table[key] = _canonical(mixed, b * den * total)
+        kept, added = (b - a) * total, a * den
+        mixed = [kept * num + added * wt for num, wt in zip(nums, weights)]
+        whole = b * den * total
+        g = math.gcd(whole, *mixed)
+        table[key] = tuple([num // g for num in mixed]), whole // g
     return RuleTable(v.m, v.n, table, v.names)
 
 
@@ -345,16 +353,22 @@ def upper_set_utility(ordering: Ordering, k: int, rho: Fraction) -> tuple[Fracti
 # -- Rule files ---------------------------------------------------------------
 
 
-def rule_to_json_obj(v: RuleTable) -> dict:
+def check_rule_printable(v: RuleTable) -> None:
+    """Raise CapExceededError unless str() works on every reduced entry of v.
+    Each entry prints if its lottery's den does, as no numerator exceeds its
+    denominator; only past that bound are the entries reduced and read."""
     view = v._scaled()
-    # Before any str(): every reduced entry prints if the largest reduced
-    # denominator does, as no numerator exceeds its denominator.
-    check_printable(max(den // math.gcd(num, den) for nums, den in view.values() for num in nums))
+    if not within_digit_limit(max(den for _, den in view.values())):
+        check_printable(max(den // math.gcd(num, den) for nums, den in view.values() for num in nums))
+
+
+def rule_to_json_obj(v: RuleTable) -> dict:
+    check_rule_printable(v)
     texts = [format_ordering(o, v.names) for o in enumerate_orderings(v.m)]
     entries = [{"profile": [texts[r] for r in key],
                 "lottery": [f"{num // g}/{den // g}" if g != den else str(num // den)
                             for num in nums for g in (math.gcd(num, den),)]}
-               for key, (nums, den) in view.items()]
+               for key, (nums, den) in v._scaled().items()]
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
 
 
@@ -447,7 +461,8 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def dump_json(obj, fh) -> None:
     """Write obj and a newline to fh as json.dumps(obj, indent=2, sort_keys=True)
-    writes it, piece by piece: no string holds the whole document.  Like
+    writes it, piece by piece: no string holds the whole document.  A RuleTable
+    anywhere in obj is written as its rule file's object, rule_to_json_obj.  Like
     json.dumps it raises TypeError on a value it cannot encode, and unlike it
     on a key that is not a str."""
     _dump(obj, fh.write, "\n")
@@ -455,8 +470,11 @@ def dump_json(obj, fh) -> None:
 
 
 def _dump(obj, write, newline: str) -> None:
-    """obj as the json module encodes it, each line indented as far as newline's."""
-    if isinstance(obj, dict) and obj:
+    """obj as the json module encodes it, each line indented as far as newline's;
+    a RuleTable as it encodes rule_to_json_obj of the table."""
+    if isinstance(obj, RuleTable):
+        _dump_rule(obj, write, newline)
+    elif isinstance(obj, dict) and obj:
         if not all(map(isinstance, obj, itertools.repeat(str))):
             raise TypeError("keys must be str")
         members = [(encode_basestring_ascii(key) + ": ", value)
@@ -499,6 +517,29 @@ def _dump_members(members, brackets: str, write, newline: str) -> None:
     write(newline + brackets[1])
 
 
+def _dump_rule(v: RuleTable, write, newline: str) -> None:
+    """v's file object streamed from its view: the candidates, then one write
+    per entry, its lottery reduced by one gcd per entry and its profile taken
+    from ordering texts encoded once."""
+    check_rule_printable(v)  # before the first byte
+    inner, entry, field, item = (newline + " " * k for k in (2, 4, 6, 8))
+    next_item = "," + item
+    texts = [encode_basestring_ascii(format_ordering(o, v.names)) for o in enumerate_orderings(v.m)]
+    opening = entry + "{" + field + '"lottery": [' + item
+    middle = field + "]," + field + '"profile": [' + item
+    closing = field + "]" + entry + "}"
+    write("{" + inner + '"candidates": ')
+    _dump(v.names, write, inner)
+    write("," + inner + '"entries": [')
+    sep = ""
+    for key, (nums, den) in v._scaled().items():
+        lottery = next_item.join([f'"{num // g}/{den // g}"' if g != den else f'"{num // den}"'
+                                  for num in nums for g in (math.gcd(num, den),)])
+        write(sep + opening + lottery + middle + next_item.join([texts[r] for r in key]) + closing)
+        sep = ","
+    write(inner + "]," + inner + f'"m": {v.m},' + inner + f'"n": {v.n}' + newline + "}")
+
+
 def write_json(path: str, obj) -> None:
     """Write obj as indented, key-sorted JSON, replacing path in one step.
 
@@ -521,7 +562,7 @@ def write_json(path: str, obj) -> None:
 
 
 def save_rule(v: RuleTable, path: str) -> None:
-    write_json(path, rule_to_json_obj(v))
+    write_json(path, v)
 
 
 def load_rule(path: str) -> RuleTable:

@@ -268,7 +268,7 @@ def test_golden_rule_files_are_pinned(runner, tmp_path):
         assert _sha256(_gen(runner, tmp_path, kind, 3, 3, *extra).read_bytes()) == digest, kind
 
 
-@pytest.mark.parametrize("args,digest", GOLDEN_REPORTS, ids=lambda a: " ".join(a)[:40])
+@pytest.mark.parametrize("args,digest", GOLDEN_REPORTS, ids=[" ".join(args) for args, _ in GOLDEN_REPORTS])
 def test_golden_reports_are_pinned(runner, tmp_path, args, digest):
     if "--rule" in args:  # the rule is named by its key in GOLDEN_RULES or SAVED_RULES
         kind = args[-1]

@@ -29,6 +29,7 @@ from votecert.rules import (
     closeness,
     mixture,
     pair_rule,
+    perturb,
     random_dictatorship,
     rank_rule,
     rule_to_json_obj,
@@ -358,6 +359,10 @@ LIBRARY_MISUSE = {  # name -> (call, DomainError message)
     "swap-path-absent-forbidden": (
         lambda: swap_path(((0, 1),), ((1, 0),), forbidden=2), "forbidden candidate 2 not in voter 0's ordering"
     ),
+    # None would seed from the operating system, and the "seeded" table would not repeat.
+    **{f"perturb-seed-{kind}": (lambda seed=seed: perturb(uniform_rule(3, 2), _HALF, seed),
+                                f"seed must be an int, got {type(seed).__name__}")
+       for kind, seed in [("none", None), ("bool", True), ("float", 1.0), ("str", "1"), ("list", [1])]},
 }
 
 

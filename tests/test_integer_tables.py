@@ -8,6 +8,7 @@ checks the code used while tables were stored as Fractions) or against the
 json module, on values, on error messages and on bytes.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 
 from votecert import cli, rules
 
-from votecert.errors import ValidationError
+from votecert.errors import CapExceededError, ValidationError
 from votecert.prefs import canonicalize, enumerate_profiles, parse_ordering
 from votecert.rules import (
+    RuleTable,
     constant_rule,
     dump_json,
     load_rule,
@@ -339,9 +341,109 @@ def test_built_in_rules_and_rule_files_build_no_fraction(tmp_path, monkeypatch):
 
 
 def test_rule_file_holds_entries_that_print_under_an_lcm_that_does_not(tmp_path):
-    big_p, big_q = 10**3000 + 1, 10**3000 + 3
-    v = constant_rule(4, 1, [F(1, big_p), F(1, 2) - F(1, big_p), F(1, big_q), F(1, 2) - F(1, big_q)])
-    assert not within_digit_limit(*(den for _, den in v._scaled().values()))
-    path = str(tmp_path / "rule.json")
-    save_rule(v, path)
-    assert load_rule(path) == v
+    # Coprime P and Q: every entry has about `digits` digits, the lcm 2PQ more
+    # than the limit, so the writer's cheap bound fails and the exact check runs.
+    for digits in (3000, 2200):
+        big_p, big_q = 10**digits + 1, 10**digits + 3
+        v = constant_rule(4, 1, [F(1, big_p), F(1, 2) - F(1, big_p), F(1, big_q), F(1, 2) - F(1, big_q)])
+        assert not within_digit_limit(*(den for _, den in v._scaled().values()))
+        path = tmp_path / f"rule-{digits}.json"
+        save_rule(v, str(path))
+        assert path.read_bytes() == _dumped(rule_to_json_obj(v))
+        assert load_rule(str(path)) == v
+
+
+# -- A table is streamed from its view ----------------------------------------------------
+
+
+def _dumped(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+NEEDS_TWO_CANDIDATES = {"rank_rule(2)", "pair_rule(0, 1)"}
+
+
+@pytest.mark.parametrize("name, m, n", [
+    (name, m, n) for name in sorted(BUILT_IN_RULES) for m, n in [(1, 1), (2, 1), (3, 2), (3, 3), (4, 2)]
+    if m >= 2 or name not in NEEDS_TWO_CANDIDATES], ids=str)
+def test_saved_built_in_rules_match_dumps_of_the_object_form(tmp_path, name, m, n):
+    rule = BUILT_IN_RULES[name](m, n)
+    save_rule(rule, str(tmp_path / "rule.json"))
+    assert (tmp_path / "rule.json").read_bytes() == _dumped(rule_to_json_obj(rule))
+
+
+ESCAPED_NAMES = ('say "hi"', "back\\slash", "caf\u00e9", "line\u2028sep")
+STREAMED_RULES = {
+    "perturbed": lambda: perturb(random_dictatorship(4, 2), F(1, 7), seed=5),
+    "mixture": lambda: mixture([perturb(uniform_rule(3, 3), F(1, 3), seed=2), pair_rule(3, 3, 0, 2)],
+                               [F(2, 5), F(3, 5)]),
+    "escaped-names": lambda: perturb(RuleTable(4, 2, random_dictatorship(4, 2).table, ESCAPED_NAMES),
+                                     F(1, 9), seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMED_RULES))
+def test_streamed_rules_match_dumps_at_the_top_and_nested(tmp_path, kind):
+    rule = STREAMED_RULES[kind]()
+    save_rule(rule, str(tmp_path / "rule.json"))
+    assert (tmp_path / "rule.json").read_bytes() == _dumped(rule_to_json_obj(rule))
+    nested = {"outer": {"inner": rule, "z": 1}, "list": [0, rule, [rule]]}
+    write_json(str(tmp_path / "nested.json"), nested)
+    obj = rule_to_json_obj(rule)
+    assert (tmp_path / "nested.json").read_bytes() == _dumped(
+        {"outer": {"inner": obj, "z": 1}, "list": [0, obj, [obj]]})
+
+
+def test_lp_max_stdout_report_matches_dumps_of_the_object_form():
+    reports = []
+
+    def recorded(*args):
+        reports.append(run_report(*args))
+        return reports[-1]
+
+    run_report = cli._run_report
+    with mock.patch.object(cli, "_run_report", recorded):
+        result = CliRunner().invoke(cli.main, ["lp-max", "--m", "3", "--n", "2", "--eps", "1/10"])
+    assert result.exit_code == 0, result.output
+    [report] = reports
+    witness = report["results"]["witness_rule"]
+    assert isinstance(witness, RuleTable)
+    report["results"]["witness_rule"] = rule_to_json_obj(witness)
+    assert result.stdout_bytes == _dumped(report)
+
+
+UNPRINTABLE = F(1, 10**LIMIT + 1)  # its reduced denominator has LIMIT + 1 digits
+
+
+def test_an_unprintable_entry_fails_before_the_first_byte(tmp_path):
+    path = tmp_path / "rule.json"
+    with pytest.raises(CapExceededError):
+        save_rule(constant_rule(2, 1, [UNPRINTABLE, 1 - UNPRINTABLE]), str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lp_max_with_an_unprintable_witness_writes_nothing_to_stdout(monkeypatch):
+    from votecert import polytope
+
+    result = polytope.max_distance(2, 1, F(1, 10))
+    unprintable = constant_rule(2, 1, [UNPRINTABLE, 1 - UNPRINTABLE])
+    monkeypatch.setattr(polytope, "max_distance",
+                        lambda *args: dataclasses.replace(result, witness=unprintable))
+    run = CliRunner().invoke(cli.main, ["lp-max", "--m", "2", "--n", "1", "--eps", "1/10"])
+    assert run.exit_code == 3 and run.stdout == ""
+    assert "more digits than Python will print" in run.stderr
+
+
+def test_writing_builds_no_entry_object(tmp_path, monkeypatch):
+    def refused(v):
+        raise AssertionError("rule_to_json_obj called")
+
+    for module in (rules, cli):  # cli too, in case it holds its own binding of the name
+        monkeypatch.setattr(module, "rule_to_json_obj", refused, raising=False)
+    save_rule(perturb(random_dictatorship(3, 3), F(1, 7), seed=2), str(tmp_path / "rule.json"))
+    runner = CliRunner()
+    for args in (["gen", "perturbed", "3", "3", "--delta", "1/7", "--out", str(tmp_path / "gen.json")],
+                 ["lp-max", "--m", "3", "--n", "2", "--eps", "1/10", "--out", str(tmp_path / "lp.json")]):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json", "lp.json", "rule.json"]

@@ -129,6 +129,7 @@ OUTSIDE_USERS = {
     "constraint": "the LP oracle of the sweep's tests",
     "polynomial_from_terms": "the exponent-vector bridge of the dense reference tests",
     "closeness": "perfbench's lp-sweep gate",
+    "rule_to_json_obj": "the rule-file tests' object form and the writer's parity oracle",
 }
 
 
