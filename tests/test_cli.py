@@ -9,11 +9,20 @@ from fractions import Fraction as F
 import pytest
 from click.testing import CliRunner
 
-from votecert import POLYA_MAX, polytope
+from votecert import AXIOM_NAMES, POLYA_MAX, polytope
+from votecert.axioms import AxiomReport, replay_report
 from votecert.beliefs import check_weak_sp
 from votecert.cli import main, sp_check
 from votecert.polytope import max_distance
-from votecert.rules import load_rule, mixture, random_dictatorship, save_rule
+from votecert.prefs import enumerate_orderings, format_ordering
+from votecert.rules import (
+    load_rule,
+    mixture,
+    perturb,
+    plurality_uniform_tiebreak,
+    random_dictatorship,
+    save_rule,
+)
 
 
 @pytest.fixture
@@ -295,6 +304,63 @@ def test_golden_check_report_at_four_candidates_is_pinned(runner, tmp_path):
     results = json.loads(out.read_text())["results"]
     assert _sha256(json.dumps(results, sort_keys=True).encode()) == (
         "b2c681bc4bd2a46e0f7a618759a563fa42e3c8040001b60163b80f90b366d055")
+
+
+def _witness_from_json(witness, names):
+    """A report's witness with its names turned back into ids and ranks."""
+    if witness is None:
+        return None
+    rank = {format_ordering(o, names): r for r, o in enumerate(enumerate_orderings(len(names)))}
+    out = {}
+    for field, value in witness.items():
+        if field in ("profile", "profile_2", "swapped_profile"):
+            out[field] = tuple(sorted(rank[text] for text in value))
+        elif field in ("others", "others_2"):
+            out[field] = tuple(rank[text] for text in value)
+        elif field == "acting":
+            out["acting_rank"] = rank[value]
+        elif field in ("x", "y", "z", "dominator", "dominated"):
+            out[field] = names.index(value)
+        else:
+            out[field] = value
+    return out
+
+
+def _replay_check_report(rule, results):
+    """Replay every value of a `check --axiom all` report from its witness."""
+    reports = {name: results[name] for name in AXIOM_NAMES}
+    reports.update({"distance": results["distance"]["closeness"],
+                    "table-vs-canonical": results["distance"]["table-vs-canonical"],
+                    "canonical-vs-linear": results["distance"]["canonical-vs-linear"]})
+    for name, rep in reports.items():
+        eps = F(rep["eps"]["frac"])
+        witness = _witness_from_json(rep["witness"], rule.names)
+        assert replay_report(rule, AxiomReport(name, eps, witness)) == eps, name
+    return len(reports)
+
+
+# check --axiom all on the audit benchmark's input, and on the tie-heavy
+# plurality table at (4, 3): at n >= 3 a profile with three distinct ranks
+# makes the order of the swaps it yields decide which tied witness is reported.
+CHECK_REPORTS_AT_FOUR = {
+    "perturbed-4-4": (lambda: perturb(random_dictatorship(4, 4), F(1, 20), 0),
+                      "00c59eaf7ed1418bacfb7a11586e3f7987542183ce42b967d0ac3a8a5b43811e"),
+    "plurality-tiebreak-4-3": (lambda: plurality_uniform_tiebreak(4, 3),
+                               "93c060719932251e268340f815ffa1bc670ec61185770651fdae253b19020d6b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_REPORTS_AT_FOUR))
+def test_check_reports_at_four_candidates_are_pinned_and_replay(runner, tmp_path, name):
+    build, digest = CHECK_REPORTS_AT_FOUR[name]
+    rule = build()
+    path, out = tmp_path / "rule.json", tmp_path / "report.json"
+    save_rule(rule, str(path))
+    result = runner.invoke(main, ["check", "--axiom", "all", "--rule", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    results = json.loads(out.read_text())["results"]
+    assert _replay_check_report(rule, results) == 13
+    assert _sha256(json.dumps(results, sort_keys=True).encode()) == digest
 
 
 # sha256 of `--help` at 80 columns, taken when every layer was imported up

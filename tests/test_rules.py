@@ -213,6 +213,85 @@ def test_rule_file_rejects_duplicates():
         rule_from_json_obj(obj)
 
 
+def _perturbed_file_obj():
+    return rule_to_json_obj(perturb(random_dictatorship(3, 2), F(1, 7), 3))
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "rotated"])
+def test_a_rule_file_in_any_entry_order_loads_to_an_equal_table(tmp_path, order):
+    rule = perturb(random_dictatorship(3, 3), F(1, 7), 3)
+    obj = rule_to_json_obj(rule)
+    entries = obj["entries"]
+    if order == "reversed":
+        entries.reverse()
+    elif order == "shuffled":
+        random.Random(5).shuffle(entries)
+    else:  # in enumeration order from the second entry on
+        entries.append(entries.pop(0))
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(obj))
+    loaded = load_rule(str(path))
+    assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 3))
+
+
+def _bad_sum(entry):
+    entry["lottery"] = ["1/2", "1/2", "1/2"]
+
+
+# Each change to the entries of a perturbed (3, 2) rule file, and the error it
+# raises.  The first error in file order wins among the entries' own faults
+# (types, orderings, voter count, duplicates, rationals); a missing profile and
+# a lottery's length, range and sum are found afterwards, in enumeration order.
+LOADER_ERRORS = {
+    "missing": (lambda es: es.pop(5),
+                ValidationError, "rule table is missing profile (0, 5)"),
+    "duplicated": (lambda es: es.__setitem__(7, json.loads(json.dumps(es[3]))),
+                   ValidationError, "duplicate entry for profile ['a>b>c', 'b>c>a']"),
+    "extra-voter": (lambda es: es[4]["profile"].append("a>b>c"),
+                    ValidationError, "entry lists 3 orderings, expected 2"),
+    "unknown-candidate": (lambda es: es[4]["profile"].__setitem__(0, "a>b>d"),
+                          DomainError, "unknown candidate 'd' in ordering 'a>b>d'"),
+    "short-ordering": (lambda es: es[4]["profile"].__setitem__(1, "a>b"),
+                       DomainError, "ordering 'a>b' is not a permutation of all 3 candidates"),
+    "duplicate-and-bad-sum": (
+        lambda es: es.__setitem__(9, {"profile": list(es[2]["profile"]), "lottery": ["1", "1", "1"]}),
+        ValidationError, "duplicate entry for profile ['a>b>c', 'b>a>c']"),
+    "item-type-and-float": (
+        lambda es: (es[3]["profile"].__setitem__(1, 7), es[3]["lottery"].__setitem__(0, 0.5)),
+        ValidationError, "profile item 7 is not an ordering string"),
+    "unknown-candidate-and-bad-rational": (
+        lambda es: (es[6]["profile"].__setitem__(0, "z>a>b"), es[6]["lottery"].__setitem__(0, "x")),
+        DomainError, "unknown candidate 'z' in ordering 'z>a>b'"),
+    "extra-voter-and-bad-rational": (
+        lambda es: (es[6]["profile"].append("a>b>c"), es[6]["lottery"].__setitem__(0, "1/0")),
+        ValidationError, "entry lists 3 orderings, expected 2"),
+    "length-and-range": (lambda es: es[8].__setitem__("lottery", ["2", "-1"]),
+                         ValidationError, "lottery has 2 entries, expected 3"),
+    "range-and-sum": (lambda es: es[8].__setitem__("lottery", ["3/2", "0", "0"]),
+                      ValidationError, "lottery entry 0 lies outside [0, 1]"),
+    "missing-before-bad-sum": (lambda es: (_bad_sum(es[10]), es.pop(2)),
+                               ValidationError, "rule table is missing profile (0, 2)"),
+    "bad-sum-before-missing": (lambda es: (_bad_sum(es[2]), es.pop(10)),
+                               ValidationError, "lottery does not sum to 1"),
+    "bad-sum-before-malformed": (
+        lambda es: (_bad_sum(es[2]), es.__setitem__(10, "junk")),
+        ValidationError, "malformed rule entry 'junk': need an object with list-valued 'profile' and 'lottery'"),
+    "range-before-sum-reversed": (
+        lambda es: (es[2].__setitem__("lottery", ["3/2", "-1/2", "0"]), _bad_sum(es[15]), es.reverse()),
+        ValidationError, "lottery entry 0 lies outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_ERRORS))
+def test_rule_file_errors_and_their_precedence_are_pinned(case):
+    change, error, message = LOADER_ERRORS[case]
+    obj = _perturbed_file_obj()
+    change(obj["entries"])
+    with pytest.raises(error) as caught:
+        rule_from_json_obj(obj)
+    assert str(caught.value) == message
+
+
 def test_rule_table_requires_totality():
     v = random_dictatorship(3, 2)
     table = dict(v.table)
