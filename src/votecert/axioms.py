@@ -34,6 +34,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter, mul, sub
 
 from . import AXIOM_NAMES
 from .errors import DomainError
@@ -109,33 +111,47 @@ def _spread(nums, dens, lo: int, hi: int) -> tuple[int, int]:
 # -- Linear axioms: one generator each, shared with polytope.build_polytope ------
 
 
-def unanimous_profiles(m: int, n: int) -> list[list[int]]:
+def unanimous_profiles(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Per candidate x, the ascending indices of the profiles in which every
-    voter ranks x first (v(i, x) >= 1 - eps), from one scan of the walk."""
+    voter ranks x first (v(i, x) >= 1 - eps), from one scan of the walk per
+    (m, n): the three unanimity meters and the polytope share it."""
+    profile_walk(m, n)  # the cap, checked on every call
+    return _unanimous_profiles(m, n)
+
+
+@lru_cache(maxsize=None)
+def _unanimous_profiles(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     _, _, top_counts = profile_walk(m, n)
     found: list[list[int]] = [[] for _ in range(m)]
     for i, counts in enumerate(top_counts):
         if n in counts:
             found[counts.index(n)].append(i)
-    return found
+    return tuple(map(tuple, found))
 
 
 def responsive_pairs(m: int, n: int):
     """Yields (i, i2, r, p, zs): a voter with ordering rank r in profile i swaps
     positions p and p+1, giving profile i2; each bystander z in zs (ascending)
     keeps v(i, z) = v(i2, z).  Each swap comes once, from the side with i < i2,
-    and i2 is read from the profile walk, not sorted.
+    and i2 is read from the profile walk, not sorted.  A profile's ranks come
+    in set(key) order, which fixes the order of the polytope's rows.
     """
     orderings = enumerate_orderings(m)
     swaps = adjacent_swaps(m)
-    contexts, at, _ = profile_walk(m, n)
-    context_index = {others: c for c, others in enumerate(contexts)}
+    _, at, top_counts = profile_walk(m, n)
+    width = len(orderings)
+    # rows[i * width + r]: the walk row of the context that a voter of rank r
+    # leaves in profile i, read off the walk, so no context is sliced or hashed
+    rows: list[tuple[int, ...] | None] = [None] * (len(top_counts) * width)
+    for row in at:
+        for r, i in enumerate(row):
+            rows[i * width + r] = row
     bystanders = [[tuple(z for z in range(m) if z != o[p] and z != o[p + 1])
                    for p in range(m - 1)] for o in orderings]
     for i, key in enumerate(enumerate_profiles(m, n)):
+        base = i * width
         for r in set(key):
-            j = key.index(r)
-            row = at[context_index[key[:j] + key[j + 1:]]]
+            row = rows[base + r]
             for p, r2 in enumerate(swaps[r]):
                 if row[r2] > i:  # else the mirror swap already yielded it from profile row[r2]
                     yield i, row[r2], r, p, bystanders[r][p]
@@ -257,13 +273,24 @@ def isolation_deviation(v: RuleTable) -> AxiomReport:
     """Spread of the raised candidate's probability change across matched contexts."""
     contexts, at, _ = profile_walk(v.m, v.n)
     lots = list(v._scaled().values())
-    # column[r][k]: the lottery of context k completed by a voter of rank r
-    column = [[lots[row[r]] for row in at] for r in range(len(at[0]))]
+    # columns[r] = (nums, dens): the lottery of context k completed by a voter
+    # of rank r is nums[x][k] / dens[k] on each candidate x
+    columns = []
+    for r in range(len(at[0])):
+        column = [lots[row[r]] for row in at]
+        columns.append((list(zip(*map(itemgetter(0), column))), list(map(itemgetter(1), column))))
+    # The swaps r -> r2 and r2 -> r share their denominators: computed at the
+    # first of the two, read and dropped at the second.
+    shared: dict[tuple[int, int], list[int]] = {}
 
     def spreads():
         for r, p, r2, y, groups in isolation_groups(v.m, v.n):
-            nums = [a[y] * db - b[y] * da for (a, da), (b, db) in zip(column[r2], column[r])]
-            dens = [da * db for (_, da), (_, db) in zip(column[r2], column[r])]
+            (after, after_dens), (before, before_dens) = columns[r2], columns[r]
+            # v(after, y) - v(before, y) = nums[k] / dens[k] in context k
+            nums = list(map(sub, map(mul, after[y], before_dens), map(mul, before[y], after_dens)))
+            dens = shared.pop((r2, r), None)
+            if dens is None:
+                dens = shared[r, r2] = list(map(mul, after_dens, before_dens))
             for c, members in groups.items():
                 lo, hi = _extremes(nums, dens, members)
                 yield *_spread(nums, dens, lo, hi), r, p, c, contexts[hi], contexts[lo]
@@ -372,36 +399,52 @@ def sliding_window_deviation(v: RuleTable) -> AxiomReport:
 # -- Distance to random dictatorship ----------------------------------------------
 
 
-def _profile_gaps(v: RuleTable, scale: int, target):
-    """Per profile, (gap, scale * den, key, x, j) for the lottery nums / den:
-    x is the first candidate with the largest gap = |nums[x] * scale -
-    target[x][j] * den|, j the number of voters with x on top.  The gaps of
-    one profile share the denominator scale * den, so ints compare them."""
+def _profile_gaps(v: RuleTable, vden: int, rows) -> tuple[list[tuple], list[tuple]]:
+    """The items of closeness and of table-vs-canonical, from one walk over the
+    profiles.  For the lottery nums / den at key and a target t[x][j] / scale,
+    where j is the number of voters with x on top, the item is (gap, scale * den,
+    key, x, j) with x the first candidate with the largest gap = |nums[x] * scale
+    - t[x][j] * den|: random dictatorship's j / n for closeness, the canonical
+    table's rows[x][j] / vden for the other.  A profile's gaps share a
+    denominator, so ints compare them.  Only the items that beat every earlier
+    one are kept, which gives the witness rule the same first strictly largest
+    item as one item per profile."""
     _, _, top_counts = profile_walk(v.m, v.n)
+    n = v.n
+    close, canonical = [], []
+    close_num = canonical_num = 0  # the largest gaps so far, over close_den and canonical_den
+    close_den = canonical_den = 1
     for (key, (nums, den)), counts in zip(v._scaled().items(), top_counts):
-        gap = -1
+        close_gap = canonical_gap = -1
         for x, num in enumerate(nums):
-            diff = abs(num * scale - target[x][counts[x]] * den)
-            if diff > gap:
-                gap, worst = diff, x
-        yield gap, scale * den, key, worst, counts[worst]
+            j = counts[x]
+            diff = abs(num * n - j * den)
+            if diff > close_gap:
+                close_gap, close_x = diff, x
+            diff = abs(num * vden - rows[x][j] * den)
+            if diff > canonical_gap:
+                canonical_gap, canonical_x = diff, x
+        if close_gap * close_den > close_num * n * den:
+            close_num, close_den = close_gap, n * den
+            close.append((close_gap, close_den, key, close_x, counts[close_x]))
+        if canonical_gap * canonical_den > canonical_num * vden * den:
+            canonical_num, canonical_den = canonical_gap, vden * den
+            canonical.append((canonical_gap, canonical_den, key, canonical_x, counts[canonical_x]))
+    return close, canonical
 
 
 def distance_to_random_dictatorship(v: RuleTable) -> DistanceReport:
     """Random dictatorship elects x with probability (voters with x on top) / n;
     its table is read that way, never built."""
+    if v.m < 2:  # one candidate: every table is random dictatorship
+        return DistanceReport(*(AxiomReport(name, ZERO, None)
+                                for name in ("distance", "table-vs-canonical", "canonical-vs-linear")))
     n = v.n
-    shares = [range(n + 1)] * v.m  # random dictatorship's v(., x) is j / n
-    # the fields name (profile, x); zip drops the trailing j
-    close = _worst("distance", ("profile", "x"), _profile_gaps(v, n, shares))
-    if v.m < 2:
-        return DistanceReport(close, AxiomReport("table-vs-canonical", ZERO, None),
-                              AxiomReport("canonical-vs-linear", ZERO, None))
     vp, vden = _vprime_scaled(v)
-    rows = [[vp[(x, j)] for j in range(n + 1)] for x in range(v.m)]
+    close, canonical = _profile_gaps(v, vden, [[vp[(x, j)] for j in range(n + 1)] for x in range(v.m)])
     return DistanceReport(
-        close,
-        _worst("table-vs-canonical", ("profile", "x", "j"), _profile_gaps(v, vden, rows)),
+        _worst("distance", ("profile", "x"), close),  # the fields name (profile, x); zip drops the trailing j
+        _worst("table-vs-canonical", ("profile", "x", "j"), canonical),
         _worst("canonical-vs-linear", ("x", "j"), (
             (abs(vp[(x, j)] * n - j * vden), vden * n, x, j)
             for x in range(v.m)

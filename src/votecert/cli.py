@@ -67,11 +67,6 @@ def _fraction_arg(text: str, name: str) -> Fraction:
     return q
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _write_report(out: str | None, payload: dict) -> None:
     if out is None:
         dump_json(payload, sys.stdout)
@@ -210,7 +205,8 @@ def check(rule_path, axiom, out):
     from .axioms import distance_to_random_dictatorship, run_axiom
 
     started = time.monotonic()
-    rule = load_rule(rule_path)
+    digest = hashlib.sha256()  # of the bytes that are checked: the file is read once
+    rule = load_rule(rule_path, digest.update)
     names = list(AXIOM_NAMES) + ["distance"] if axiom == "all" else [axiom]
     results = {}
     for name in names:
@@ -223,7 +219,7 @@ def check(rule_path, axiom, out):
             }
         else:
             results[name] = _report_json(run_axiom(rule, name), rule)
-    _write_report(out, _run_report(results, {rule_path: _digest(rule_path)}, started))
+    _write_report(out, _run_report(results, {rule_path: digest.hexdigest()}, started))
 
 
 @main.command("sp-check")
@@ -239,13 +235,14 @@ def sp_check(rule_path, classic, polya_max, out):
     from .beliefs import check_classic_sp, check_weak_sp
 
     started = time.monotonic()
-    rule = load_rule(rule_path)
+    digest = hashlib.sha256()
+    rule = load_rule(rule_path, digest.update)
     if classic:
         verdict = check_classic_sp(rule)
     else:
         verdict = check_weak_sp(rule, polya_max=polya_max)
     results = {"mode": "classic" if classic else "iid-beliefs", "verdict": _verdict_json(verdict, rule)}
-    _write_report(out, _run_report(results, {rule_path: _digest(rule_path)}, started))
+    _write_report(out, _run_report(results, {rule_path: digest.hexdigest()}, started))
 
 
 @main.command("lp-max")

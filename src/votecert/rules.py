@@ -20,6 +20,8 @@ turns an ordered profile into one).
 from __future__ import annotations
 
 import functools
+import gc
+import io
 import itertools
 import json
 import math
@@ -30,11 +32,12 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import CapExceededError, DomainError, ValidationError
+from .errors import CapExceededError, DomainError, ValidationError, VoteCertError
 from .prefs import (
     AnonKey,
     Ordering,
     candidate_names,
+    count_anonymous_profiles,
     enumerate_orderings,
     enumerate_profiles,
     format_ordering,
@@ -130,12 +133,22 @@ def _checked_names(m: int, names) -> tuple[str, ...]:
 
 
 class _Scaled(dict):
-    """A table of unchecked (nums, den) pairs, as the loader and `perturb` give it to RuleTable."""
+    """A table of unchecked (nums, den) pairs, as the built-in rules and the loader give it to RuleTable."""
+
+
+class _Checked(_Scaled):
+    """A view its producer has already checked: distinct profiles of the table
+    in enumeration order, each with a canonical lottery of m entries in [0, 1]
+    that sum to 1.  The loader builds one from a file in enumeration order, and
+    `mixture` and `perturb` build one by mixing checked views."""
 
 
 class RuleTable:
     """Total map from anonymous profiles to exact lotteries, stored only as the
-    integer view that `_scaled` returns; never mutated after construction."""
+    integer view that `_scaled` returns; never mutated after construction.
+
+    A `_Checked` view that lists every profile is kept as it is; any other
+    table is walked in enumeration order and each lottery checked."""
 
     __slots__ = ("m", "n", "names", "_view")
 
@@ -145,9 +158,13 @@ class RuleTable:
         self.m = m
         self.n = n
         self.names = candidate_names(m) if names is None else _checked_names(m, names)
-        scaled = type(table) is _Scaled
+        keys = enumerate_profiles(m, n)  # the profile cap
+        if type(table) is _Checked and len(table) == count_anonymous_profiles(m, n):
+            self._view = table  # total, as its keys are distinct profiles
+            return
+        scaled = isinstance(table, _Scaled)
         view: dict[AnonKey, tuple[tuple[int, ...], int]] = {}
-        for key in enumerate_profiles(m, n):
+        for key in keys:
             if key not in table:
                 raise ValidationError(f"rule table is missing profile {key}")
             view[key] = _checked(m, table[key] if scaled else _scaled_lottery(table[key]))
@@ -274,7 +291,7 @@ def mixture(rules: list[RuleTable], weights) -> RuleTable:
     total = math.lcm(*(q.denominator for q in w))
     scales = [q.numerator * (total // q.denominator) for q in w]  # w[i] == scales[i] / total
     views = [v._scaled() for v in rules]
-    table = _Scaled()
+    table = _Checked()  # a mix of checked lotteries with positive weights that sum to 1
     for key in views[0]:
         lots = [view[key] for view in views]
         den = math.lcm(*(d for _, d in lots))
@@ -310,7 +327,7 @@ def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
     a, b = delta.numerator, delta.denominator
     draw = random.Random(seed).randrange
     candidates = range(v.m)
-    table = _Scaled()
+    table = _Checked()  # each lottery a mix of two lotteries, with weights that sum to 1
     for key, (nums, den) in v._scaled().items():
         weights = [draw(1, 1001) for _ in candidates]
         total = sum(weights)
@@ -419,41 +436,88 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
     if m < 1 or n < 1:  # before any entry: no profile to read at n = 0
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     names = _checked_names(m, names)  # before any entry parses an ordering with them
-    table = _Scaled()
-    parsed: dict[str, int] = {}  # each distinct ordering string's rank, parsed once
-    for entry in entries:
-        if not (isinstance(entry, dict) and isinstance(entry.get("profile"), list)
-                and isinstance(entry.get("lottery"), list)):
-            raise ValidationError(f"malformed rule entry {entry!r}: need an object with "
-                                  "list-valued 'profile' and 'lottery'")
-        for item in entry["profile"]:
-            if type(item) is not str:
-                raise ValidationError(f"profile item {item!r} is not an ordering string")
-        for item in entry["lottery"]:
-            if type(item) not in (str, int):
-                raise ValidationError(f"lottery item {item!r} is not a string or an integer")
-        for text in entry["profile"]:
-            if text not in parsed:
-                parsed[text] = ordering_rank(parse_ordering(text, names))
-        if len(entry["profile"]) != n:
-            raise ValidationError(f"entry lists {len(entry['profile'])} orderings, expected {n}")
-        key = tuple(sorted([parsed[text] for text in entry["profile"]]))
-        if key in table:
-            raise ValidationError(f"duplicate entry for profile {entry['profile']}")
-        pairs, others = [], []  # others: the entries only Fraction(text) reads
-        try:
-            for text in entry["lottery"]:
-                pair = _parse_pair(text)
-                if pair is None:
-                    others.append(_parse_fraction(text, "lottery entry"))
-                    pair = others[-1].as_integer_ratio()
-                pairs.append(pair)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational in lottery: {exc}") from None
-        if others and not within_digit_limit(*others):
-            raise ValidationError("lottery entry has more digits than Python will print")
-        table[key] = _scaled_pairs(pairs)
-    return RuleTable(m, n, table, names)  # checks each lottery's length, range and sum
+    table = _plain_entries(m, n, names, entries)
+    if len(table) < len(entries):  # the per-entry code reads the rest, and RuleTable checks them
+        table = _Scaled(table)
+        parsed: dict[str, int] = {}  # each distinct ordering string's rank, parsed once
+        for entry in entries[len(table):]:
+            _read_entry(entry, n, names, parsed, table)
+    return RuleTable(m, n, table, names)
+
+
+# A lottery item's text as save_rule writes it: ASCII digits and '/' only.
+_PLAIN_LOTTERY = re.compile(r"[0-9/]*").fullmatch
+
+
+def _plain_entries(m: int, n: int, names: tuple[str, ...], entries: list) -> _Checked:
+    """The checked view of the longest prefix of entries that lists the first
+    profiles in enumeration order, each as save_rule writes it: its orderings
+    formatted from names and in key order, and m lottery texts "p" or "p/q".
+    The first other entry ends the prefix, so every error is left to the
+    per-entry code, and a cap to RuleTable, with their precedence."""
+    table = _Checked()
+    try:
+        keys = enumerate_profiles(m, n)
+        rank = {format_ordering(o, names): r for r, o in enumerate(enumerate_orderings(m))}.get
+    except VoteCertError:
+        return table
+    profile_types, lottery_types = (str,) * n, (str,) * m
+    for entry, key in zip(entries, keys):
+        if type(entry) is not dict:
+            break
+        profile, lottery = entry.get("profile"), entry.get("lottery")
+        if not (type(profile) is list and tuple(map(type, profile)) == profile_types
+                and tuple(map(rank, profile)) == key and type(lottery) is list
+                and tuple(map(type, lottery)) == lottery_types and _PLAIN_LOTTERY("".join(lottery))):
+            break
+        try:  # as _parse_pair and _scaled_pairs read these texts
+            parts = [text.partition("/") for text in lottery]
+            dens = [int(den) if slash else 1 for _, slash, den in parts]
+            den = math.lcm(*dens)
+            nums = [int(num) * (den // q) for (num, _, _), q in zip(parts, dens)]
+        except (ValueError, ZeroDivisionError):  # an empty part, a second '/', a 0 denominator, too many digits
+            break
+        if sum(nums) != den:  # the only check left: no entry is negative, so none exceeds den
+            break
+        table[key] = _canonical(nums, den)
+    return table
+
+
+def _read_entry(entry, n: int, names: tuple[str, ...], parsed: dict[str, int], table: _Scaled) -> None:
+    """Parse one rule-file entry into table, unchecked, raising on the first fault
+    in the order: its shape, item types, orderings, voter count, a duplicate
+    profile, then each rational."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("profile"), list)
+            and isinstance(entry.get("lottery"), list)):
+        raise ValidationError(f"malformed rule entry {entry!r}: need an object with "
+                              "list-valued 'profile' and 'lottery'")
+    for item in entry["profile"]:
+        if type(item) is not str:
+            raise ValidationError(f"profile item {item!r} is not an ordering string")
+    for item in entry["lottery"]:
+        if type(item) not in (str, int):
+            raise ValidationError(f"lottery item {item!r} is not a string or an integer")
+    for text in entry["profile"]:
+        if text not in parsed:
+            parsed[text] = ordering_rank(parse_ordering(text, names))
+    if len(entry["profile"]) != n:
+        raise ValidationError(f"entry lists {len(entry['profile'])} orderings, expected {n}")
+    key = tuple(sorted([parsed[text] for text in entry["profile"]]))
+    if key in table:
+        raise ValidationError(f"duplicate entry for profile {entry['profile']}")
+    pairs, others = [], []  # others: the entries only Fraction(text) reads
+    try:
+        for text in entry["lottery"]:
+            pair = _parse_pair(text)
+            if pair is None:
+                others.append(_parse_fraction(text, "lottery entry"))
+                pair = others[-1].as_integer_ratio()
+            pairs.append(pair)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational in lottery: {exc}") from None
+    if others and not within_digit_limit(*others):
+        raise ValidationError("lottery entry has more digits than Python will print")
+    table[key] = _scaled_pairs(pairs)
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -565,12 +629,35 @@ def save_rule(v: RuleTable, path: str) -> None:
     write_json(path, v)
 
 
-def load_rule(path: str) -> RuleTable:
-    with open(path, encoding="utf-8") as fh:
-        # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
-        # Python's digit limit; RecursionError covers too deeply nested arrays.
-        try:
-            obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"rule file is not valid JSON: {exc}") from None
-    return rule_from_json_obj(obj)
+def _read_rule_json(path: str, seen) -> dict:
+    """The JSON object in the file at path, read once.  seen, if given, is
+    called with the file's bytes before they are decoded as UTF-8 text, with
+    universal newlines, as open(path, encoding="utf-8") decodes them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if seen is not None:
+        seen(data)
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # Python's digit limit; RecursionError covers too deeply nested arrays.
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data  # one copy of the file at a time
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"rule file is not valid JSON: {exc}") from None
+
+
+def load_rule(path: str, seen=None) -> RuleTable:
+    """The rule table in the file at path.  The file is read once: seen, if
+    given, is called with exactly the bytes that are parsed and checked.
+
+    The cyclic garbage collector is paused while the file is decoded and
+    read, so that it does not rescan the decoded tree, which holds no cycle;
+    its state is restored on the way out, also on an error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return rule_from_json_obj(_read_rule_json(path, seen))
+    finally:
+        if enabled:
+            gc.enable()

@@ -4,12 +4,13 @@ import functools
 import hashlib
 import inspect
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
-from votecert import AXIOM_NAMES, POLYA_MAX, polytope
+from votecert import AXIOM_NAMES, POLYA_MAX, polytope, rules
 from votecert.axioms import AxiomReport, replay_report
 from votecert.beliefs import check_weak_sp
 from votecert.cli import main, sp_check
@@ -361,6 +362,30 @@ def test_check_reports_at_four_candidates_are_pinned_and_replay(runner, tmp_path
     results = json.loads(out.read_text())["results"]
     assert _replay_check_report(rule, results) == 13
     assert _sha256(json.dumps(results, sort_keys=True).encode()) == digest
+
+
+@pytest.mark.parametrize("args", [["check", "--axiom", "pareto"], ["sp-check", "--classic"]])
+def test_the_input_digest_names_the_bytes_that_were_checked(runner, tmp_path, monkeypatch, args):
+    """A rule file replaced while the command runs changes neither the
+    result nor the digest: both come from the one read of the file."""
+    path = _gen(runner, tmp_path, "uniform", 3, 2)
+    checked = path.read_bytes()
+    other = _gen(runner, tmp_path, "plurality-tiebreak", 3, 2)
+    read = rules.rule_from_json_obj
+
+    def replacing(obj):
+        os.replace(other, path)
+        return read(obj)
+
+    monkeypatch.setattr(rules, "rule_from_json_obj", replacing)
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, [*args, "--rule", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert path.read_bytes() != checked
+    report = json.loads(out.read_text())
+    assert report["inputs"] == {str(path): _sha256(checked)}
+    if args[0] == "check":
+        assert report["results"]["pareto"]["eps"]["frac"] == "1/3"  # uniform's, not plurality's 0
 
 
 # sha256 of `--help` at 80 columns, taken when every layer was imported up

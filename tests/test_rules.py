@@ -4,6 +4,7 @@ Every stored lottery must sum to exactly 1; eval must be anonymous; the
 closeness meter must behave like a metric on tables.
 """
 
+import gc
 import json
 import os
 import random
@@ -15,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votecert import rules
 from votecert.errors import DomainError, ValidationError
 from votecert.prefs import canonicalize, enumerate_orderings, enumerate_profiles
 from votecert.rules import (
     RuleTable,
+    _Checked,
     _parse_pair,
+    _Scaled,
     closeness,
     constant_rule,
     is_consistent_utility,
@@ -292,6 +296,67 @@ def test_rule_file_errors_and_their_precedence_are_pinned(case):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("content", ["rule", "bad-json", "bad-entry"])
+def test_load_rule_leaves_the_garbage_collector_as_it_found_it(tmp_path, enabled, content):
+    path = tmp_path / "rule.json"
+    save_rule(random_dictatorship(3, 2), str(path))
+    if content == "bad-json":
+        path.write_text("{")
+    elif content == "bad-entry":
+        obj = json.loads(path.read_text())
+        obj["entries"][3] = "junk"
+        path.write_text(json.dumps(obj))
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if content == "rule":
+            assert load_rule(str(path)) == random_dictatorship(3, 2)
+        else:
+            with pytest.raises(ValidationError):
+                load_rule(str(path))
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_load_rule_shows_the_bytes_it_parses(tmp_path):
+    path = tmp_path / "rule.json"
+    save_rule(uniform_rule(3, 2), str(path))
+    seen = []
+    assert load_rule(str(path), seen.append) == uniform_rule(3, 2)
+    assert seen == [path.read_bytes()]
+
+
+def test_checked_views_are_kept_and_every_other_table_is_walked(tmp_path, monkeypatch):
+    rd = random_dictatorship(3, 3)
+    path = tmp_path / "rule.json"
+    save_rule(perturb(rd, F(1, 7), 2), str(path))
+    checks = []
+    check = rules._checked
+    monkeypatch.setattr(rules, "_checked", lambda m, scaled: checks.append(scaled) or check(m, scaled))
+    perturbed = perturb(rd, F(1, 7), 2)
+    mixed = mixture([rd, perturbed], [F(1, 3), F(2, 3)])
+    assert load_rule(str(path)) == perturbed and checks == []
+    assert RuleTable(3, 3, _Scaled(mixed._scaled())) == mixed and len(checks) == 56
+    assert RuleTable(3, 3, mixed.table) == mixed and len(checks) == 112
+
+
+def test_a_hand_made_bad_view_raises_through_the_public_constructor():
+    view = dict(random_dictatorship(3, 2)._scaled())
+    first = next(iter(view))
+    with pytest.raises(ValidationError, match="lottery does not sum to 1"):
+        RuleTable(3, 2, _Scaled({**view, first: ((1, 1, 1), 2)}))
+    with pytest.raises(ValidationError, match="lottery entry 1 lies outside"):
+        RuleTable(3, 2, {**random_dictatorship(3, 2).table, first: (F(1, 2), F(-1, 2), F(1))})
+    # a checked view keeps the names check, and one that misses a profile is walked
+    with pytest.raises(ValidationError, match="need 3 distinct candidate names"):
+        RuleTable(3, 2, _Checked(view), ("a", "b", "b"))
+    del view[first]
+    with pytest.raises(ValidationError, match=re.escape(f"rule table is missing profile {first}")):
+        RuleTable(3, 2, _Checked(view))
+
+
 def test_rule_table_requires_totality():
     v = random_dictatorship(3, 2)
     table = dict(v.table)
@@ -346,6 +411,29 @@ def test_lottery_entries_parse_exactly_as_fraction_does(text):
         return F(text) if pair is None else F(*pair)
 
     assert _outcome(loader_read, text) == _outcome(F, text)
+
+
+def _outcome_of_loading(obj):
+    try:
+        v = rule_from_json_obj(obj)
+    except (ValidationError, DomainError) as exc:
+        return type(exc), str(exc)
+    return v, list(v.keys())
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+def test_an_in_order_file_reads_each_lottery_text_as_the_per_entry_code_does(text):
+    """The one-pass reader of a file in enumeration order and the per-entry
+    code, which reads a reversed file, give the same table or the same error."""
+    try:
+        rest = str(1 - F(text))
+    except (ValueError, ZeroDivisionError):
+        rest = "0"
+    obj = rule_to_json_obj(random_dictatorship(2, 2))
+    obj["entries"][1]["lottery"] = [text, rest]
+    in_order = _outcome_of_loading(obj)
+    obj["entries"].reverse()
+    assert in_order == _outcome_of_loading(obj)
 
 
 def test_lottery_entry_errors_are_unchanged():
