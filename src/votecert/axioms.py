@@ -12,15 +12,22 @@ is built only for the reported value.  Each meter first reduces inside the
 groups whose values it compares by integers (a profile's candidates for the
 distance reports, a context group for isolation, a top-count group for
 tops-only and times-at-top, a candidate's unanimous profiles for super-weak
-unanimity), so `_worst` gets one item per group; responsiveness passes on
-only the swaps that beat every earlier one.  The first strictly largest
-item is the one a stream of every (group member, candidate) would give.
+unanimity), so `_worst` gets one item per group; responsiveness and the two
+profile-by-profile distance reports pass on only the items that beat every
+earlier one.  The first strictly largest item is the one a stream of every
+(group member, candidate) would give.  The meters share their walks:
+closeness and table-vs-canonical read one walk over the profiles, the three
+unanimity meters one cached scan, and isolation computes each swap pair's
+denominators once for both of its directions.
 
 Each linear axiom has one generator (`responsive_pairs`, `isolation_groups`,
 `unanimous_profiles`) yielding profile indices in enumeration order, as
 `prefs.profile_walk` numbers them: its meter reads lottery i of the view,
 and `polytope.build_polytope` names variable (i, x), from the same items.
-The top-count meters group the same walk's indices.  The canonical-profile
+`responsive_pairs` reads each profile's contexts off the walk, and its
+order, which fixes the polytope's rows and so the simplex's pivots, is that
+of set(key) within each profile.  The top-count meters group the same
+walk's indices.  The canonical-profile
 table v'(x, j) reads one base ordering, 0 > 1 > ... > m-1.
 
 `replay_report` checks every witness field it reads, then that the witness
@@ -401,11 +408,11 @@ def sliding_window_deviation(v: RuleTable) -> AxiomReport:
 
 def _profile_gaps(v: RuleTable, vden: int, rows) -> tuple[list[tuple], list[tuple]]:
     """The items of closeness and of table-vs-canonical, from one walk over the
-    profiles.  For the lottery nums / den at key and a target t[x][j] / scale,
-    where j is the number of voters with x on top, the item is (gap, scale * den,
-    key, x, j) with x the first candidate with the largest gap = |nums[x] * scale
-    - t[x][j] * den|: random dictatorship's j / n for closeness, the canonical
-    table's rows[x][j] / vden for the other.  A profile's gaps share a
+    profiles.  The targets are t[x][j] / scale, with j the number of voters
+    with x on top: random dictatorship's j / n for closeness, and the canonical
+    table's rows[x][j] / vden.  For the lottery nums / den at key, an item is
+    (gap, scale * den, key, x, j), where x is the first candidate with the
+    largest gap = |nums[x] * scale - t[x][j] * den|.  A profile's gaps share a
     denominator, so ints compare them.  Only the items that beat every earlier
     one are kept, which gives the witness rule the same first strictly largest
     item as one item per profile."""

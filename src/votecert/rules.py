@@ -7,11 +7,18 @@ total, both checked at construction.
 A table stores each lottery once, as integers (nums, den) with den the lcm
 of the entries' reduced denominators, so p[x] = nums[x] / den.  The pair is
 canonical (equal lotteries have equal pairs), so comparisons become
-cross-multiplications.  The view is built in enumeration order and validated
-by RuleTable: the built-in rules build it directly, rule files are parsed into
-it, and `mixture` and `perturb` mix on it.  One writer, `dump_json`, streams
-rule files and reports as indented JSON; it streams a table, whether a rule
-file or a report field, straight from the view, and builds no entry object.
+cross-multiplications.  The view is built in enumeration order and checked
+once.  The built-in rules build it directly, and RuleTable walks it and checks
+each lottery.  A rule file in enumeration order, as save_rule writes it, is
+parsed and checked in one pass, and `mixture` and `perturb` mix checked views:
+these hand RuleTable a `_Checked` view, which it keeps after the names check,
+the profile cap and a count of the profiles.  Any other file goes through the
+per-entry code and RuleTable's walk, which give every error its precedence.
+`load_rule` reads a file once and can show its caller the bytes it checks.
+
+One writer, `dump_json`, streams rule files and reports as indented JSON; it
+streams a table, whether a rule file or a report field, straight from the
+view, and builds no entry object.
 Fractions are built on demand, by `lottery_at`, `prob_at` and `.table`,
 which all read a table by its anonymous profile key (`prefs.canonicalize`
 turns an ordered profile into one).
@@ -470,16 +477,14 @@ def _plain_entries(m: int, n: int, names: tuple[str, ...], entries: list) -> _Ch
                 and tuple(map(rank, profile)) == key and type(lottery) is list
                 and tuple(map(type, lottery)) == lottery_types and _PLAIN_LOTTERY("".join(lottery))):
             break
-        try:  # as _parse_pair and _scaled_pairs read these texts
-            parts = [text.partition("/") for text in lottery]
-            dens = [int(den) if slash else 1 for _, slash, den in parts]
-            den = math.lcm(*dens)
-            nums = [int(num) * (den // q) for (num, _, _), q in zip(parts, dens)]
+        try:  # the pairs that _parse_pair reads from these texts
+            nums, den = _scaled_pairs([(int(num), int(q) if slash else 1)
+                                       for num, slash, q in map(str.partition, lottery, itertools.repeat("/"))])
         except (ValueError, ZeroDivisionError):  # an empty part, a second '/', a 0 denominator, too many digits
             break
         if sum(nums) != den:  # the only check left: no entry is negative, so none exceeds den
             break
-        table[key] = _canonical(nums, den)
+        table[key] = nums, den
     return table
 
 
@@ -629,35 +634,31 @@ def save_rule(v: RuleTable, path: str) -> None:
     write_json(path, v)
 
 
-def _read_rule_json(path: str, seen) -> dict:
-    """The JSON object in the file at path, read once.  seen, if given, is
-    called with the file's bytes before they are decoded as UTF-8 text, with
-    universal newlines, as open(path, encoding="utf-8") decodes them."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if seen is not None:
-        seen(data)
-    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
-    # Python's digit limit; RecursionError covers too deeply nested arrays.
-    try:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-        del data  # one copy of the file at a time
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"rule file is not valid JSON: {exc}") from None
-
-
 def load_rule(path: str, seen=None) -> RuleTable:
-    """The rule table in the file at path.  The file is read once: seen, if
-    given, is called with exactly the bytes that are parsed and checked.
+    """The rule table in the file at path, read once: seen, if given, is
+    called with exactly the bytes that are then decoded, parsed and checked.
+    They are decoded as UTF-8 with universal newlines, as open(path,
+    encoding="utf-8") decodes them, and neither they nor their text is held
+    while the table is built.
 
     The cyclic garbage collector is paused while the file is decoded and
     read, so that it does not rescan the decoded tree, which holds no cycle;
     its state is restored on the way out, also on an error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if seen is not None:
+        seen(data)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return rule_from_json_obj(_read_rule_json(path, seen))
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+        # Python's digit limit; RecursionError covers too deeply nested arrays.
+        try:
+            obj = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"rule file is not valid JSON: {exc}") from None
+        del data
+        return rule_from_json_obj(obj)
     finally:
         if enabled:
             gc.enable()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votecert import rules
-from votecert.errors import DomainError, ValidationError
+from votecert.errors import CapExceededError, DomainError, ValidationError
 from votecert.prefs import canonicalize, enumerate_orderings, enumerate_profiles
 from votecert.rules import (
     RuleTable,
@@ -238,6 +238,41 @@ def test_a_rule_file_in_any_entry_order_loads_to_an_equal_table(tmp_path, order)
     assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 3))
 
 
+# Entries in enumeration order that save_rule would spell otherwise: the
+# per-entry code reads them from the first such entry on.
+SPELLINGS = {
+    "spaced-ordering": lambda e: e["profile"].__setitem__(0, " > ".join(e["profile"][0].split(">"))),
+    "int-items": lambda e: e.__setitem__("lottery", [int(F(q)) if F(q).denominator == 1 else q
+                                                     for q in e["lottery"]]),
+    "unreduced-items": lambda e: e.__setitem__("lottery", [f"{2 * F(q).numerator}/{2 * F(q).denominator}"
+                                                           for q in e["lottery"]]),
+    "decimal-items": lambda e: e.__setitem__("lottery", [str(float(F(q))) for q in e["lottery"]]),
+    "unsorted-profile": lambda e: e["profile"].reverse(),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_a_rule_file_in_another_spelling_loads_to_an_equal_table(spelling):
+    # every lottery entry a multiple of 1/4, so each has a short decimal
+    rule = mixture([random_dictatorship(3, 2), pair_rule(3, 2, A, B)], [F(1, 2), F(1, 2)])
+    obj = rule_to_json_obj(rule)
+    for k in (7, 20):  # the entries before the first are read in one pass
+        SPELLINGS[spelling](obj["entries"][k])
+    loaded = rule_from_json_obj(obj)
+    assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 2))
+
+
+@pytest.mark.parametrize("malformed", [False, True])
+def test_the_profile_cap_is_raised_after_every_entry_error(monkeypatch, malformed):
+    obj = _perturbed_file_obj()
+    if malformed:
+        obj["entries"][12] = "junk"
+    monkeypatch.setenv("VOTECERT_MAX_PROFILES", "20")  # (3, 2) has 21 profiles
+    with pytest.raises(ValidationError if malformed else CapExceededError,
+                       match="malformed rule entry" if malformed else "exceed the profile cap 20"):
+        rule_from_json_obj(obj)
+
+
 def _bad_sum(entry):
     entry["lottery"] = ["1/2", "1/2", "1/2"]
 
@@ -297,11 +332,13 @@ def test_rule_file_errors_and_their_precedence_are_pinned(case):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("content", ["rule", "bad-json", "bad-entry"])
+@pytest.mark.parametrize("content", ["rule", "bad-json", "bad-entry", "missing"])
 def test_load_rule_leaves_the_garbage_collector_as_it_found_it(tmp_path, enabled, content):
     path = tmp_path / "rule.json"
     save_rule(random_dictatorship(3, 2), str(path))
-    if content == "bad-json":
+    if content == "missing":
+        path.unlink()
+    elif content == "bad-json":
         path.write_text("{")
     elif content == "bad-entry":
         obj = json.loads(path.read_text())
@@ -313,7 +350,7 @@ def test_load_rule_leaves_the_garbage_collector_as_it_found_it(tmp_path, enabled
         if content == "rule":
             assert load_rule(str(path)) == random_dictatorship(3, 2)
         else:
-            with pytest.raises(ValidationError):
+            with pytest.raises(FileNotFoundError if content == "missing" else ValidationError):
                 load_rule(str(path))
         assert gc.isenabled() is enabled and gc.get_freeze_count() == frozen == 0
     finally:
@@ -355,6 +392,22 @@ def test_a_hand_made_bad_view_raises_through_the_public_constructor():
     del view[first]
     with pytest.raises(ValidationError, match=re.escape(f"rule table is missing profile {first}")):
         RuleTable(3, 2, _Checked(view))
+
+
+class _Text(str):
+    """A str subclass, which the loader takes for neither an ordering nor a rational."""
+
+
+@pytest.mark.parametrize("field", ["profile", "lottery"])
+def test_an_in_order_entry_with_a_str_subclass_item_is_rejected(field):
+    obj = _perturbed_file_obj()
+    items = obj["entries"][4][field]
+    items[0] = _Text(items[0])
+    message = ("profile item 'a>b>c' is not an ordering string" if field == "profile"
+               else f"lottery item {items[0]!r} is not a string or an integer")
+    with pytest.raises(ValidationError) as caught:
+        rule_from_json_obj(obj)
+    assert str(caught.value) == message
 
 
 def test_rule_table_requires_totality():
@@ -428,7 +481,7 @@ def test_an_in_order_file_reads_each_lottery_text_as_the_per_entry_code_does(tex
     try:
         rest = str(1 - F(text))
     except (ValueError, ZeroDivisionError):
-        rest = "0"
+        rest = "1/2"  # so that a text misread as 1/2, such as "1 /2", would sum to 1
     obj = rule_to_json_obj(random_dictatorship(2, 2))
     obj["entries"][1]["lottery"] = [text, rest]
     in_order = _outcome_of_loading(obj)
