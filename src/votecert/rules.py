@@ -466,7 +466,7 @@ def _plain_entries(m: int, n: int, names: tuple[str, ...], entries: list) -> _Ch
     try:
         keys = enumerate_profiles(m, n)
         rank = {format_ordering(o, names): r for r, o in enumerate(enumerate_orderings(m))}.get
-    except VoteCertError:
+    except VoteCertError:  # a cap or a bad cap setting, raised in its place
         return table
     profile_types, lottery_types = (str,) * n, (str,) * m
     for entry, key in zip(entries, keys):
@@ -634,31 +634,37 @@ def save_rule(v: RuleTable, path: str) -> None:
     write_json(path, v)
 
 
-def load_rule(path: str, seen=None) -> RuleTable:
-    """The rule table in the file at path, read once: seen, if given, is
-    called with exactly the bytes that are then decoded, parsed and checked.
-    They are decoded as UTF-8 with universal newlines, as open(path,
-    encoding="utf-8") decodes them, and neither they nor their text is held
-    while the table is built.
-
-    The cyclic garbage collector is paused while the file is decoded and
-    read, so that it does not rescan the decoded tree, which holds no cycle;
-    its state is restored on the way out, also on an error."""
+def _read_rule_json(path: str, seen) -> dict:
+    """The JSON object in the file at path, read once.  seen, if given, is
+    called with the file's bytes before they are decoded as UTF-8 text, with
+    universal newlines, as open(path, encoding="utf-8") decodes them.  Only
+    the object is returned, so neither the bytes nor the text is held while
+    the table is built."""
     with open(path, "rb") as fh:
         data = fh.read()
     if seen is not None:
         seen(data)
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
+    # Python's digit limit; RecursionError covers too deeply nested arrays.
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data  # one copy of the file at a time
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"rule file is not valid JSON: {exc}") from None
+
+
+def load_rule(path: str, seen=None) -> RuleTable:
+    """The rule table in the file at path.  The file is read once: seen, if
+    given, is called with exactly the bytes that are parsed and checked.
+
+    The cyclic garbage collector is paused while the file is decoded and
+    read, so that it does not rescan the decoded tree, which holds no cycle;
+    its state is restored on the way out, also on an error."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
-        # Python's digit limit; RecursionError covers too deeply nested arrays.
-        try:
-            obj = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-        except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"rule file is not valid JSON: {exc}") from None
-        del data
-        return rule_from_json_obj(obj)
+        return rule_from_json_obj(_read_rule_json(path, seen))
     finally:
         if enabled:
             gc.enable()

@@ -238,8 +238,9 @@ def test_a_rule_file_in_any_entry_order_loads_to_an_equal_table(tmp_path, order)
     assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 3))
 
 
-# Entries in enumeration order that save_rule would spell otherwise: the
-# per-entry code reads them from the first such entry on.
+# Entries in enumeration order that save_rule would spell otherwise.  The
+# one-pass reader also takes unreduced "p/q" texts; for every other spelling
+# the per-entry code reads the file from the first such entry on.
 SPELLINGS = {
     "spaced-ordering": lambda e: e["profile"].__setitem__(0, " > ".join(e["profile"][0].split(">"))),
     "int-items": lambda e: e.__setitem__("lottery", [int(F(q)) if F(q).denominator == 1 else q
@@ -256,7 +257,7 @@ def test_a_rule_file_in_another_spelling_loads_to_an_equal_table(spelling):
     # every lottery entry a multiple of 1/4, so each has a short decimal
     rule = mixture([random_dictatorship(3, 2), pair_rule(3, 2, A, B)], [F(1, 2), F(1, 2)])
     obj = rule_to_json_obj(rule)
-    for k in (7, 20):  # the entries before the first are read in one pass
+    for k in (7, 20):  # entries 0 to 6 always take the one-pass reader
         SPELLINGS[spelling](obj["entries"][k])
     loaded = rule_from_json_obj(obj)
     assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 2))
