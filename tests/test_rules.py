@@ -10,6 +10,7 @@ import os
 import random
 import re
 import tempfile
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -247,7 +248,8 @@ SPELLINGS = {
                                                      for q in e["lottery"]]),
     "unreduced-items": lambda e: e.__setitem__("lottery", [f"{2 * F(q).numerator}/{2 * F(q).denominator}"
                                                            for q in e["lottery"]]),
-    "decimal-items": lambda e: e.__setitem__("lottery", [str(float(F(q))) for q in e["lottery"]]),
+    "decimal-items": lambda e: e.__setitem__("lottery", [str(Decimal(F(q).numerator) / F(q).denominator)
+                                                         for q in e["lottery"]]),
     "unsorted-profile": lambda e: e["profile"].reverse(),
 }
 
