@@ -10,7 +10,6 @@ together with a display-only decimal approximation.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import time
 import traceback
@@ -205,8 +204,7 @@ def check(rule_path, axiom, out):
     from .axioms import distance_to_random_dictatorship, run_axiom
 
     started = time.monotonic()
-    digest = hashlib.sha256()  # of the bytes that are checked: the file is read once
-    rule = load_rule(rule_path, digest.update)
+    rule, digest = load_rule(rule_path)  # digest: of the bytes that were checked
     names = list(AXIOM_NAMES) + ["distance"] if axiom == "all" else [axiom]
     results = {}
     for name in names:
@@ -219,7 +217,7 @@ def check(rule_path, axiom, out):
             }
         else:
             results[name] = _report_json(run_axiom(rule, name), rule)
-    _write_report(out, _run_report(results, {rule_path: digest.hexdigest()}, started))
+    _write_report(out, _run_report(results, {rule_path: digest}, started))
 
 
 @main.command("sp-check")
@@ -235,14 +233,13 @@ def sp_check(rule_path, classic, polya_max, out):
     from .beliefs import check_classic_sp, check_weak_sp
 
     started = time.monotonic()
-    digest = hashlib.sha256()
-    rule = load_rule(rule_path, digest.update)
+    rule, digest = load_rule(rule_path)
     if classic:
         verdict = check_classic_sp(rule)
     else:
         verdict = check_weak_sp(rule, polya_max=polya_max)
     results = {"mode": "classic" if classic else "iid-beliefs", "verdict": _verdict_json(verdict, rule)}
-    _write_report(out, _run_report(results, {rule_path: digest.hexdigest()}, started))
+    _write_report(out, _run_report(results, {rule_path: digest}, started))
 
 
 @main.command("lp-max")

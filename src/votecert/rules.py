@@ -14,7 +14,7 @@ parsed and checked in one pass, and `mixture` and `perturb` mix checked views:
 these hand RuleTable a `_Checked` view, which it keeps after the names check,
 the profile cap and a count of the profiles.  Any other file goes through the
 per-entry code and RuleTable's walk, which give every error its precedence.
-`load_rule` reads a file once and can show its caller the bytes it checks.
+`load_rule` reads a file once and returns the sha256 of the bytes it checked.
 
 One writer, `dump_json`, streams rule files and reports as indented JSON; it
 streams a table, whether a rule file or a report field, straight from the
@@ -634,29 +634,30 @@ def save_rule(v: RuleTable, path: str) -> None:
     write_json(path, v)
 
 
-def _read_rule_json(path: str, seen) -> dict:
-    """The JSON object in the file at path, read once.  seen, if given, is
-    called with the file's bytes before they are decoded as UTF-8 text, with
-    universal newlines, as open(path, encoding="utf-8") decodes them.  Only
-    the object is returned, so neither the bytes nor the text is held while
-    the table is built."""
+def _read_rule_json(path: str) -> tuple[dict, str]:
+    """The JSON object in the file at path and the sha256 hex digest of its
+    bytes.  The file is read once, and those bytes are decoded as UTF-8 text,
+    with universal newlines, as open(path, encoding="utf-8") decodes them.
+    Neither the bytes nor the text is held while the table is built."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which only a file read needs
+
     with open(path, "rb") as fh:
         data = fh.read()
-    if seen is not None:
-        seen(data)
+    digest = hashlib.sha256(data).hexdigest()
     # ValueError covers bad JSON, bytes that are not UTF-8 and integers past
     # Python's digit limit; RecursionError covers too deeply nested arrays.
     try:
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
         del data  # one copy of the file at a time
-        return json.loads(text)
+        return json.loads(text), digest
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"rule file is not valid JSON: {exc}") from None
 
 
-def load_rule(path: str, seen=None) -> RuleTable:
-    """The rule table in the file at path.  The file is read once: seen, if
-    given, is called with exactly the bytes that are parsed and checked.
+def load_rule(path: str) -> tuple[RuleTable, str]:
+    """The rule table in the file at path, and the sha256 hex digest of the
+    bytes it was read from.  The file is read once, so the digest names the
+    bytes that were parsed and checked.
 
     The cyclic garbage collector is paused while the file is decoded and
     read, so that it does not rescan the decoded tree, which holds no cycle;
@@ -664,7 +665,8 @@ def load_rule(path: str, seen=None) -> RuleTable:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return rule_from_json_obj(_read_rule_json(path, seen))
+        obj, digest = _read_rule_json(path)
+        return rule_from_json_obj(obj), digest
     finally:
         if enabled:
             gc.enable()

@@ -40,7 +40,7 @@ def _gen(runner, tmp_path, kind, m, n, *extra):
 
 def test_gen_random_dictatorship(runner, tmp_path):
     path = _gen(runner, tmp_path, "random-dictatorship", 3, 3)
-    rule = load_rule(str(path))
+    rule, _ = load_rule(str(path))
     assert rule == random_dictatorship(3, 3)
     assert len(json.loads(path.read_text())["entries"]) == 56
 

@@ -47,6 +47,9 @@ def test_a_command_imports_only_the_layers_it_runs(command, tmp_path):
     imported = set(re.findall(r"^import time:.*\|\s*votecert\.(\w+)\s*$", proc.stderr, re.M))
     assert needed <= imported, imported
     assert not unused & imported, f"{command} imports {sorted(unused & imported)}"
+    # hashlib loads OpenSSL: only the commands that read a rule file need it
+    hashed = re.search(r"^import time:.*\|\s*hashlib\s*$", proc.stderr, re.M) is not None
+    assert hashed == ("--rule" in command), proc.stderr
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))

@@ -248,7 +248,7 @@ def test_internal_failure_exits_4_not_1(runner, tmp_path, monkeypatch, exc):
     rule_path = tmp_path / "uniform.json"
     save_rule(uniform_rule(3, 2), str(rule_path))
 
-    def broken_load_rule(path, seen=None):
+    def broken_load_rule(path):
         raise exc
 
     monkeypatch.setattr("votecert.cli.load_rule", broken_load_rule)

@@ -149,7 +149,7 @@ def test_load_rule_builds_no_fraction_for_plain_entries(tmp_path, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(F, "__new__", counting_new)
-    loaded = load_rule(path)
+    loaded, _ = load_rule(path)
     count = len(made)
     fractions = loaded.table  # control: Fractions built on demand are counted
     monkeypatch.undo()
@@ -350,7 +350,7 @@ def test_rule_file_holds_entries_that_print_under_an_lcm_that_does_not(tmp_path)
         path = tmp_path / f"rule-{digits}.json"
         save_rule(v, str(path))
         assert path.read_bytes() == _dumped(rule_to_json_obj(v))
-        assert load_rule(str(path)) == v
+        assert load_rule(str(path))[0] == v
 
 
 # -- A table is streamed from its view ----------------------------------------------------

@@ -478,7 +478,7 @@ def test_tables_hold_one_view_in_enumeration_order(tmp_path):
     lotteries = {key: (share, 1 - share, ZERO) for key, share in shares.items()}
     built = RuleTable(3, 2, lotteries)
     save_rule(built, path)
-    loaded = load_rule(path)
+    loaded, _ = load_rule(path)
     perturbed = perturb(built, F(1, 10), seed=1)
     # the view is the only thing a table stores: ints only, no Fraction dict
     assert set(RuleTable.__slots__) == {"m", "n", "names", "_view"}
@@ -501,7 +501,7 @@ def test_view_is_exact_and_canonical(tmp_path):
         perturb(rd, F(0), seed=4),
     ]
     save_rule(twins[1], path)
-    twins.append(load_rule(path))
+    twins.append(load_rule(path)[0])
     views = [t._scaled() for t in twins]
     assert all(t == rd for t in twins)
     assert all(view == views[0] for view in views)
