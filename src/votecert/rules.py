@@ -9,11 +9,13 @@ of the entries' reduced denominators, so p[x] = nums[x] / den.  The pair is
 canonical (equal lotteries have equal pairs), so comparisons become
 cross-multiplications.  The view is built in enumeration order and checked
 once.  The built-in rules build it directly, and RuleTable walks it and checks
-each lottery.  A rule file in enumeration order, as save_rule writes it, is
-parsed and checked in one pass, and `mixture` and `perturb` mix checked views:
-these hand RuleTable a `_Checked` view, which it keeps after the names check,
-the profile cap and a count of the profiles.  Any other file goes through the
-per-entry code and RuleTable's walk, which give every error its precedence.
+each lottery.  One reader parses every entry of a rule file, raising each
+entry's own faults in file order, and records whether each lottery passes its
+checks.  A file that lists every profile with lotteries that all pass, in any
+order, and the mixes of checked views that `mixture` and `perturb` build, hand
+RuleTable a `_Checked` view, which it keeps after the names check, the profile
+cap and a count of the profiles.  Any other file is walked by RuleTable, which
+raises a missing profile or a lottery's fault in enumeration order.
 `load_rule` reads a file once and returns the sha256 of the bytes it checked.
 
 One writer, `dump_json`, streams rule files and reports as indented JSON; it
@@ -39,7 +41,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .errors import CapExceededError, DomainError, ValidationError, VoteCertError
+from .errors import CapExceededError, DomainError, ValidationError
 from .prefs import (
     AnonKey,
     Ordering,
@@ -146,8 +148,9 @@ class _Scaled(dict):
 class _Checked(_Scaled):
     """A view its producer has already checked: distinct profiles of the table
     in enumeration order, each with a canonical lottery of m entries in [0, 1]
-    that sum to 1.  The loader builds one from a file in enumeration order, and
-    `mixture` and `perturb` build one by mixing checked views."""
+    that sum to 1.  The loader builds one from a file whose lotteries all pass,
+    sorted only when the file is out of order, and `mixture` and `perturb`
+    build one by mixing checked views."""
 
 
 class RuleTable:
@@ -416,23 +419,12 @@ def _parse_fraction(text: str | int, name: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_pair(text: str | int) -> tuple[int, int] | None:
-    """(p, q), not reduced, with p / q == Fraction(text) for plain ASCII [-]digits[/digits]
-    and q != 0; None for every other text.  int() raises Fraction's error past the digit
-    limit, so a pair it returns always prints."""
-    if type(text) is str and text.isascii():
-        num, slash, den = text.partition("/")
-        if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-            q = int(den) if slash else 1
-            if q:
-                return int(num), q
-    return None
-
-
 def rule_from_json_obj(obj: dict) -> RuleTable:
+    if not isinstance(obj, dict):
+        raise ValidationError("malformed rule file: the top level must be a JSON object")
     try:
         m, n, names, entries = obj["m"], obj["n"], obj["candidates"], obj["entries"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"malformed rule file: missing {exc}") from None
     if type(m) is not int or type(n) is not int:  # rejects bools, floats and strings
         raise ValidationError(f"m and n must be JSON integers, got m={m!r}, n={n!r}")
@@ -443,86 +435,61 @@ def rule_from_json_obj(obj: dict) -> RuleTable:
     if m < 1 or n < 1:  # before any entry: no profile to read at n = 0
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     names = _checked_names(m, names)  # before any entry parses an ordering with them
-    table = _plain_entries(m, n, names, entries)
-    if len(table) < len(entries):  # the per-entry code reads the rest, and RuleTable checks them
+    table = _Checked()
+    parsed: dict[str, int] = {}  # each distinct ordering string's rank, parsed once
+    valid = True
+    for entry in entries:
+        valid &= _read_entry(entry, m, n, names, parsed, table)
+    if not valid:  # RuleTable's walk raises the first lottery fault or missing profile in enumeration order
         table = _Scaled(table)
-        parsed: dict[str, int] = {}  # each distinct ordering string's rank, parsed once
-        for entry in entries[len(table):]:
-            _read_entry(entry, n, names, parsed, table)
+    elif list(table) != sorted(table):  # enumeration order is the keys' sorted order
+        table = _Checked(sorted(table.items()))
     return RuleTable(m, n, table, names)
 
 
-# A lottery item's text as save_rule writes it: ASCII digits and '/' only.
+# A lottery's texts as save_rule writes them, joined: ASCII digits and '/' only.
 _PLAIN_LOTTERY = re.compile(r"[0-9/]*").fullmatch
 
 
-def _plain_entries(m: int, n: int, names: tuple[str, ...], entries: list) -> _Checked:
-    """The checked view of the longest prefix of entries that lists the first
-    profiles in enumeration order, each as save_rule writes it: its orderings
-    formatted from names and in key order, and m lottery texts "p" or "p/q".
-    The first other entry ends the prefix, so every error is left to the
-    per-entry code, and a cap to RuleTable, with their precedence."""
-    table = _Checked()
-    try:
-        keys = enumerate_profiles(m, n)
-        rank = {format_ordering(o, names): r for r, o in enumerate(enumerate_orderings(m))}.get
-    except VoteCertError:  # a cap or a bad cap setting, raised in its place
-        return table
-    profile_types, lottery_types = (str,) * n, (str,) * m
-    for entry, key in zip(entries, keys):
-        if type(entry) is not dict:
-            break
-        profile, lottery = entry.get("profile"), entry.get("lottery")
-        if not (type(profile) is list and tuple(map(type, profile)) == profile_types
-                and tuple(map(rank, profile)) == key and type(lottery) is list
-                and tuple(map(type, lottery)) == lottery_types and _PLAIN_LOTTERY("".join(lottery))):
-            break
-        try:  # the pairs that _parse_pair reads from these texts
-            nums, den = _scaled_pairs([(int(num), int(q) if slash else 1)
-                                       for num, slash, q in map(str.partition, lottery, itertools.repeat("/"))])
-        except (ValueError, ZeroDivisionError):  # an empty part, a second '/', a 0 denominator, too many digits
-            break
-        if sum(nums) != den:  # the only check left: no entry is negative, so none exceeds den
-            break
-        table[key] = nums, den
-    return table
-
-
-def _read_entry(entry, n: int, names: tuple[str, ...], parsed: dict[str, int], table: _Scaled) -> None:
-    """Parse one rule-file entry into table, unchecked, raising on the first fault
-    in the order: its shape, item types, orderings, voter count, a duplicate
-    profile, then each rational."""
+def _read_entry(entry, m: int, n: int, names: tuple[str, ...], parsed: dict[str, int], table: _Scaled) -> bool:
+    """Parse one rule-file entry into table, raising on the first fault in the
+    order: its shape, item types, orderings, voter count, a duplicate profile,
+    then each rational.  Return whether its lottery has m entries in [0, 1]
+    that sum to 1; RuleTable's walk raises the fault of one that has not."""
     if not (isinstance(entry, dict) and isinstance(entry.get("profile"), list)
             and isinstance(entry.get("lottery"), list)):
         raise ValidationError(f"malformed rule entry {entry!r}: need an object with "
                               "list-valued 'profile' and 'lottery'")
-    for item in entry["profile"]:
+    profile, lottery = entry["profile"], entry["lottery"]
+    for item in profile:
         if type(item) is not str:
             raise ValidationError(f"profile item {item!r} is not an ordering string")
-    for item in entry["lottery"]:
-        if type(item) not in (str, int):
+    for item in lottery:
+        if type(item) is not str and type(item) is not int:
             raise ValidationError(f"lottery item {item!r} is not a string or an integer")
-    for text in entry["profile"]:
+    for text in profile:
         if text not in parsed:
             parsed[text] = ordering_rank(parse_ordering(text, names))
-    if len(entry["profile"]) != n:
-        raise ValidationError(f"entry lists {len(entry['profile'])} orderings, expected {n}")
-    key = tuple(sorted([parsed[text] for text in entry["profile"]]))
+    if len(profile) != n:
+        raise ValidationError(f"entry lists {len(profile)} orderings, expected {n}")
+    key = tuple(sorted(map(parsed.__getitem__, profile)))
     if key in table:
-        raise ValidationError(f"duplicate entry for profile {entry['profile']}")
-    pairs, others = [], []  # others: the entries only Fraction(text) reads
-    try:
-        for text in entry["lottery"]:
-            pair = _parse_pair(text)
-            if pair is None:
-                others.append(_parse_fraction(text, "lottery entry"))
-                pair = others[-1].as_integer_ratio()
-            pairs.append(pair)
+        raise ValidationError(f"duplicate entry for profile {profile}")
+    try:  # int() reads "p" and "p/q" texts, as save_rule writes them
+        if _PLAIN_LOTTERY("".join(lottery)):  # join raises TypeError on an int item
+            table[key] = nums, den = _scaled_pairs([(int(num), int(q) if slash else 1) for num, slash, q
+                                                    in map(str.partition, lottery, itertools.repeat("/"))])
+            return len(nums) == m and sum(nums) == den  # no entry is negative
+    except (TypeError, ValueError, ZeroDivisionError):  # an int item, a part int() refuses, a 0 denominator
+        pass
+    try:  # Fraction reads every other lottery, and gives each error its message
+        probs = [_parse_fraction(text, "lottery entry") for text in lottery]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational in lottery: {exc}") from None
-    if others and not within_digit_limit(*others):
+    if not within_digit_limit(*probs):
         raise ValidationError("lottery entry has more digits than Python will print")
-    table[key] = _scaled_pairs(pairs)
+    table[key] = nums, den = _scaled_lottery(probs)
+    return len(nums) == m and sum(nums) == den and min(nums) >= 0
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

@@ -230,6 +230,15 @@ def test_check_rejects_unreadable_rule_file(runner, tmp_path, case):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("text", ["[]", "null", '"x"', "3"])
+def test_check_rejects_a_rule_file_that_is_not_a_json_object(runner, tmp_path, text):
+    path = tmp_path / "rule.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["check", "--rule", str(path), "--axiom", "pareto"])
+    _assert_input_error(result)
+    assert result.output == "error: malformed rule file: the top level must be a JSON object\n"
+
+
 @pytest.mark.parametrize("args", [["gen", "uniform", "3", "2"], ["check", "--rule", "rule.json"]])
 def test_out_in_a_missing_directory_names_the_users_path(runner, tmp_path, args):
     path = os.path.join("missing", "x.json")

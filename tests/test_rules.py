@@ -24,7 +24,6 @@ from votecert.prefs import canonicalize, enumerate_orderings, enumerate_profiles
 from votecert.rules import (
     RuleTable,
     _Checked,
-    _parse_pair,
     _Scaled,
     closeness,
     constant_rule,
@@ -42,6 +41,7 @@ from votecert.rules import (
     save_rule,
     uniform_rule,
     upper_set_utility,
+    within_digit_limit,
 )
 
 A, B, C = 0, 1, 2
@@ -240,9 +240,8 @@ def test_a_rule_file_in_any_entry_order_loads_to_an_equal_table(tmp_path, order)
     assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 3))
 
 
-# Entries in enumeration order that save_rule would spell otherwise.  The
-# one-pass reader also takes unreduced "p/q" texts; for every other spelling
-# the per-entry code reads the file from the first such entry on.
+# Entries that save_rule would spell otherwise.  int() reads unreduced "p/q"
+# texts as it reads save_rule's; Fraction reads every other lottery spelling.
 SPELLINGS = {
     "spaced-ordering": lambda e: e["profile"].__setitem__(0, " > ".join(e["profile"][0].split(">"))),
     "int-items": lambda e: e.__setitem__("lottery", [int(F(q)) if F(q).denominator == 1 else q
@@ -260,7 +259,7 @@ def test_a_rule_file_in_another_spelling_loads_to_an_equal_table(spelling):
     # every lottery entry a multiple of 1/4, so each has a short decimal
     rule = mixture([random_dictatorship(3, 2), pair_rule(3, 2, A, B)], [F(1, 2), F(1, 2)])
     obj = rule_to_json_obj(rule)
-    for k in (7, 20):  # entries 0 to 6 always take the one-pass reader
+    for k in (7, 20):  # entries 0 to 6 keep the spelling save_rule writes
         SPELLINGS[spelling](obj["entries"][k])
     loaded = rule_from_json_obj(obj)
     assert loaded == rule and list(loaded.keys()) == list(enumerate_profiles(3, 2))
@@ -375,6 +374,47 @@ def test_checked_views_are_kept_and_every_other_table_is_walked(tmp_path, monkey
     assert RuleTable(3, 3, mixed.table) == mixed and len(checks) == 112
 
 
+def _count_checks(monkeypatch):
+    checks = []
+    check = rules._checked
+    monkeypatch.setattr(rules, "_checked", lambda m, scaled: checks.append(scaled) or check(m, scaled))
+    return checks
+
+
+# Changes to the entries of a complete, valid rule file, each of which leaves
+# it with a checked view that RuleTable keeps.
+VIEW_KEEPING_CHANGES = {
+    "reversed": lambda es: es.reverse(),
+    "shuffled": lambda es: random.Random(5).shuffle(es),
+    "rotated": lambda es: es.append(es.pop(0)),
+    **{spelling: lambda es, spell=spell: [spell(e) for e in es] for spelling, spell in SPELLINGS.items()},
+}
+
+
+@pytest.mark.parametrize("change", sorted(VIEW_KEEPING_CHANGES))
+def test_every_complete_valid_rule_file_keeps_its_view(monkeypatch, change):
+    # every lottery entry a multiple of 1/4, so each has a short decimal
+    rule = mixture([random_dictatorship(3, 2), pair_rule(3, 2, A, B)], [F(1, 2), F(1, 2)])
+    obj = rule_to_json_obj(rule)
+    VIEW_KEEPING_CHANGES[change](obj["entries"])
+    checks = _count_checks(monkeypatch)
+    loaded = rule_from_json_obj(obj)
+    assert checks == [] and loaded == rule
+    assert list(loaded.keys()) == list(enumerate_profiles(3, 2))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_rule_file_with_a_lottery_fault_is_walked(monkeypatch, reverse):
+    obj = _perturbed_file_obj()
+    _bad_sum(obj["entries"][4])
+    if reverse:
+        obj["entries"].reverse()
+    checks = _count_checks(monkeypatch)
+    with pytest.raises(ValidationError, match="lottery does not sum to 1"):
+        rule_from_json_obj(obj)
+    assert checks
+
+
 def test_a_hand_made_bad_view_raises_through_the_public_constructor():
     view = dict(random_dictatorship(3, 2)._scaled())
     first = next(iter(view))
@@ -432,8 +472,8 @@ def test_rank_and_pair_rule_values():
     assert list(enumerate_profiles(3, 2))  # enumeration sanity
 
 
-# Plain [-]digits[/digits] strings take the fast path; everything else must
-# fall back to Fraction(text) with the same value or the same error.
+# Texts of ASCII digits and '/' are read by int(); every other text, and one
+# that int() refuses, by Fraction(text), with the same value or the same error.
 RATIONAL_TEXTS = [
     "1/2", "-1/2", "0", "-0", "0/7", "007/010", "6/4", "-12", str(10**40) + "/3",
     "1/0", "-5/0", "-0/0", "0/0",
@@ -441,48 +481,43 @@ RATIONAL_TEXTS = [
     "0.5", "-.5", "1e3", "1E-2", "1.5/2",
     "\u0661/\u0662", "\u0661", "\u00b2", "1/\u00b2", "\u00bd", "\uff11/2",
     "", "-", "/", "1/", "/2", "--1", "1/-2", "3/4/5", "- 1", "nan", "inf",
-    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000,
+    "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, "1e5000", "1e-9999",
 ]
 
 
-def _outcome(parse, text):
+def _outcome(build):
     try:
-        value = parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
-    return type(value), value
-
-
-@pytest.mark.parametrize("text", RATIONAL_TEXTS)
-def test_lottery_entries_parse_exactly_as_fraction_does(text):
-    def loader_read(text):  # as rule_from_json_obj reads an entry
-        pair = _parse_pair(text)
-        return F(text) if pair is None else F(*pair)
-
-    assert _outcome(loader_read, text) == _outcome(F, text)
-
-
-def _outcome_of_loading(obj):
-    try:
-        v = rule_from_json_obj(obj)
+        v = build()
     except (ValidationError, DomainError) as exc:
         return type(exc), str(exc)
     return v, list(v.keys())
 
 
+@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("text", RATIONAL_TEXTS)
-def test_an_in_order_file_reads_each_lottery_text_as_the_per_entry_code_does(text):
-    """The one-pass reader of a file in enumeration order and the per-entry
-    code, which reads a reversed file, give the same table or the same error."""
+def test_each_lottery_text_loads_as_fraction_reads_it(text, reverse):
+    """A file with the text in one lottery, in enumeration order or reversed,
+    loads to the table that Fraction(text) gives, or raises Fraction's error
+    or the digit limit's."""
+    rule = random_dictatorship(2, 2)
+    key = list(rule.keys())[1]
     try:
-        rest = str(1 - F(text))
-    except (ValueError, ZeroDivisionError):
+        value = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        want = ValidationError, f"bad rational in lottery: {exc}"
         rest = "1/2"  # so that a text misread as 1/2, such as "1 /2", would sum to 1
-    obj = rule_to_json_obj(random_dictatorship(2, 2))
+    else:
+        if within_digit_limit(value):
+            want = _outcome(lambda: RuleTable(2, 2, {**rule.table, key: (value, 1 - value)}))
+            rest = str(1 - value)
+        else:
+            want = ValidationError, "lottery entry has more digits than Python will print"
+            rest = "0"
+    obj = rule_to_json_obj(rule)
     obj["entries"][1]["lottery"] = [text, rest]
-    in_order = _outcome_of_loading(obj)
-    obj["entries"].reverse()
-    assert in_order == _outcome_of_loading(obj)
+    if reverse:
+        obj["entries"].reverse()
+    assert _outcome(lambda: rule_from_json_obj(obj)) == want
 
 
 def test_lottery_entry_errors_are_unchanged():
