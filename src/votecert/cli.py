@@ -4,8 +4,10 @@ strategy-proofness, and run the polytope sweeps, all as JSON reports.
 Exit codes: 0 success, 1 theorem-check FAIL, 2 input validation error,
 3 resource cap exceeded (including a result with more digits than Python
 will print), 4 internal error (a defect in votecert; the traceback goes to
-stderr).  Rationals are serialized as "p/q" strings in lowest terms
-together with a display-only decimal approximation.
+stderr).  The command group's invoke is the one error boundary: it maps
+every command's errors to codes 2-4, so no command can skip it.  Rationals
+are serialized as "p/q" strings in lowest terms together with a
+display-only decimal approximation.
 """
 
 from __future__ import annotations
@@ -143,10 +145,13 @@ def _verdict_json(verdict: SPVerdict, rule: RuleTable) -> dict:
     return out
 
 
-def _handle_errors(fn):
-    def wrapper(*args, **kwargs):
+class _Boundary(click.Group):
+    """The command group: every command runs inside its invoke, which maps
+    its errors; click's own exceptions and SystemExit pass through."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except CapExceededError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CAP)
@@ -160,12 +165,8 @@ def _handle_errors(fn):
             click.echo("error: internal error; please report the traceback above", err=True)
             sys.exit(EXIT_INTERNAL)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Boundary)
 @click.version_option(version=__version__, prog_name="votecert")
 def main():
     """Exact checkers for anonymous randomized voting rules."""
@@ -178,7 +179,6 @@ def main():
 @click.option("--delta", default="0", help="Perturbation size (rational, perturbed only).")
 @click.option("--seed", default=0, show_default=True, help="Noise seed (perturbed only).")
 @click.option("--out", required=True, type=click.Path(), help="Rule file to write.")
-@_handle_errors
 def gen(kind, m, n, delta, seed, out):
     """Write a built-in rule table as a JSON rule file."""
     if kind == "random-dictatorship":
@@ -198,7 +198,6 @@ def gen(kind, m, n, delta, seed, out):
 @click.option("--axiom", default="all", show_default=True, help="An axiom, distance, or all.",
               type=click.Choice(AXIOM_NAMES + ("distance", "all")))
 @click.option("--out", default=None, type=click.Path())
-@_handle_errors
 def check(rule_path, axiom, out):
     """Report minimal-eps values (and witnesses) for the chosen axioms."""
     from .axioms import distance_to_random_dictatorship, run_axiom
@@ -227,7 +226,6 @@ def check(rule_path, axiom, out):
 # Accepted and ignored: nothing is sampled, but the sp-iid job in perfbench/workloads.py still passes it.
 @click.option("--seed", hidden=True, expose_value=False)
 @click.option("--out", default=None, type=click.Path())
-@_handle_errors
 def sp_check(rule_path, classic, polya_max, out):
     """Decide strategy-proofness (classic, or w.r.t. all i.i.d. beliefs)."""
     from .beliefs import check_classic_sp, check_weak_sp
@@ -248,7 +246,6 @@ def sp_check(rule_path, classic, polya_max, out):
 @click.option("--eps", required=True)
 @click.option("--parts", default="responsive,isolated,unanimity", show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@_handle_errors
 def lp_max(m, n, eps, parts, out):
     """Maximize the distance to random dictatorship over the constraint polytope."""
     from .polytope import max_distance, normalize_parts, traced_constant
@@ -293,7 +290,6 @@ def lp_max(m, n, eps, parts, out):
 @click.argument("n", type=int)
 @click.argument("eps")
 @click.option("--out", default=None, type=click.Path())
-@_handle_errors
 def verify_theorem_cmd(m, n, eps, out):
     """PASS iff the polytope's worst-case distance is at most C(m)*eps."""
     from .polytope import verify_theorem

@@ -19,8 +19,9 @@ raises a missing profile or a lottery's fault in enumeration order.
 `load_rule` reads a file once and returns the sha256 of the bytes it checked.
 
 One writer, `dump_json`, streams rule files and reports as indented JSON; it
-streams a table, whether a rule file or a report field, straight from the
-view, and builds no entry object.
+walks dicts, lists and tuples, streams a table, whether a rule file or a
+report field, straight from the view, and builds no entry object; every
+other value is left to `json.dumps`.
 Fractions are built on demand, by `lottery_at`, `prob_at` and `.table`,
 which all read a table by its anonymous profile key (`prefs.canonicalize`
 turns an ordered profile into one).
@@ -492,22 +493,22 @@ def _read_entry(entry, m: int, n: int, names: tuple[str, ...], parsed: dict[str,
     return len(nums) == m and sum(nums) == den and min(nums) >= 0
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def dump_json(obj, fh) -> None:
     """Write obj and a newline to fh as json.dumps(obj, indent=2, sort_keys=True)
     writes it, piece by piece: no string holds the whole document.  A RuleTable
-    anywhere in obj is written as its rule file's object, rule_to_json_obj.  Like
-    json.dumps it raises TypeError on a value it cannot encode, and unlike it
-    on a key that is not a str."""
+    anywhere in obj is written as its rule file's object, rule_to_json_obj.  A
+    value that is not a container, a table or a string is encoded by json.dumps,
+    which raises TypeError on one it cannot encode; unlike json.dumps, dump_json
+    also raises it on a key that is not a str."""
     _dump(obj, fh.write, "\n")
     fh.write("\n")
 
 
 def _dump(obj, write, newline: str) -> None:
-    """obj as the json module encodes it, each line indented as far as newline's;
-    a RuleTable as it encodes rule_to_json_obj of the table."""
+    """obj as the json module encodes it, each line indented as far as newline's:
+    a RuleTable streamed as rule_to_json_obj of the table, a nonempty dict, list
+    or tuple walked member by member, a string encoded here, and every other
+    value left to json.dumps."""
     if isinstance(obj, RuleTable):
         _dump_rule(obj, write, newline)
     elif isinstance(obj, dict) and obj:
@@ -525,21 +526,8 @@ def _dump(obj, write, newline: str) -> None:
             _dump_members([("", item) for item in obj], "[]", write, newline)
     elif isinstance(obj, str):
         write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        write(_FLOAT_WORDS.get(text, text))
-    elif isinstance(obj, (list, tuple, dict)):
-        write("{}" if isinstance(obj, dict) else "[]")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        write(json.dumps(obj))
 
 
 def _dump_members(members, brackets: str, write, newline: str) -> None:
@@ -580,8 +568,9 @@ def write_json(path: str, obj) -> None:
     """Write obj as indented, key-sorted JSON, replacing path in one step.
 
     The text goes to path + ".tmp" first; a failed write or replace deletes
-    that file again and re-raises.  A temporary file that cannot be created
-    is reported under path.
+    that file again and re-raises.  An OSError, whether the temporary file
+    cannot be created, written or moved onto path, is reported under path,
+    the only name the caller gave.
     """
     tmp = f"{path}.tmp"
     try:
@@ -592,8 +581,10 @@ def write_json(path: str, obj) -> None:
         with fh:
             dump_json(obj, fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -20,7 +21,7 @@ import votecert.rules
 from votecert.axioms import AxiomReport, replay_report
 from votecert.beliefs import ManipulationInstance, polya_certify, polynomial_from_terms
 from votecert.cli import main
-from votecert.errors import DomainError, InternalError, ValidationError
+from votecert.errors import CapExceededError, DomainError, InternalError, ValidationError
 from votecert.lp import SlackBasisSimplex, constraint
 from votecert.polytope import max_distance
 from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, format_key, max_m, max_profiles, swap_path
@@ -249,6 +250,15 @@ def test_out_in_a_missing_directory_names_the_users_path(runner, tmp_path, args)
     assert result.output == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
+def test_out_naming_a_directory_names_the_users_path_and_leaves_no_file(runner, tmp_path):
+    out = tmp_path / "d"
+    out.mkdir()
+    result = runner.invoke(main, ["gen", "uniform", "3", "2", "--out", str(out)])
+    _assert_input_error(result)
+    assert result.output == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert sorted(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+
+
 # -- internal errors -----------------------------------------------------------------
 
 
@@ -265,6 +275,22 @@ def test_internal_failure_exits_4_not_1(runner, tmp_path, monkeypatch, exc):
     assert result.exit_code == 4, result.output
     assert "Traceback" in result.output
     assert str(exc) in result.output
+
+
+@pytest.mark.parametrize("exc, code", [(RuntimeError("boom"), 4), (DomainError("out of domain"), 2),
+                                       (CapExceededError("over the cap"), 3)])
+def test_a_command_added_to_the_group_gets_the_error_boundary(runner, monkeypatch, exc, code):
+    @click.command("throwaway")
+    def throwaway():
+        raise exc
+
+    monkeypatch.setitem(main.commands, "throwaway", throwaway)
+    result = runner.invoke(main, ["throwaway"])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert ("Traceback" in result.output) == (code == 4)
+    last = "internal error; please report the traceback above" if code == 4 else str(exc)
+    assert result.output.endswith(f"error: {last}\n")
 
 
 def test_unknown_axiom_exits_2_before_loading_the_rule(runner, tmp_path, monkeypatch):

@@ -172,6 +172,7 @@ def _unread_members() -> list[tuple[str, str]]:
 OUTSIDE_MEMBER_USERS = {
     "RuleTable.table": "the rules.profiles_validated hook in perfbench/tracing.py",
     "Constraint.coeffs": "the dense rows of the LP oracle tests",
+    "_Boundary.invoke": "click, which calls the command group's invoke to run each command",
 }
 
 
