@@ -51,7 +51,7 @@ from functools import lru_cache
 from . import POLYA_MAX
 from .errors import CapExceededError, DomainError
 from .prefs import AnonKey, Ordering, enumerate_orderings, max_profiles, ordering_rank, profile_walk
-from .rules import RuleTable, is_consistent_utility, upper_set_utility
+from .rules import RuleTable, _parse_fraction, is_consistent_utility, upper_set_utility
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,7 +64,7 @@ STATUS_UNKNOWN = "unknown"
 
 
 def validate_belief(nvars: int, weights) -> Belief:
-    phi = tuple(Fraction(w) for w in weights)
+    phi = tuple(_parse_fraction(w, "belief weight") for w in weights)
     if len(phi) != nvars:
         raise DomainError(f"belief has {len(phi)} weights, expected {nvars}")
     if any(w < 0 for w in phi) or sum(phi) != 1:
@@ -104,7 +104,7 @@ def polynomial_from_terms(nvars: int, degree: int, terms) -> SimplexPolynomial:
     for exps, coeff in dict(terms).items():
         if len(exps) != nvars or sum(exps) != degree or any(e < 0 for e in exps):
             raise DomainError(f"exponent vector {exps} does not match nvars={nvars}, degree={degree}")
-        coeff = Fraction(coeff)
+        coeff = _parse_fraction(coeff, "coefficient")
         if coeff:
             clean[tuple(i for i, e in enumerate(exps) for _ in range(e))] = coeff
     return SimplexPolynomial(nvars, degree, clean)

@@ -25,7 +25,6 @@ from .errors import CapExceededError, DomainError, ValidationError
 from .prefs import enumerate_orderings, format_key, format_ordering
 from .rules import (
     RuleTable,
-    _parse_fraction,
     check_printable,
     check_rule_printable,
     checked_unit,
@@ -60,7 +59,7 @@ def _rational(q: Fraction) -> dict:
 def _fraction_arg(text: str, name: str) -> Fraction:
     """The rational argument `name`, checked to lie in [0, 1] and to be printable."""
     try:
-        q = checked_unit(_parse_fraction(text, name), name)
+        q = checked_unit(text, name)
     except (ValueError, ZeroDivisionError):
         raise click.BadParameter(f"{text!r} is not a rational number like 1/10")
     if not within_digit_limit(q):

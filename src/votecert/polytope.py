@@ -161,7 +161,7 @@ def max_distance(m: int, n: int, eps, parts=ALL_PARTS, keep_witnesses: bool = Fa
     dictatorship probability; the distance of the maximizing vertex to
     random dictatorship equals the returned optimum exactly.
     """
-    eps = Fraction(eps)
+    eps = checked_unit(eps, "eps")
     lp = build_polytope(m, n, eps, parts)
     keys = list(enumerate_profiles(m, n))
     key_index = {k: i for i, k in enumerate(keys)}

@@ -89,9 +89,8 @@ def _rank_of(m: int) -> dict[Ordering, int]:
 @lru_cache(maxsize=None)
 def adjacent_swaps(m: int) -> tuple[tuple[int, ...], ...]:
     """swaps[r][p] is the rank of ordering r with positions p and p+1 exchanged."""
-    rank = _rank_of(m)
     return tuple(
-        tuple(rank[o[:p] + (o[p + 1], o[p]) + o[p + 2:]] for p in range(m - 1))
+        tuple(ordering_rank(o[:p] + (o[p + 1], o[p]) + o[p + 2:]) for p in range(m - 1))
         for o in enumerate_orderings(m)
     )
 
@@ -112,10 +111,10 @@ def upper_set(ordering: Ordering, k: int) -> frozenset[int]:
 
 
 def canonicalize(profile: Profile) -> AnonKey:
-    """Anonymous-profile key: voters' ordering ranks, sorted."""
-    m = len(profile[0])
-    rank = _rank_of(m)
-    return tuple(sorted(rank[o] for o in profile))
+    """Anonymous-profile key: the voters' sorted ordering_rank; DomainError for no voter or two sizes."""
+    if len(set(map(len, profile))) != 1:
+        raise DomainError(f"need at least one ordering, all of one size, got sizes {list(map(len, profile))}")
+    return tuple(sorted(map(ordering_rank, profile)))
 
 
 def count_anonymous_profiles(m: int, n: int) -> int:

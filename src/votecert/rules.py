@@ -17,6 +17,8 @@ RuleTable a `_Checked` view, which it keeps after the names check, the profile
 cap and a count of the profiles.  Any other file is walked by RuleTable, which
 raises a missing profile or a lottery's fault in enumeration order.
 `load_rule` reads a file once and returns the sha256 of the bytes it checked.
+`_parse_fraction` is the one reader of a caller's rational that is not a
+Fraction, whether a rule file's entry, a command-line argument or a library one.
 
 One writer, `dump_json`, streams rule files and reports as indented JSON; it
 walks dicts, lists and tuples, streams a table, whether a rule file or a
@@ -86,10 +88,30 @@ def check_printable(*qs: Fraction | int) -> None:
                                f"sys.get_int_max_str_digits() is {sys.get_int_max_str_digits()}")
 
 
+# Fraction's decimal form with an exponent: its integer digits, fraction digits and exponent.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                           r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
+def _parse_fraction(value, name: str) -> Fraction:
+    """The one reader of a caller's rational: Fraction(value), but text with an exponent past twice the
+    digit limit builds no power of ten; int() refuses each digit string past the limit, as Fraction
+    does, so a nonzero mantissa there does not print (ValidationError), and a zero one reads as 0."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    match = _EXPONENT_FORM.fullmatch(value) if limit and isinstance(value, str) else None
+    if match:
+        whole, decimals, exp = (int(digits or "0") for digits in match.groups())
+        if abs(exp) > 2 * limit:
+            if whole or decimals:
+                raise ValidationError(f"{name} has more digits than Python will print")
+            return Fraction(0)
+    return Fraction(value)
+
+
 def checked_unit(q, name: str) -> Fraction:
-    """q as a Fraction, checked to lie in [0, 1]; like every message about a
-    rational, the error leaves the value out, which str() may refuse to print."""
-    q = q if isinstance(q, Fraction) else Fraction(q)
+    """q as a Fraction, read by _parse_fraction unless it is one, and checked to lie in [0, 1];
+    like every message about a rational, the error leaves the value out, which str() may refuse to print."""
+    q = q if isinstance(q, Fraction) else _parse_fraction(q, name)
     if not 0 <= q <= 1:
         raise DomainError(f"{name} must lie in [0, 1]")
     return q
@@ -110,8 +132,8 @@ def _scaled_pairs(pairs) -> tuple[tuple[int, ...], int]:
 
 
 def _scaled_lottery(probs) -> tuple[tuple[int, ...], int]:
-    """(nums, den) with Fraction(probs[x]) == nums[x] / den and den the lcm of the denominators."""
-    lot = [p if isinstance(p, Fraction) else Fraction(p) for p in probs]
+    """(nums, den) with _parse_fraction(probs[x]) == nums[x] / den and den the lcm of the denominators."""
+    lot = [p if isinstance(p, Fraction) else _parse_fraction(p, "lottery entry") for p in probs]
     return _scaled_pairs([(p.numerator, p.denominator) for p in lot])
 
 
@@ -288,7 +310,7 @@ def mixture(rules: list[RuleTable], weights) -> RuleTable:
     """Pointwise convex combination of rules over the same (m, n)."""
     if not rules:
         raise DomainError("mixture needs at least one rule")
-    w = [Fraction(q) for q in weights]
+    w = [_parse_fraction(q, "mixture weight") for q in weights]
     if len(w) != len(rules):
         raise DomainError(f"{len(rules)} rules but {len(w)} weights")
     if any(q <= 0 for q in w):
@@ -355,10 +377,8 @@ def perturb(v: RuleTable, delta, seed: int) -> RuleTable:
 
 def is_consistent_utility(u, ordering: Ordering) -> bool:
     """Strict consistency: u decreases strictly along the ordering."""
-    vals = [Fraction(q) for q in u]
-    if len(vals) != len(ordering):
-        return False
-    if any(q < 0 or q > 1 for q in vals):
+    vals = [_parse_fraction(q, "utility") for q in u]
+    if len(vals) != len(ordering) or any(q < 0 or q > 1 for q in vals):
         return False
     return all(vals[ordering[i]] > vals[ordering[i + 1]] for i in range(len(ordering) - 1))
 
@@ -398,26 +418,6 @@ def rule_to_json_obj(v: RuleTable) -> dict:
                             for num in nums for g in (math.gcd(num, den),)]}
                for key, (nums, den) in v._scaled().items()]
     return {"m": v.m, "n": v.n, "candidates": list(v.names), "entries": entries}
-
-
-# Fraction's decimal form with an exponent: its integer digits, fraction digits and exponent.
-_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
-                           r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
-
-
-def _parse_fraction(text: str | int, name: str) -> Fraction:
-    """Fraction(text), but an exponent past twice the digit limit builds no power
-    of ten: int() refuses each digit string past the limit, as in Fraction, so
-    a nonzero mantissa there gives a value that does not print (ValidationError)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    match = _EXPONENT_FORM.fullmatch(text) if limit and type(text) is str else None
-    if match:
-        whole, decimals, exp = (int(digits or "0") for digits in match.groups())
-        if abs(exp) > 2 * limit:
-            if whole or decimals:
-                raise ValidationError(f"{name} has more digits than Python will print")
-            return Fraction(0)
-    return Fraction(text)
 
 
 def rule_from_json_obj(obj: dict) -> RuleTable:

@@ -16,18 +16,31 @@ import pytest
 from click.testing import CliRunner
 
 import votecert
+import votecert.beliefs
 import votecert.cli
+import votecert.polytope
 import votecert.rules
 from votecert.axioms import AxiomReport, replay_report
-from votecert.beliefs import ManipulationInstance, polya_certify, polynomial_from_terms
+from votecert.beliefs import ManipulationInstance, polya_certify, polynomial_from_terms, validate_belief
 from votecert.cli import main
 from votecert.errors import CapExceededError, DomainError, InternalError, ValidationError
 from votecert.lp import SlackBasisSimplex, constraint
-from votecert.polytope import max_distance
-from votecert.prefs import DEFAULT_MAX_M, DEFAULT_MAX_PROFILES, format_key, max_m, max_profiles, swap_path
+from votecert.polytope import build_polytope, max_distance, verify_theorem
+from votecert.prefs import (
+    DEFAULT_MAX_M,
+    DEFAULT_MAX_PROFILES,
+    canonicalize,
+    enumerate_profiles,
+    format_key,
+    max_m,
+    max_profiles,
+    swap_path,
+)
 from votecert.rules import (
     RuleTable,
     closeness,
+    constant_rule,
+    is_consistent_utility,
     mixture,
     pair_rule,
     perturb,
@@ -394,6 +407,12 @@ LIBRARY_MISUSE = {  # name -> (call, DomainError message)
     "swap-path-absent-forbidden": (
         lambda: swap_path(((0, 1),), ((1, 0),), forbidden=2), "forbidden candidate 2 not in voter 0's ordering"
     ),
+    "canonicalize-no-voter": (lambda: canonicalize(()), "need at least one ordering, all of one size, got sizes []"),
+    "canonicalize-repeated-candidate": (lambda: canonicalize(((0, 0),)), "(0, 0) is not a permutation of 0..1"),
+    # Ranks of orderings of two sizes would key no profile: (0, 1) and (0, 1, 2) both have rank 0.
+    "canonicalize-two-sizes": (
+        lambda: canonicalize(((0, 1), (0, 1, 2))), "need at least one ordering, all of one size, got sizes [2, 3]"
+    ),
     # None would seed from the operating system, and the "seeded" table would not repeat.
     **{f"perturb-seed-{kind}": (lambda seed=seed: perturb(uniform_rule(3, 2), _HALF, seed),
                                 f"seed must be an int, got {type(seed).__name__}")
@@ -501,6 +520,51 @@ def test_exponents_up_to_twice_the_limit_reach_fraction_as_do_all_without_a_limi
     past_bound = f"1e-{2 * limit + 1}"
     assert votecert.rules._parse_fraction(past_bound, "x") == Fraction(1, 10 ** (2 * limit + 1))
     assert fraction_texts == [at_bound, past_bound]
+
+
+HUGE_TEXT, HUGE_ZERO = "1e-100000000", "0e100000000"
+
+
+@pytest.fixture
+def power_of_ten_refused(monkeypatch):
+    """Fraction in the library layers, failing at once on either huge-exponent
+    text, which it would read by building 10**100000000."""
+
+    class Refusing(Fraction):
+        def __new__(cls, *args, **kwargs):
+            if any(isinstance(arg, str) and arg in (HUGE_TEXT, HUGE_ZERO) for arg in args):
+                raise AssertionError(f"Fraction({args[0]!r}) builds a power of ten")
+            return Fraction(*args, **kwargs)
+
+    for module in (votecert.rules, votecert.polytope, votecert.beliefs):
+        monkeypatch.setattr(module, "Fraction", Refusing)
+
+
+# name -> (call with one rational q, the name its error gives q, whether q = 0 is valid)
+RATIONAL_ENTRY_POINTS = {
+    "build_polytope": (lambda q: build_polytope(3, 2, q), "eps", True),
+    "verify_theorem": (lambda q: verify_theorem(3, 2, q), "eps", True),
+    "max_distance": (lambda q: max_distance(3, 2, q), "eps", True),
+    "perturb": (lambda q: perturb(random_dictatorship(3, 2), q, 0), "delta", True),
+    "constant_rule": (lambda q: constant_rule(3, 2, (q, 0, 1)), "lottery entry", True),
+    "RuleTable": (lambda q: RuleTable(3, 2, dict.fromkeys(enumerate_profiles(3, 2), (q, 0, 1))),
+                  "lottery entry", True),
+    "mixture": (lambda q: mixture([uniform_rule(3, 2), random_dictatorship(3, 2)], [q, 1]), "mixture weight",
+                False),
+    "is_consistent_utility": (lambda q: is_consistent_utility((1, _HALF, q), (0, 1, 2)), "utility", True),
+    "validate_belief": (lambda q: validate_belief(2, (q, 1)), "belief weight", True),
+    "polynomial_from_terms": (lambda q: polynomial_from_terms(2, 1, {(1, 0): q, (0, 1): 1}), "coefficient", True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RATIONAL_ENTRY_POINTS))
+def test_no_entry_point_builds_the_power_of_a_huge_exponent(power_of_ten_refused, entry):
+    call, name, zero_is_valid = RATIONAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError) as caught:
+        call(HUGE_TEXT)
+    assert str(caught.value) == f"{name} has more digits than Python will print"
+    if zero_is_valid:
+        assert call(HUGE_ZERO) == call(0)
 
 
 # -- results past Python's integer digit limit -------------------------------------
